@@ -1,7 +1,7 @@
 """hecke7: a computational lab for the Grossencharacter L-functions of Q(sqrt(-7)).
 
 Modules:
-    field    - exact arithmetic in Z[eta], representations, Hecke coefficients
+    field    - exact arithmetic in Z[eta], Hecke coefficients, float64 prime table
     specfun  - precision-controlled special functions and constants
     vz       - exact central values via the A(n)/B(n) polynomial recursions
     central  - central values by incomplete-gamma series, completed L, zeros

@@ -5,8 +5,7 @@ Two indexings, following the source conventions:
   * completed_lambda / hardy_Z / zeros_up_to(n): the character is
     chi^(4n-3) (family index; always even functional equation).
 
-Central values use L(1/2, chi^(2n-1)) = 2 sum_m chi(m) Q(n, 2pi m/7)/m^n
-... wait, spelled over the regularized incomplete gamma:
+Central values use the series over the regularized incomplete gamma:
 
     L(1/2, chi^(2n-1)) = (2/(n-1)!) sum_m chi^(2n-1)(m) Gamma(n, 2pi m/7)/m^n
                        = 2 sum_m a(m) Q(n, 2pi m/7) / sqrt(m),
@@ -166,36 +165,6 @@ def _integral_Y(a: float, drop: float) -> float:
     return y
 
 
-@lru_cache(maxsize=64)
-def _norm_coeff_floats(k: int, M: int) -> np.ndarray:
-    """Normalized coefficients chi^(k)(m)/m^(k/2), m = 1..M, as float64.
-
-    Exact integers at prime powers, multiplicative assembly on floats
-    (error ~ 1e-15, ample for the zero engine).
-    """
-    facs = field.factorizations(M)
-    vals = np.zeros(M + 1)
-    vals[1] = 1.0
-    prime_power: dict[int, float] = {}
-    for m in range(2, M + 1):
-        f = facs[m]
-        if len(f) == 1:
-            ((p, e),) = f.items()
-            c = field.hecke_coeff(k, m)
-            if c == 0:
-                prime_power[m] = 0.0
-            else:
-                with mp.workdps(40):
-                    prime_power[m] = float(mpf(c) / mpf(m) ** (mpf(k) / 2))
-            vals[m] = prime_power[m]
-        else:
-            acc = 1.0
-            for p, e in f.items():
-                acc *= vals[p**e]
-            vals[m] = acc
-    return vals
-
-
 class ZEngine:
     """Fast Hardy-Z evaluator for the family member chi^(4n-3).
 
@@ -218,7 +187,7 @@ class ZEngine:
         a = self.a
         drop = 44.0  # ~19 digits of headroom in the truncations
         M = _theta_m_cutoff(a, 1.0, drop)
-        coeff = _norm_coeff_floats(self.k, M)
+        coeff = field.prime_table(M).coeffs(self.k)
         ms = np.nonzero(coeff)[0]
         cs = coeff[ms]
         lm = np.log(ms.astype(float))

@@ -197,14 +197,9 @@ def _cmd_moment(args) -> int:
     if args.r == 1:
         out["theorem_bound"] = _sci(3.0 * log(args.N) / sqrt(args.N), d)
         out["theorem_bound_abs_err"] = _sci(1e-15, 3)
-    if rep.predicted_constant_form is not None:
-        out["predicted_constant_form"] = _sci(rep.predicted_constant_form, d)
-        out["predicted_constant_form_abs_err"] = _sci(mpf(10) ** (-d), 3)
-    if args.format == "csv":
-        header = list(out.keys())
-        _emit(args, (header, [[str(v) for v in out.values()]]))
-    else:
-        _emit(args, out)
+    out["predicted_constant_form"] = _sci(rep.predicted_constant_form, d)
+    out["predicted_constant_form_abs_err"] = _sci(mpf(10) ** (-d), 3)
+    _emit(args, out)
     return 0
 
 
@@ -257,7 +252,7 @@ def _cmd_density(args) -> int:
         "explicit_formula_abs_err": _sci(1e-8, 3),
         "rmt": _sci(rep.rmt, d),
         "rmt_abs_err": _sci(mpf(10) ** (-d), 3),
-        "v": _sci(rep.v, d),
+        "v": _sci(rep.rmt, d),
         "nonvanishing_lower_bound": _sci(rep.nonvanishing_lower_bound, d),
         "t_height": _sci(rep.t_height, 6),
         "discarded_mass_bound": _sci(rep.discarded_mass_bound, 3),

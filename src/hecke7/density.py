@@ -24,7 +24,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import exp, log, pi as fpi, sqrt as fsqrt
 
 import numpy as np
@@ -112,7 +111,6 @@ class DensityReport:
     empirical: float
     explicit_formula: float
     rmt: float
-    v: float
     nonvanishing_lower_bound: float
     t_height: float
     discarded_mass_bound: float
@@ -130,35 +128,8 @@ def lambda_vm(n: int, p: int, r: int, ctx: PrecisionContext = DEFAULT_CTX) -> fl
     at even r.  Returns 0 at p = 7."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    cls = field.prime_class(p)
-    if cls == "ramified":
-        return 0.0
-    k = 4 * n - 3
-    lp = log(p)
-    if cls == "inert":
-        if r % 2:
-            return 0.0
-        return 2.0 * lp * (-1.0 if (r // 2) % 2 else 1.0)
-    ap = _split_ap(p, np.array([k]))[0]
-    c_prev, c = 2.0, ap
-    for _ in range(r - 1):
-        c_prev, c = c, ap * c - c_prev
-    return lp * c
-
-
-@lru_cache(maxsize=512)
-def _split_rep_data(p: int):
-    reps = field.half_representations(p)
-    eps = np.array([field.epsilon(a, b) for a, b in reps], dtype=float)
-    thetas = np.array([float(field.theta(a, b, digits=30)) for a, b in reps])
-    return eps, thetas
-
-
-def _split_ap(p: int, ks: np.ndarray) -> np.ndarray:
-    """Normalized a(p) at split p for each exponent k in ks."""
-    eps, thetas = _split_rep_data(p)
-    phases = np.mod(np.outer(ks.astype(float), thetas), 1.0)
-    return (np.cos(2.0 * fpi * phases) * eps).sum(axis=1)
+    field.prime_class(p)  # ValueError unless p is prime
+    return log(p) * float(field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r])
 
 
 # ---------------------------------------------------------------------------
@@ -196,33 +167,9 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
 def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
-    k = 4 * n - 3
-    total = 0.0
-    for p in field.primes_up_to(k_max):
-        cls = field.prime_class(p)
-        if cls == "ramified":
-            continue
-        lp = log(p)
-        if cls == "split":
-            ap = _split_ap(p, np.array([k]))[0]
-            c_prev, c = 2.0, ap
-        else:
-            c_prev, c = 2.0, 0.0
-        q = p
-        r = 1
-        while q <= k_max:
-            if cls == "split":
-                lam = lp * c
-            else:
-                lam = 0.0 if r % 2 else 2.0 * lp * (-1.0 if (r // 2) % 2 else 1.0)
-            w = phihat(log(q) / (2.0 * fpi))
-            if lam and w:
-                total += lam / fsqrt(q) * w
-            q *= p
-            r += 1
-            if cls == "split":
-                c_prev, c = c, ap * c - c_prev
-    return total / fpi
+    p, q, c = field.prime_table(k_max).powers(4 * n - 3, 2.0)
+    w = np.array([phihat(log(x) / (2.0 * fpi)) for x in q.tolist()], dtype=float)
+    return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
 
 
 def _phihat_cutoff(phi: TestFunction, scale: float, tol: float = 1e-14) -> int:
@@ -369,7 +316,6 @@ def empirical_one_level(
         empirical=empirical,
         explicit_formula=explicit,
         rmt=v,
-        v=v,
         nonvanishing_lower_bound=bound,
         t_height=t_min,
         discarded_mass_bound=mass_bound,
@@ -396,15 +342,6 @@ def _tail_mass_bound(n: int, f: TestFunction, T: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _prime_arrays(P: int):
-    ps = np.array(field.primes_up_to(P), dtype=float)
-    res = np.array([int(p) % 7 for p in ps])
-    split = np.isin(res, (1, 2, 4))
-    inert = np.isin(res, (3, 5, 6))
-    return np.log(ps), split, inert
-
-
 def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000, tol: float = 1e-3) -> complex:
     """The convergent Euler product A(alpha,gamma) of the one-ratio
     conjecture, truncated at p <= P (tail O(1/P)).
@@ -420,7 +357,8 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
     g = complex(gamma)
     if abs(a.real) >= 0.25 or abs(g.real) >= 0.25:
         raise ValueError("shifts outside the conjecture domain")
-    lp, split, inert = _prime_arrays(P)
+    table = field.prime_table(P)
+    lp, cls = np.log(table.primes), table.classes
     # per-prime log factor is O(p^(-2 sigma)), sigma = 1 + min Re shift sum
     sigma = 1.0 + min(2 * g.real, a.real + g.real)
     tail_est = 6.0 * P ** (1.0 - 2.0 * sigma) / (max(2.0 * sigma - 1.0, 0.05) * log(P))
@@ -429,9 +367,9 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
     y = np.exp(-(1 + 2 * g) * lp)
     w = np.exp(-(1 + a + g) * lp)
     fac = np.ones(len(lp), dtype=complex)
+    split, inert, ram = cls == "split", cls == "inert", cls == "ramified"
     fac[split] = (1 - y[split]) * (1 + y[split] - 2 * w[split]) / (1 - w[split]) ** 2
     fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
-    ram = ~(split | inert)
     fac[ram] = (1 - y[ram]) / (1 - w[ram])
     return complex(np.prod(fac))
 

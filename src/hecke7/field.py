@@ -8,14 +8,19 @@ The Grossencharacter is chi((a+b*eta)) = eps_{a,b} * (a+b*eta) where
 eps_{a,b} is the Legendre symbol ((a^3 - 2a^2 b - a b^2 + b^3)/7); the
 coefficient function chi^(k)(m) sums eps * (a+b*eta)^k over all
 representations of m and halves the result.  All of that is done in
-exact integer arithmetic; floating normalization is applied last.
+exact integer arithmetic; floating normalization is applied last.  These
+serve the mpmath routes and the oracles; the float64 family routes share
+one PrimeTable (fixed-point representation angles) instead.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import isqrt
 
+import mpmath
+import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
 
 from .specfun import PrecisionContext, PrecisionError
@@ -165,19 +170,19 @@ def theta(a: int, b: int, digits: int = 15) -> mpf:
         return +t
 
 
+# Splitting type of a rational prime p in Q(sqrt(-7)) by the symbol (p/7).
+_CLASS_NAMES = {1: "split", -1: "inert", 0: "ramified"}
+
+
 def prime_class(p: int) -> str:
     """Splitting type of a rational prime in Q(sqrt(-7)).
 
     'split' for p = 1, 2, 4 mod 7; 'inert' for p = 3, 5, 6 mod 7;
-    'ramified' for p = 7.
+    'ramified' for p = 7.  Raises ValueError if p is not prime.
     """
-    from sympy import isprime
-
-    if not isprime(p):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-    if p == 7:
-        return "ramified"
-    return "split" if p % 7 in (1, 2, 4) else "inert"
+    return _CLASS_NAMES[_LEGENDRE7[p % 7]]
 
 
 def _spf_sieve(n: int) -> list[int]:
@@ -253,3 +258,105 @@ def coeff_table(k: int, maxM: int, digits: int = 15) -> CoeffTable:
         for m in range(1, maxM + 1):
             normalized[m] = +(mpf(exact[m]) / mpf(m) ** kh)
     return CoeffTable(k=k, maxM=maxM, digits=digits, exact=exact, normalized=normalized)
+
+
+@dataclass(frozen=True, eq=False)
+class PrimeTable:
+    """Float64 prime kernel for p <= P; every array is read-only.
+
+    Per prime: its prime_class and, for its two half-representations (none
+    at inert p; eps = 0 at p = 7), eps and theta as 64-bit fixed-point
+    turns, so k theta mod 1 is one wrapping uint64 multiply.  Per m <= P:
+    ppart, the exact power of the smallest prime factor dividing m.
+    """
+
+    P: int
+    primes: np.ndarray
+    classes: np.ndarray
+    rep_eps: np.ndarray
+    rep_turns: np.ndarray
+    ppart: np.ndarray
+
+    def chebyshev(self, k: int, e_max: int, c0: float) -> np.ndarray:
+        """x_0..x_{e_max} for each prime: x_0 = c0, x_1 = a_k(p), the sum of
+        eps cos(2 pi k theta) over the half-representations of p, and
+        x_{e+1} = a_k(p) x_e - x_{e-1} (x_e = 0 for e >= 1 at p = 7).  c0 = 1
+        gives a_k(p^e) (U-sequence), c0 = 2 gives Lambda_k(p^e)/log p (T)."""
+        phase = (np.uint64(k) * self.rep_turns).view(np.int64) * 2.0**-64  # in [-1/2, 1/2)
+        ap = (self.rep_eps * np.cos(2.0 * np.pi * phase)).sum(axis=1)
+        c = self.classes != "ramified"
+        xs = [np.full_like(ap, c0), ap]
+        for _ in range(e_max - 1):
+            xs.append(ap * xs[-1] - c * xs[-2])
+        return np.stack(xs[: e_max + 1], axis=1)
+
+    def powers(self, k: int, c0: float):
+        """(p, q, x): the prime powers q = p^e <= P (e >= 1) and the
+        chebyshev value x_e of p at each of them."""
+        e_max = max(1, self.P.bit_length() - 1)
+        x = self.chebyshev(k, e_max, c0)
+        ps, qs, xs = [], [], []
+        q = self.primes
+        for e in range(1, e_max + 1):
+            n = int(np.searchsorted(q, self.P, side="right"))
+            ps.append(self.primes[:n])
+            qs.append(q[:n])
+            xs.append(x[:n, e])
+            q = q[:n] * self.primes[:n]
+        return np.concatenate(ps), np.concatenate(qs), np.concatenate(xs)
+
+    def coeffs(self, k: int) -> np.ndarray:
+        """a_k(m) = chi^(k)(m)/m^(k/2) for m = 0..P: the U-sequence at prime
+        powers, a(m) = a(ppart) a(m/ppart) elsewhere."""
+        _, q, x = self.powers(k, 1.0)
+        a = np.zeros(self.P + 1)
+        a[1] = 1.0
+        a[q] = x
+        m = np.flatnonzero(self.ppart < np.arange(self.P + 1))
+        # each pass settles one more distinct prime factor; there are < log2 P
+        for _ in range(self.P.bit_length()):
+            a[m] = a[self.ppart[m]] * a[m // self.ppart[m]]
+        return a
+
+
+def _build_table(P: int, base: PrimeTable | None) -> PrimeTable:
+    """A PrimeTable for p <= P, reusing the angles of a smaller base table."""
+    spf = np.array(_spf_sieve(P), dtype=np.int64)
+    ms = np.arange(P + 1)
+    primes = ms[2:][spf[2:] == ms[2:]]
+    classes = np.array([_CLASS_NAMES[_LEGENDRE7[r]] for r in range(7)])[primes % 7]
+    n_old = 0 if base is None else len(base.primes)
+    rep_eps = np.zeros((len(primes), 2))
+    rep_turns = np.zeros((len(primes), 2), dtype=np.uint64)
+    if base is not None:
+        rep_eps[:n_old], rep_turns[:n_old] = base.rep_eps, base.rep_turns
+    with mp.workdps(30):
+        for i in np.flatnonzero(classes[n_old:] == "split") + n_old:
+            for j, (a, b) in enumerate(half_representations(int(primes[i]))):
+                rep_eps[i, j] = epsilon(a, b)
+                turns = mpmath.nint(mpmath.ldexp(theta(a, b, digits=30), 64))
+                rep_turns[i, j] = int(turns) % (1 << 64)
+    ppart = np.ones(P + 1, dtype=np.int64)
+    ppart[2:] = p = spf[2:]
+    while (more := ms[2:] % (ppart[2:] * p) == 0).any():
+        ppart[2:][more] *= p[more]
+    arrays = (primes, classes, rep_eps, rep_turns, ppart)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return PrimeTable(P, *arrays)
+
+
+_TABLE: PrimeTable | None = None
+_TABLE_LOCK = threading.Lock()
+
+
+def prime_table(P: int) -> PrimeTable:
+    """The shared PrimeTable cut to p <= P: built on first use, never at
+    import, and grown to the largest P asked for, reusing computed angles."""
+    global _TABLE
+    with _TABLE_LOCK:
+        if _TABLE is None or _TABLE.P < P:
+            _TABLE = _build_table(P, _TABLE)
+        t = _TABLE
+    n = int(np.searchsorted(t.primes, P, side="right"))
+    return PrimeTable(P, t.primes[:n], t.classes[:n], t.rep_eps[:n], t.rep_turns[:n], t.ppart[: P + 1])

@@ -6,7 +6,7 @@ equation).  Moments:
     M_r(N) = (1/N) sum_{n<=N} L(1/2, chi^(4n-3))^r.
 
 The sweep evaluates the incomplete-gamma series in float64 (coefficients
-from exact representation angles, Q from scipy) and validates against
+from the shared prime table, Q from scipy) and validates against
 the arbitrary-precision series route on a fixed subsample.  The module
 also houses the multiplicative averages delta(m), delta(l,m),
 delta_mu(p^m, p^l), their direct-averaging oracles, and the local/global
@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos as fcos, isqrt, log, pi as fpi
+from math import isqrt, log, pi as fpi
 
 import numpy as np
 import mpmath
@@ -28,6 +28,7 @@ from scipy.special import gammaincc
 from . import field
 from .central import BETA, CentralValue, central_value_series, series_truncation
 from .specfun import (
+    CHI7,
     PrecisionContext,
     DEFAULT_CTX,
     PrecisionError,
@@ -65,82 +66,9 @@ class EulerFactorValue:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _prime_rep_data(M: int):
-    """Per-prime data for p <= M: class, half-representation angles
-    (mpf turns at 40 dps) and epsilon signs."""
-    data = {}
-    for p in field.primes_up_to(M):
-        cls = field.prime_class(p)
-        if cls == "split":
-            reps = field.half_representations(p)
-            angles = [field.theta(a, b, digits=40) for a, b in reps]
-            eps = [field.epsilon(a, b) for a, b in reps]
-            data[p] = (cls, angles, eps)
-        else:
-            data[p] = (cls, None, None)
-    return data
-
-
-@lru_cache(maxsize=8)
-def _assembly_plan(M: int):
-    """(m, prime_power_part, cofactor) for composite m <= M that are not
-    prime powers, in increasing m order, for multiplicative assembly."""
-    facs = field.factorizations(M)
-    plan = []
-    pp_list = []
-    for m in range(2, M + 1):
-        f = facs[m]
-        if len(f) == 1:
-            ((p, e),) = f.items()
-            pp_list.append((m, p, e))
-        else:
-            p = min(f)
-            q = p ** f[p]
-            plan.append((m, q, m // q))
-    return tuple(pp_list), tuple(plan)
-
-
-def _coeff_vector(k: int, M: int, prime_data) -> np.ndarray:
-    """Normalized coefficients a(m) = chi^(k)(m)/m^(k/2), m = 0..M, float64.
-
-    Split-prime values from the exact angle data (a(p) = sum of
-    eps*cos(2 pi k theta) over the conjugate pair), powers by the
-    U-Chebyshev recurrence a(p^(e+1)) = a(p)a(p^e) - a(p^(e-1)),
-    inert powers (-1)^(e/2) at even e, everything else multiplicative.
-    """
-    pp_list, plan = _assembly_plan(M)
-    vals = np.zeros(M + 1)
-    vals[1] = 1.0
-    two_pi = 2.0 * fpi
-    ap_cache = {}
-    for m, p, e in pp_list:
-        cls, angles, eps = prime_data[p]
-        if cls == "ramified":
-            continue
-        if cls == "inert":
-            if e % 2 == 0:
-                vals[m] = -1.0 if (e // 2) % 2 else 1.0
-            continue
-        ap = ap_cache.get(p)
-        if ap is None:
-            ap = 0.0
-            for th, s in zip(angles, eps):
-                frac = float((k * th) % 1)
-                ap += s * fcos(two_pi * frac)
-            ap_cache[p] = ap
-        if e == 1:
-            vals[m] = ap
-        else:
-            # vals[p^(e-1)] and vals[p^(e-2)] already filled (increasing m)
-            vals[m] = ap * vals[m // p] - vals[m // (p * p)]
-    for m, q, cof in plan:
-        vals[m] = vals[q] * vals[cof]
-    return vals
-
-
 class _SweepCache:
-    """Grow-only cache of family central values L(1/2, chi^(4n-3))."""
+    """Grow-only cache of family central values L(1/2, chi^(4n-3)); the
+    cached array is read-only, so the views it hands out are too."""
 
     def __init__(self):
         self.values = np.zeros(0)
@@ -152,7 +80,7 @@ class _SweepCache:
                 return self.values[:N]
             jmax = 2 * N - 1
             M = series_truncation(jmax, 11)
-            prime_data = _prime_rep_data(M)
+            table = field.prime_table(M)
             ms = np.arange(1, M + 1)
             inv_sqrt_m = 1.0 / np.sqrt(ms)
             x = BETA * ms
@@ -160,10 +88,11 @@ class _SweepCache:
             for nu in range(1, N + 1):
                 j = 2 * nu - 1
                 k = 4 * nu - 3
-                a = _coeff_vector(k, M, prime_data)[1:]
+                a = table.coeffs(k)[1:]
                 q = gammaincc(j, x)
                 out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
             self._validate(out, N)
+            out.setflags(write=False)
             self.values = out
             return self.values[:N]
 
@@ -274,20 +203,15 @@ def delta_one(m: int) -> int:
     r = isqrt(m)
     if r * r != m:
         return 0
-    r = r % 7
-    if r == 0:
-        return 0
-    return 1 if r in (1, 2, 4) else -1
+    return CHI7.get(r % 7, 0)
 
 
-def _delta_two_local(p: int, a: int, b: int) -> int:
+def _delta_two_local(cls: str, a: int, b: int) -> int:
     if a == 0 and b == 0:
         return 1
-    if p == 7:
-        return 0
-    if field.prime_class(p) == "split":
+    if cls == "split":
         return (min(a, b) + 1) if (a + b) % 2 == 0 else 0
-    if a % 2 == 0 and b % 2 == 0:
+    if cls == "inert" and a % 2 == 0 and b % 2 == 0:
         return -1 if ((a + b) // 2) % 2 else 1
     return 0
 
@@ -301,7 +225,7 @@ def delta_two(l: int, m: int) -> int:
     fl, fm = facs[l], facs[m]
     out = 1
     for p in set(fl) | set(fm):
-        out *= _delta_two_local(p, fl.get(p, 0), fm.get(p, 0))
+        out *= _delta_two_local(field.prime_class(p), fl.get(p, 0), fm.get(p, 0))
         if out == 0:
             return 0
     return out
@@ -314,9 +238,10 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
         raise ValueError("exponents must be nonnegative")
     if m_exp == 0 and l_exp == 0:
         return 1
-    if l_exp >= 3 or p == 7:
+    cls = field.prime_class(p)
+    if l_exp >= 3 or cls == "ramified":
         return 0
-    split = field.prime_class(p) == "split"
+    split = cls == "split"
     if l_exp in (0, 2):
         if m_exp % 2 == 1:
             return 0
@@ -403,13 +328,13 @@ def f1_constant(ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         return +(f0_constant(ctx) * (3 * L1p / L1 - 2 * zpz2 + mp.log(7) / 8))
 
 
-def _closed_local(p: int, a, b):
+def _closed_local(p: int, cls: str, a, b):
+    if cls == "ramified":
+        return mpf(1)
     u = mpf(p) ** (-1 - 2 * a)
     y = mpf(p) ** (-1 - 2 * b)
-    w = mpf(p) ** (-1 - a - b)
-    if p == 7:
-        return mpf(1)
-    if field.prime_class(p) == "split":
+    if cls == "split":
+        w = mpf(p) ** (-1 - a - b)
         return (1 + w) / ((1 - u) * (1 - w) * (1 - y))
     return 1 / ((1 + u) * (1 + y))
 
@@ -434,7 +359,8 @@ def local_factor(
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         b = mpmath.mpmathify(beta)
-        closed = mpc(_closed_local(p, a, b))
+        cls = field.prime_class(p)
+        closed = mpc(_closed_local(p, cls, a, b))
         brute = None
         if mode == "brute":
             xa = mpf(p) ** (-(mpf(1) / 2 + a))
@@ -443,7 +369,7 @@ def local_factor(
             for i in range(cutoff + 1):
                 di = xa**i
                 for j in range(cutoff + 1):
-                    d = _delta_two_local(p, i, j)
+                    d = _delta_two_local(cls, i, j)
                     if d:
                         acc += d * di * xb**j
             brute = acc
@@ -472,7 +398,8 @@ def delta_series_product(alpha, beta, P: int, ctx: PrecisionContext = DEFAULT_CT
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         b = mpmath.mpmathify(beta)
+        table = field.prime_table(P)
         acc = mpc(1)
-        for p in field.primes_up_to(P):
-            acc *= _closed_local(p, a, b)
+        for p, cls in zip(table.primes.tolist(), table.classes.tolist()):
+            acc *= _closed_local(p, cls, a, b)
         return acc

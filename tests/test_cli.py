@@ -111,13 +111,18 @@ def test_conjecture_json(capsys):
 
 
 def test_moment_json(capsys):
-    rc, out = run(capsys, "moment", "--r", "1", "--N", "50", "--format", "json")
-    assert rc == 0
-    obj = json.loads(out)
-    emp, pred = float(obj["empirical"]), float(obj["predicted_main"])
-    assert pred == pytest.approx(2 * math.pi / math.sqrt(7), rel=1e-12)
-    assert float(obj["residual"]) == pytest.approx(emp - pred, abs=1e-12)
-    assert abs(emp - pred) <= float(obj["theorem_bound"])
+    for fmt in ("json", "csv"):
+        rc, out = run(capsys, "moment", "--r", "1", "--N", "50", "--format", fmt)
+        assert rc == 0
+        if fmt == "json":
+            obj = json.loads(out)
+        else:
+            header, row = out.strip().split("\n")
+            obj = dict(zip(header.split(","), row.split(",")))
+        emp, pred = float(obj["empirical"]), float(obj["predicted_main"])
+        assert pred == pytest.approx(2 * math.pi / math.sqrt(7), rel=1e-12)
+        assert float(obj["residual"]) == pytest.approx(emp - pred, abs=1e-12)
+        assert abs(emp - pred) <= float(obj["theorem_bound"])
 
 
 def test_ratios_single_t(capsys):

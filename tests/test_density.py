@@ -124,7 +124,7 @@ def test_explicit_formula_cutoff_guard():
 def test_empirical_report_fejer_n20():
     rep = density.empirical_one_level(20, density.fejer(1.0), ctx=CTX)
     assert rep.N == 20 and rep.testfn == "fejer(1)"
-    assert rep.rmt == 1.5 and rep.v == 1.5
+    assert rep.rmt == 1.5
     assert rep.nonvanishing_lower_bound == 0.25
     assert rep.t_height == pytest.approx(16.5, abs=0.6)
     # zero statistic and explicit formula agree within the recorded

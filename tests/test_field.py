@@ -136,6 +136,18 @@ def test_coeff_table_consistency():
             assert abs(tab.normalized[m] - mpf(tab.exact[m]) / mpf(m) ** mpf("2.5")) < 1e-19
     with pytest.raises(ValueError):
         field.coeff_table(4, 10)
+    # the float64 prime table's fixed-point angle route against the exact
+    # bigints, at the sweep's exponents and truncation (N = 469, M = 1391)
+    table = field.prime_table(1391)
+    for k in (1, 5, 37, 381, 797, 1873):
+        exact = field.coeff_table(k, 1391).normalized
+        want = np.array([0.0] + [float(exact[m]) for m in range(1, 1392)])
+        assert np.abs(table.coeffs(k) - want).max() < 1e-14, k
+    table = field.prime_table(10**4)
+    assert table.primes.tolist() == field.primes_up_to(10**4)
+    assert table.classes.tolist() == [field.prime_class(p) for p in table.primes.tolist()]
+    with pytest.raises(ValueError):
+        field.prime_class(9)
 
 
 def test_factorizations_and_primes():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from hecke7 import moments
+from hecke7 import field, moments
 from hecke7.specfun import PrecisionContext
 
 CTX = PrecisionContext(30)
@@ -31,6 +31,17 @@ def test_sweep_spot_against_mp_series():
     for nu in (1, 4, 50):
         ref = central.central_value_series(2 * nu - 1, PrecisionContext(20))
         assert abs(vals[nu - 1] - float(ref.value)) < 1e-9, nu
+
+
+def test_cached_arrays_read_only():
+    before = moments.empirical_moment(1, 50).empirical
+    with pytest.raises(ValueError):
+        moments.sweep_central_values(50)[0] = 99.0
+    assert moments.empirical_moment(1, 50).empirical == before
+    table = field.prime_table(50)
+    for arr in (v for v in vars(table).values() if isinstance(v, np.ndarray)):
+        with pytest.raises(ValueError):
+            arr[0] = 99
 
 
 def test_first_moment_report():
