@@ -22,8 +22,8 @@ for t in (0.5, 3.0, 7.5):
     zm = float(central.hardy_Z(1, t, ctx))
     print(f"Z_1({t}) = {zf:+.12f}   (mp route {zm:+.12f})")
 
-# Grid scan plus bisection returns ordinates; scaled by log(2n)/pi the
-# mean spacing is 1.
+# A grid scan plus Illinois (regula falsi) refinement of each sign change
+# returns ordinates; scaled by log(2n)/pi the mean spacing is 1.
 print("\nfamily n = 1, zeros up to T = 10:")
 rec = central.zeros_up_to(1, 10.0, ctx)
 for i, (g, s) in enumerate(zip(rec.gammas, rec.scaled), 1):

@@ -165,6 +165,15 @@ def _integral_Y(a: float, drop: float) -> float:
     return y
 
 
+def _panel_rule(edges, degree: int):
+    """Nodes and weights of the degree-point Gauss-Legendre rule on each
+    panel [edges[i], edges[i+1]], flattened panel by panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    mid, rad = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    return (mid + rad * nodes).ravel(), (rad * weights).ravel()
+
+
 class ZEngine:
     """Fast Hardy-Z evaluator for the family member chi^(4n-3).
 
@@ -179,6 +188,7 @@ class ZEngine:
     """
 
     DEGREE = 32
+    BLOCK = 256  # nodes per (node x coefficient) block of the build
 
     def __init__(self, n: int, t_max: float = T_CAP):
         self.n = n
@@ -195,30 +205,24 @@ class ZEngine:
         # panel width: resolve both the cos(t ln y) oscillation and the
         # theta series' own structure scale
         h = min(0.22, 2.0 / (1.0 + t_max), 4.0 / (1.0 + fsqrt(a)))
-        nodes, weights = np.polynomial.legendre.leggauss(self.DEGREE)
         edges = [1.0]
         while edges[-1] < Y:
             edges.append(edges[-1] * exp(h))
-        ys, ws, Es, phis = [], [], [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            yy = mid + rad * nodes
-            ww = rad * weights
-            for y, w in zip(yy, ww):
-                expo = a * lm - (BETA * y) * ms
-                tj = expo.max()
-                phi = float(np.dot(cs, np.exp(expo - tj)))
-                ys.append(y)
-                ws.append(w)
-                phis.append(phi)
-                Es.append(tj + (a - 0.5) * log(y) + log(w))
-        Es = np.array(Es)
-        phis = np.array(phis)
+        ys, ws = _panel_rule(edges, self.DEGREE)
+        # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
+        # factored out, in blocks of nodes to bound the (node x m) matrix
+        tj = np.empty_like(ys)
+        phis = np.empty_like(ys)
+        for b in range(0, len(ys), self.BLOCK):
+            yb = ys[b : b + self.BLOCK]
+            expo = a * lm - (BETA * yb)[:, None] * ms
+            tj[b : b + self.BLOCK] = tb = expo.max(axis=1)
+            phis[b : b + self.BLOCK] = np.exp(expo - tb[:, None]) @ cs
+        Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
         self.Estar = float(Es.max())
         self.G = phis * np.exp(Es - self.Estar)
-        self.L = np.log(np.array(ys))
+        self.L = np.log(ys)
         self.lgnorm = self.Estar - (a + 0.5) * log(7.0 / (2.0 * fpi))
-        self.noise = 1e-15 * fsqrt(len(self.G)) * float(np.abs(self.G).sum())
 
     def lgamma_re(self, t: float) -> float:
         return float(c_loggamma(complex(self.a + 0.5, t)).real)
@@ -312,8 +316,59 @@ def zero_count_main_term(n: int, T: float) -> float:
     return T / fpi * log(2 * n)
 
 
+ZERO_WIDTH = 1e-11  # bracket width at which a zero counts as isolated
+
+
+def _illinois(eng: ZEngine, lo, hi, flo, fhi) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] (Z(lo) Z(hi) < 0), shrunk below
+    ZERO_WIDTH by the Illinois variant of regula falsi, all brackets at
+    once with one z_many call per step.
+
+    Each step keeps a sign change inside every bracket.  When the same
+    end is kept twice running, its Z value is halved (Illinois), which
+    pulls the next secant point across the zero.  A secant point stays
+    at least 0.4 ZERO_WIDTH inside the bracket, so once it has converged
+    the next step closes the bracket around it.  A bracket whose width
+    has not halved in three steps takes one bisection step.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    kept = np.zeros(len(lo), dtype=int)  # end kept last step: -1 lo, +1 hi
+    ref = hi - lo  # width at the last halving
+    stalled = np.zeros(len(lo), dtype=int)  # steps since then
+    live = np.nonzero(hi - lo >= ZERO_WIDTH)[0]
+    while len(live):
+        l, h, fl, fh = lo[live], hi[live], flo[live], fhi[live]
+        x = np.clip(l - fl * (h - l) / (fh - fl), l + 0.4 * ZERO_WIDTH, h - 0.4 * ZERO_WIDTH)
+        bis = stalled[live] >= 3
+        x[bis] = 0.5 * (l[bis] + h[bis])
+        fx = eng.z_many(x)
+        root = fx == 0.0
+        left = (np.sign(fx) == np.sign(fl)) & ~root  # zero lies in [x, h]
+        right = ~left & ~root  # zero lies in [l, x]
+        # Illinois: halve the value at the end kept for a second step
+        fh[left & (kept[live] == 1)] *= 0.5
+        fl[right & (kept[live] == -1)] *= 0.5
+        l[left], fl[left] = x[left], fx[left]
+        h[right], fh[right] = x[right], fx[right]
+        l[root] = h[root] = x[root]
+        lo[live], hi[live], flo[live], fhi[live] = l, h, fl, fh
+        kept[live] = np.where(left, 1, -1)
+        w = h - l
+        halved = w <= 0.5 * ref[live]
+        ref[live] = np.where(halved, w, ref[live])
+        stalled[live] = np.where(halved, 0, stalled[live] + 1)
+        live = live[w >= ZERO_WIDTH]
+    return 0.5 * (lo + hi)
+
+
 def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRecord:
-    """All sign changes of Z on (0, T]: grid scan then bisection to 1e-10.
+    """All sign changes of Z on (0, T]: a grid scan, then vectorised
+    Illinois refinement (`_illinois`) of every sign-change bracket.
+
+    Each returned ordinate is the midpoint of a bracket narrower than
+    ZERO_WIDTH = 1e-11 across which the engine's Z changes sign, or a
+    grid point where Z is exactly 0.
 
     The scan step refines the quarter-mean-spacing rule pi/(4 log(2n+4))
     with the local density log((7/2pi)(2n+t)) so tall scans at small n
@@ -337,27 +392,11 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     ts = np.arange(0.0, T + step, step)
     ts = ts[ts <= T]
     zs = eng.z_many(ts)
-    gammas = []
-    for i in range(len(ts) - 1):
-        if zs[i] == 0.0:
-            gammas.append(float(ts[i]))
-            continue
-        if zs[i] * zs[i + 1] < 0:
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = zs[i]
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                fm = eng.z(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < 1e-11:
-                    break
-            gammas.append(0.5 * (lo + hi))
+    exact = np.nonzero(zs[:-1] == 0.0)[0]
+    brackets = np.nonzero(zs[:-1] * zs[1:] < 0)[0]
+    refined = _illinois(eng, ts[brackets], ts[brackets + 1], zs[brackets], zs[brackets + 1])
+    order = np.argsort(np.concatenate([exact, brackets]))
+    gammas = np.concatenate([ts[exact], refined])[order].tolist()
     main = zero_count_main_term(n, T)
     if abs(len(gammas) - main) > 5 + log(2 * n):
         warnings.warn(

@@ -131,6 +131,29 @@ def test_zeros_validation_and_truncation():
     assert rec.t_max <= 17.0
 
 
+@pytest.mark.parametrize("n", [1, 24, 96])
+def test_zeros_refinement_certificate_and_budget(n, monkeypatch):
+    # every zero below half the reliability ceiling is certified by a sign
+    # change of the engine's Z across gamma -+ 1e-11, and refinement after
+    # the grid scan costs at most 12 Z evaluations per zero
+    t_rel = central.get_engine(n, central.T_CAP).t_reliable()
+    T = min(central.T_CAP, t_rel)
+    eng = central.get_engine(n, T)
+    calls = []
+    z_many, z = eng.z_many, eng.z
+    monkeypatch.setattr(eng, "z_many", lambda ts: calls.append(len(ts)) or z_many(ts))
+    monkeypatch.setattr(eng, "z", lambda t: calls.append(1) or z(t))
+    rec = central.zeros_up_to(n, T)
+    monkeypatch.undo()
+    assert len(rec.gammas) > 0
+    assert sum(calls[1:]) <= 12 * len(rec.gammas), (sum(calls[1:]), len(rec.gammas))
+    low = [g for g in rec.gammas if g < 0.5 * t_rel]
+    assert low
+    for g in low:
+        zl, zr = eng.z_many(np.array([g - 1e-11, g + 1e-11]))
+        assert zl * zr < 0, g
+
+
 def test_zero_count_main_term():
     assert central.zero_count_main_term(50, 10.0) == pytest.approx(
         10.0 / math.pi * math.log(100), rel=1e-12

@@ -10,7 +10,7 @@ import sympy
 from mpmath import mp, mpf
 
 from hecke7 import density
-from hecke7.specfun import ConvergenceError, PrecisionContext
+from hecke7.specfun import ConvergenceError, PrecisionContext, digamma
 
 CTX = PrecisionContext(25)
 
@@ -107,6 +107,38 @@ def test_arch_term_against_t_side_quadrature():
                 [0, 5, 30],
             ) / mp.pi
         assert abs(got - float(direct)) < 1e-10, n
+
+
+def _arch_term_tanh_sinh(n, phihat, x_end, ctx):
+    # reference route: the resummed correction integral by mpmath
+    # tanh-sinh quadrature at ctx precision, lead term by mpmath digamma
+    c = 2 * n - 1
+    ph0 = phihat(0.0)
+
+    def g(x):
+        x = float(x)
+        if x <= 0:
+            return mpf(0)
+        den = 1 - mpmath.exp(-2 * mp.pi * x)
+        return 2 * (ph0 - phihat(x)) * mpmath.exp(-2 * mp.pi * c * x) / den
+
+    with mp.workdps(ctx.working_dps):
+        lead = ph0 / mp.pi * (mp.log(7 / (2 * mp.pi)) + digamma(c, ctx))
+        corr = mpmath.quad(g, [0, min(0.05, x_end / 8), x_end / 2, x_end, x_end + 3.0])
+        return float(lead + corr)
+
+
+def test_arch_term_fejer_against_tanh_sinh():
+    # the float64 Gauss-Legendre sum against the mpmath route at the
+    # one-level density's own scaling, log 96, across the family
+    f = density.fejer(1.0)
+    s = math.log(96)
+    phihat = lambda x: (math.pi / s) * f.fhat(math.pi * float(x) / s)
+    x_end = f.support * s / math.pi
+    for n in (1, 48, 96):
+        got = density.arch_term(n, phihat, x_end, CTX)
+        want = _arch_term_tanh_sinh(n, phihat, x_end, CTX)
+        assert abs(got - want) < 1e-13, (n, got - want)
 
 
 def test_explicit_formula_matches_zero_side():
