@@ -237,13 +237,20 @@ class ZEngine:
         return dots * np.exp(self.lgnorm - lg)
 
     def t_reliable(self, floor: float = 1e-10) -> float:
-        """Largest t where Gamma-modulus suppression keeps the cosine
-        dot product above the float64 noise floor."""
-        base = self.lgamma_re(0.0)
-        t = 0.0
-        while t < 4 * T_CAP and exp(self.lgamma_re(t) - base) > floor:
-            t += 0.5
-        return t
+        """The module-level t_reliable(self.n, floor)."""
+        return t_reliable(self.n, floor)
+
+
+def t_reliable(n: int, floor: float = 1e-10) -> float:
+    """Largest t (on a 0.5 grid) where the Gamma-modulus suppression of
+    member n keeps the engine's cosine dot product above the float64
+    noise floor; it depends on n alone."""
+    c = 2.0 * n - 1.0  # a + 1/2 of the engine
+    base = float(c_loggamma(complex(c, 0.0)).real)
+    t = 0.0
+    while t < 4 * T_CAP and exp(float(c_loggamma(complex(c, t)).real) - base) > floor:
+        t += 0.5
+    return t
 
 
 @lru_cache(maxsize=256)
@@ -379,7 +386,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     eng = get_engine(n, T)
-    t_rel = eng.t_reliable()
+    t_rel = t_reliable(n)
     if T > t_rel:
         warnings.warn(
             f"n={n}: float64 engine unreliable past t={t_rel:.1f}; "

@@ -34,7 +34,7 @@ from mpmath import mp, mpf, mpc
 from scipy.special import digamma as c_digamma, loggamma as c_loggamma
 
 from . import field
-from .central import T_CAP, _panel_rule, get_engine, zeros_up_to
+from .central import T_CAP, _panel_rule, t_reliable, zeros_up_to
 from .specfun import (
     PrecisionContext,
     DEFAULT_CTX,
@@ -261,27 +261,17 @@ def rmt_prediction(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX):
         return +val
 
 
-def rmt_prediction_quad(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
+def rmt_prediction_quad(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Direct y-side quadrature of int f(y)(1 + sin(2pi y)/(2pi y)) dy,
     the dual route to rmt_prediction (agreement is a transform identity).
-    For kernels with 1/y^2 tails the tail integral of f alone is
-    completed analytically via fhat(0)."""
-    with mp.workdps(ctx.working_dps):
 
-        def kernel(y):
-            if y == 0:
-                return mpf(2)
-            return 1 + mpmath.sin(2 * mp.pi * y) / (2 * mp.pi * y)
-
-        Y = 40
-        body = mpmath.quad(
-            lambda y: mpf(f.f(y)) * kernel(y), mpmath.linspace(-Y, Y, 81)
-        )
-        # remaining mass of f beyond [-Y, Y]: f integrates to fhat(0)
-        tail_f = mpf(f.fhat(0.0)) - mpmath.quad(
-            lambda y: mpf(f.f(y)), mpmath.linspace(-Y, Y, 81)
-        )
-        return +(body + tail_f)
+    int f = fhat(0) exactly, so only the sinc part is a quadrature: a
+    float64 Gauss-Legendre sum of order 24 on the 80 unit panels of
+    [-40, 40].  The Fejer kernel's oscillatory 1/y^3 tail past y = 40
+    is left out (about 3e-8).  `ctx` is accepted for API compatibility.
+    """
+    ys, ws = _panel_rule(np.arange(-40.0, 41.0), 24)
+    return float(f.fhat(0.0)) + float(np.dot(ws, f.f(ys) * np.sinc(2.0 * ys)))
 
 
 def empirical_one_level(
@@ -305,7 +295,7 @@ def empirical_one_level(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in range(1, N + 1):
-            t_n = min(T, get_engine(n, T).t_reliable())
+            t_n = min(T, t_reliable(n))
             t_min = min(t_min, t_n)
             emp_total += zero_side_sum(n, f, t_n, scale=s)
             mass_bound += _tail_mass_bound(n, f, t_n, s)
@@ -410,30 +400,34 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int = 120, ctx: PrecisionCo
         return mpc(line1 * norm * bracket)
 
 
-def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000, h: float = 1e-6) -> complex:
-    """A'(it,it) = d/d alpha A(alpha, gamma)|_{alpha=gamma=it}, central
-    differences with step h and one Richardson refinement (order 2)."""
-    g = 1j * t
+def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> complex:
+    """A'(it,it) = d/d alpha A(alpha, gamma)|_{alpha=gamma=it} over p <= P.
 
-    def D(step):
-        return (ratios_A(g + step, g, ctx, P) - ratios_A(g - step, g, ctx, P)) / (2 * step)
-
-    d1 = D(h)
-    d2 = D(h / 2)
-    return (4.0 * d2 - d1) / 3.0
+    A(r,r) = 1 and every split factor is stationary in alpha on the
+    diagonal, so the derivative is the closed form
+      A'(r,r) = -sum_{inert p} 2 log p w^2/(1-w^2) - log 7 w/(1-w),
+    w = p^(-1-2r), with r = it.  `ctx` is accepted for API
+    compatibility; the result is float64.
+    """
+    table = field.prime_table(P)
+    lp, cls = np.log(table.primes), table.classes
+    w = np.exp(-(1 + 2j * float(t)) * lp)
+    inert, ram = cls == "inert", cls == "ramified"
+    wi, wr = w[inert], w[ram]
+    return complex(-np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr)))
 
 
 def _zeta_L_block(t: float, ctx: PrecisionContext):
-    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as mpc."""
+    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as mpc.
+
+    zeta(1+2it) is computed once, and L(1-2it) = conj L(1+2it) because
+    chi_{-7} is real."""
     with mp.workdps(ctx.working_dps + 10):
         s = 1 + 2j * mpf(t)
-        zp = mpmath.zeta(s, derivative=1) / mpmath.zeta(s)
-        Lv = _L_chi7_any(s, 0)
-        Lp = _L_chi7_any(s, 1)
         zeta_val = mpmath.zeta(s)
-        L_minus = _L_chi7_any(1 - 2j * mpf(t), 0)
-        L_one = _L_chi7_any(mpf(1), 0)
-        return (-zp + Lp / Lv), (zeta_val * L_minus / L_one)
+        Lv = _L_chi7_any(s, 0)
+        block = -mpmath.zeta(s, derivative=1) / zeta_val + _L_chi7_any(s, 1) / Lv
+        return block, zeta_val * mpmath.conj(Lv) / _L_chi7_any(mpf(1), 0)
 
 
 def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> float:
@@ -452,48 +446,37 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
         t0 = 2e-4
         i1 = _ratios_integrand_direct(n, t0, ctx, P)
         i2 = _ratios_integrand_direct(n, t0 / 2, ctx, P)
-        return (4.0 * i2 - i1) / 3.0
-    return _ratios_integrand_direct(n, t, ctx, P)
+        return float((4.0 * i2 - i1) / 3.0)
+    return float(_ratios_integrand_direct(n, t, ctx, P))
 
 
-def _ratios_integrand_direct(n: int, t: float, ctx: PrecisionContext, P: int) -> float:
+def _ratios_integrand_direct(n, t: float, ctx: PrecisionContext, P: int):
+    """The integrand at height t for the family index n, or for each
+    entry of an array of indices (the arithmetic factors are shared)."""
     block, xblock = _zeta_L_block(t, ctx)
     ap = ratios_A_prime(t, ctx, P)
     a_mir = ratios_A(-1j * t, 1j * t, ctx, P)
-    c = 2 * n - 1
-    lg = c_loggamma(complex(c, -t)) - c_loggamma(complex(c, t))
-    e_factor = np.exp(complex(lg) - 2j * t * LOG_Q7)
+    c = 2 * np.asarray(n) - 1
+    e_factor = np.exp(c_loggamma(c - 1j * t) - c_loggamma(c + 1j * t) - 2j * t * LOG_Q7)
     bracket = complex(block) + ap - e_factor * complex(xblock) * a_mir
-    arch = 2.0 * LOG_Q7 + 2.0 * float(c_digamma(complex(c, t)).real)
+    arch = 2.0 * LOG_Q7 + 2.0 * c_digamma(c + 1j * t).real
     return arch + 2.0 * bracket.real
 
 
 def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> float:
     """(1/2pi N) int f(t log N/pi) sum_n integrand(n, t) dt, the scaled
-    one-level density predicted by the ratios conjecture."""
+    one-level density predicted by the ratios conjecture.
+
+    The integrand is even, so the integral is twice a 48-point
+    Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
+    with f(t_end log N/pi) = 1e-12."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
     s = log(N)
-    w = f.param
-    t_end = fpi * w * fsqrt(-log(1e-12)) / s
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    total = 0.0
+    t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
+    ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     ns = np.arange(1, N + 1)
-    cs = 2 * ns - 1
-    for panel in range(2):
-        lo = t_end * panel / 2.0
-        hi = t_end * (panel + 1) / 2.0
-        ts = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        ws = 0.5 * (hi - lo) * weights
-        for t, wt in zip(ts, ws):
-            block, xblock = _zeta_L_block(t, ctx)
-            ap = ratios_A_prime(t, ctx, P)
-            a_mir = ratios_A(-1j * t, 1j * t, ctx, P)
-            lg = c_loggamma(cs - 1j * t) - c_loggamma(cs + 1j * t)
-            e_fac = np.exp(lg - 2j * t * LOG_Q7)
-            brackets = complex(block) + ap - e_fac * complex(xblock) * a_mir
-            arch = 2.0 * LOG_Q7 + 2.0 * c_digamma(cs + 1j * t).real
-            integrand_sum = float(np.sum(arch + 2.0 * brackets.real))
-            total += wt * float(f.f(t * s / fpi)) * integrand_sum
-    # even integrand: double the [0, t_end] half-line integral
+    total = 0.0
+    for t, wt in zip(ts.tolist(), ws.tolist()):
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, ctx, P)))
     return 2.0 * total / (2.0 * fpi * N)

@@ -365,13 +365,14 @@ def local_factor(
         if mode == "brute":
             xa = mpf(p) ** (-(mpf(1) / 2 + a))
             xb = mpf(p) ** (-(mpf(1) / 2 + b))
+            xbs = [xb**j for j in range(cutoff + 1)]
             acc = mpc(0)
             for i in range(cutoff + 1):
                 di = xa**i
                 for j in range(cutoff + 1):
                     d = _delta_two_local(cls, i, j)
                     if d:
-                        acc += d * di * xb**j
+                        acc += d * di * xbs[j]
             brute = acc
         return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff if mode == "brute" else None)
 

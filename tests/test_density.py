@@ -9,7 +9,7 @@ import pytest
 import sympy
 from mpmath import mp, mpf
 
-from hecke7 import density
+from hecke7 import density, field
 from hecke7.specfun import ConvergenceError, PrecisionContext, digamma
 
 CTX = PrecisionContext(25)
@@ -218,6 +218,32 @@ def test_ratios_A_prime_is_derivative():
     assert abs(density.ratios_A_prime(t, CTX) - coarse) < 1e-6
 
 
+def test_ratios_A_prime_closed_form_against_mpmath():
+    # d/d alpha of sum_p log(local factor of A) at alpha = gamma = it,
+    # the per-prime factors of ratios_A's docstring at 30 digits
+    primes = list(sympy.primerange(2, 10**4 + 1))
+    classes = [field.prime_class(p) for p in primes]
+    with mp.workdps(30):
+        for t in (0.3, 1.0):
+            g = mpmath.mpc(0, t)
+
+            def log_A(a):
+                acc = mpmath.mpc(0)
+                for p, cls in zip(primes, classes):
+                    y = mpf(p) ** (-1 - 2 * g)
+                    w = mpf(p) ** (-1 - a - g)
+                    if cls == "split":
+                        acc += mpmath.log((1 - y) * (1 + y - 2 * w) / (1 - w) ** 2)
+                    elif cls == "inert":
+                        acc += mpmath.log((1 - y**2) / (1 - w**2))
+                    else:
+                        acc += mpmath.log((1 - y) / (1 - w))
+                return acc
+
+            want = complex(mpmath.diff(log_A, g))
+            assert abs(density.ratios_A_prime(t, CTX, P=10**4) - want) < 1e-13, t
+
+
 def test_ratios_integrand_even_and_regular():
     assert density.ratios_one_level_integrand(1, 0.5, CTX) == pytest.approx(
         density.ratios_one_level_integrand(1, -0.5, CTX), abs=1e-10
@@ -227,7 +253,7 @@ def test_ratios_integrand_even_and_regular():
     hi = density.ratios_one_level_integrand(1, 1.2e-4, CTX)
     assert abs(lo - hi) < 1e-4
     assert density.ratios_one_level_integrand(1, 1.0, CTX) == pytest.approx(
-        -3.3568407733667907, rel=1e-9
+        -3.356840630836404, rel=1e-9
     )
 
 
