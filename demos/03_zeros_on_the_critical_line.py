@@ -14,11 +14,11 @@ from hecke7.specfun import PrecisionContext
 
 ctx = PrecisionContext(25)
 
-# The float64 engine evaluates Z(t) as a cosine dot product over
-# precomputed Gauss-Legendre data; the mpmath route cross-checks it.
-eng = central.get_engine(1, 10.0)
-for t in (0.5, 3.0, 7.5):
-    zf = eng.z(t)
+# The float64 engine (one per family member) evaluates Z(t) as a
+# cosine dot product over precomputed Gauss-Legendre data; the mpmath
+# route cross-checks it.
+ts = np.array([0.5, 3.0, 7.5])
+for t, zf in zip(ts, central.get_engine(1).z_many(ts)):
     zm = float(central.hardy_Z(1, t, ctx))
     print(f"Z_1({t}) = {zf:+.12f}   (mp route {zm:+.12f})")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log, exp, pi as fpi, sqrt as fsqrt, cos as fcos
+from math import lgamma, log, exp, pi as fpi, sqrt as fsqrt
 
 import numpy as np
 import mpmath
@@ -183,14 +183,16 @@ class ZEngine:
         Z(t) = 2 [sum_j G_j cos(t L_j)] * exp(E* - (a+1/2) ln Q
                                               - Re log Gamma(a+1/2+it)).
 
-    Reliable while the Gamma-modulus suppression stays above the
-    float64 cancellation floor; t_reliable reports that ceiling.
+    The panel width resolves cos(t ln y) up to T_CAP, so one engine
+    serves every scan height of its member.  Reliable while the
+    Gamma-modulus suppression stays above the float64 cancellation
+    floor; the module function t_reliable(n) reports that ceiling.
     """
 
     DEGREE = 32
     BLOCK = 256  # nodes per (node x coefficient) block of the build
 
-    def __init__(self, n: int, t_max: float = T_CAP):
+    def __init__(self, n: int):
         self.n = n
         self.k = 4 * n - 3
         self.a = 2.0 * n - 1.5
@@ -204,7 +206,7 @@ class ZEngine:
         Y = _integral_Y(a, drop)
         # panel width: resolve both the cos(t ln y) oscillation and the
         # theta series' own structure scale
-        h = min(0.22, 2.0 / (1.0 + t_max), 4.0 / (1.0 + fsqrt(a)))
+        h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
         edges = [1.0]
         while edges[-1] < Y:
             edges.append(edges[-1] * exp(h))
@@ -224,46 +226,29 @@ class ZEngine:
         self.L = np.log(ys)
         self.lgnorm = self.Estar - (a + 0.5) * log(7.0 / (2.0 * fpi))
 
-    def lgamma_re(self, t: float) -> float:
-        return float(c_loggamma(complex(self.a + 0.5, t)).real)
-
-    def z(self, t: float) -> float:
-        s = float(np.dot(self.G, np.cos(t * self.L)))
-        return 2.0 * s * exp(self.lgnorm - self.lgamma_re(t))
-
     def z_many(self, ts: np.ndarray) -> np.ndarray:
         dots = 2.0 * (np.cos(np.outer(ts, self.L)) @ self.G)
         lg = c_loggamma(self.a + 0.5 + 1j * ts).real
         return dots * np.exp(self.lgnorm - lg)
 
-    def t_reliable(self, floor: float = 1e-10) -> float:
-        """The module-level t_reliable(self.n, floor)."""
-        return t_reliable(self.n, floor)
 
-
-def t_reliable(n: int, floor: float = 1e-10) -> float:
+def t_reliable(n: int) -> float:
     """Largest t (on a 0.5 grid) where the Gamma-modulus suppression of
-    member n keeps the engine's cosine dot product above the float64
-    noise floor; it depends on n alone."""
+    member n stays above 1e-10, the float64 noise floor of the engine's
+    cosine dot product; it depends on n alone."""
     c = 2.0 * n - 1.0  # a + 1/2 of the engine
     base = float(c_loggamma(complex(c, 0.0)).real)
     t = 0.0
-    while t < 4 * T_CAP and exp(float(c_loggamma(complex(c, t)).real) - base) > floor:
+    while t < 4 * T_CAP and exp(float(c_loggamma(complex(c, t)).real) - base) > 1e-10:
         t += 0.5
     return t
 
 
 @lru_cache(maxsize=256)
-def _engine(n: int, t_bucket: int) -> ZEngine:
-    return ZEngine(n, t_max=float(t_bucket))
-
-
-def get_engine(n: int, t_max: float = 10.0) -> ZEngine:
-    """Shared per-n engine, bucketed by search height."""
-    for bucket in (10, 25, 50):
-        if t_max <= bucket:
-            return _engine(n, bucket)
-    return _engine(n, int(T_CAP))
+def get_engine(n: int) -> ZEngine:
+    """The shared engine of member n, built once; it serves every scan
+    height up to T_CAP."""
+    return ZEngine(n)
 
 
 def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -375,17 +360,21 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
 
     Each returned ordinate is the midpoint of a bracket narrower than
     ZERO_WIDTH = 1e-11 across which the engine's Z changes sign, or a
-    grid point where Z is exactly 0.
+    grid point where Z is exactly 0.  The scan uses the member's one
+    shared engine (`get_engine(n)`), whatever T is.
 
     The scan step refines the quarter-mean-spacing rule pi/(4 log(2n+4))
     with the local density log((7/2pi)(2n+t)) so tall scans at small n
-    do not undersample.
+    do not undersample.  The grid's last step ends at T itself, so a
+    zero between the last full step and T is bracketed too.  Two zeros
+    closer together than one step can still be missed (no sign change
+    between grid points).
     """
     if T <= 0:
         raise ValueError("T must be positive")
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
-    eng = get_engine(n, T)
+    eng = get_engine(n)
     t_rel = t_reliable(n)
     if T > t_rel:
         warnings.warn(
@@ -396,8 +385,8 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     step = fpi / (4.0 * max(log(2 * n + 4), log(1.1141 * (2 * n + T))))
     # anchor at t=0 (Z(0) > 0 here: central nonvanishing holds family-wide)
     # so a first zero inside (0, step) is still bracketed
-    ts = np.arange(0.0, T + step, step)
-    ts = ts[ts <= T]
+    ts = np.arange(0.0, T, step)
+    ts = np.append(ts[ts < T], T)
     zs = eng.z_many(ts)
     exact = np.nonzero(zs[:-1] == 0.0)[0]
     brackets = np.nonzero(zs[:-1] * zs[1:] < 0)[0]

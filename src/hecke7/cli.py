@@ -151,10 +151,8 @@ def _cmd_central(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        from sympy import factorint
-    except ImportError:  # pragma: no cover
-        factorint = None
+    from sympy import factorint
+
     header = ["n", "A_exact", "A_factored", "L_4dp"]
     rows = []
     ctx = PrecisionContext(digits=max(args.digits, 15))
@@ -165,8 +163,6 @@ def _cmd_table(args) -> int:
             fact = f"({B})^2"
         elif B == 1:
             fact = "1"
-        elif factorint is None:
-            fact = f"({B})^2"
         else:
             parts = [
                 (f"{p}^{e}" if e > 1 else f"{p}")

@@ -417,17 +417,25 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     return complex(-np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr)))
 
 
-def _zeta_L_block(t: float, ctx: PrecisionContext):
-    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as mpc.
+def _L_at_1(ctx: PrecisionContext):
+    """L(1, chi_{-7}) at the working precision of `_zeta_L_block`."""
+    with mp.workdps(ctx.working_dps + 10):
+        return _L_chi7_any(mpf(1))
 
-    zeta(1+2it) is computed once, and L(1-2it) = conj L(1+2it) because
-    chi_{-7} is real."""
+
+def _zeta_L_block(t: float, ctx: PrecisionContext, L1):
+    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as mpc,
+    with L1 = `_L_at_1(ctx)`.
+
+    zeta(1+2it) is computed once, L and L' come from one pass over the
+    Hurwitz values, and L(1-2it) = conj L(1+2it) because chi_{-7} is
+    real."""
     with mp.workdps(ctx.working_dps + 10):
         s = 1 + 2j * mpf(t)
         zeta_val = mpmath.zeta(s)
-        Lv = _L_chi7_any(s, 0)
-        block = -mpmath.zeta(s, derivative=1) / zeta_val + _L_chi7_any(s, 1) / Lv
-        return block, zeta_val * mpmath.conj(Lv) / _L_chi7_any(mpf(1), 0)
+        Lv, dLv = _L_chi7_any(s, 1)
+        block = -mpmath.zeta(s, derivative=1) / zeta_val + dLv / Lv
+        return block, zeta_val * mpmath.conj(Lv) / L1
 
 
 def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> float:
@@ -441,19 +449,20 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
     The zeta(1+2it) pole cancels in the bracket; below |t| = 1e-4 the
     even analytic limit is taken by Richardson extrapolation from
     t0 = 1e-4 (error O(t0^4))."""
-    t = float(t)
+    t, L1 = float(t), _L_at_1(ctx)
     if abs(t) < 1e-4:
         t0 = 2e-4
-        i1 = _ratios_integrand_direct(n, t0, ctx, P)
-        i2 = _ratios_integrand_direct(n, t0 / 2, ctx, P)
+        i1 = _ratios_integrand_direct(n, t0, ctx, P, L1)
+        i2 = _ratios_integrand_direct(n, t0 / 2, ctx, P, L1)
         return float((4.0 * i2 - i1) / 3.0)
-    return float(_ratios_integrand_direct(n, t, ctx, P))
+    return float(_ratios_integrand_direct(n, t, ctx, P, L1))
 
 
-def _ratios_integrand_direct(n, t: float, ctx: PrecisionContext, P: int):
+def _ratios_integrand_direct(n, t: float, ctx: PrecisionContext, P: int, L1):
     """The integrand at height t for the family index n, or for each
-    entry of an array of indices (the arithmetic factors are shared)."""
-    block, xblock = _zeta_L_block(t, ctx)
+    entry of an array of indices (the arithmetic factors are shared);
+    L1 = `_L_at_1(ctx)`."""
+    block, xblock = _zeta_L_block(t, ctx, L1)
     ap = ratios_A_prime(t, ctx, P)
     a_mir = ratios_A(-1j * t, 1j * t, ctx, P)
     c = 2 * np.asarray(n) - 1
@@ -476,7 +485,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     ns = np.arange(1, N + 1)
+    L1 = _L_at_1(ctx)
     total = 0.0
     for t, wt in zip(ts.tolist(), ws.tolist()):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, ctx, P)))
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, ctx, P, L1)))
     return 2.0 * total / (2.0 * fpi * N)

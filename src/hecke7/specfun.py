@@ -173,7 +173,8 @@ def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 
 def _L_chi7_any(s, order: int = 0):
-    """L(s, chi_{-7}) or L'(s, chi_{-7}) at the current working precision,
+    """L(s, chi_{-7}) (order 0), or the pair (L(s), L'(s)) from one pass
+    over the Hurwitz values (order 1), at the current working precision,
     via the Hurwitz decomposition L(s) = 7^(-s) sum_r chi(r) zeta(s, r/7).
 
     s may be complex.  At s = 1 each zeta(s, r/7) has a simple pole but
@@ -183,21 +184,18 @@ def _L_chi7_any(s, order: int = 0):
     """
     s = mpmath.mpmathify(s)
     if s == 1:
-        if order == 0:
-            t = mpmath.fsum(CHI7[r] * (-mpmath.psi(0, mpf(r) / 7)) for r in range(1, 7))
-            return t / 7
-        # d/ds [7^(-s) sum chi(r) zeta(s, r/7)] at s=1, poles cancelling
         t0 = mpmath.fsum(CHI7[r] * (-mpmath.psi(0, mpf(r) / 7)) for r in range(1, 7))
+        if order == 0:
+            return t0 / 7
+        # d/ds [7^(-s) sum chi(r) zeta(s, r/7)] at s=1, poles cancelling
         t1 = mpmath.fsum(CHI7[r] * (-mpmath.stieltjes(1, mpf(r) / 7)) for r in range(1, 7))
-        return (t1 - mpmath.log(7) * t0) / 7
-    z = [mpmath.zeta(s, mpf(r) / 7) for r in range(1, 7)]
-    base = mpmath.fsum(CHI7[r] * z[r - 1] for r in range(1, 7))
+        return t0 / 7, (t1 - mpmath.log(7) * t0) / 7
+    base = mpmath.fsum(CHI7[r] * mpmath.zeta(s, mpf(r) / 7) for r in range(1, 7))
     p = mpmath.power(7, -s)
     if order == 0:
         return p * base
-    dz = [mpmath.zeta(s, mpf(r) / 7, 1) for r in range(1, 7)]
-    dbase = mpmath.fsum(CHI7[r] * dz[r - 1] for r in range(1, 7))
-    return p * (dbase - mpmath.log(7) * base)
+    dbase = mpmath.fsum(CHI7[r] * mpmath.zeta(s, mpf(r) / 7, 1) for r in range(1, 7))
+    return p * base, p * (dbase - mpmath.log(7) * base)
 
 
 def dirichlet_L_chi7(s, order: int = 0, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -208,7 +206,8 @@ def dirichlet_L_chi7(s, order: int = 0, ctx: PrecisionContext = DEFAULT_CTX) -> 
         s = mpf(s)
         if s <= 0:
             raise ValueError("s must be positive")
-        return +mpmath.re(_L_chi7_any(s, order))
+        value = _L_chi7_any(s, order)
+        return +mpmath.re(value[1] if order else value)
 
 
 @lru_cache(maxsize=None)

@@ -10,18 +10,22 @@ giving B(2n+1) = b_n(0), A(n) = B(n)^2, and the exact central value
     L(1/2, chi^(2n-1)) = 2 (2pi/sqrt7)^n Omega^(2n-1) A(n) / (n-1)!.
 
 The a-sequence lives in the quadratic extension u(x) + v(x)*s with
-s^2 = (1+x)(1-27x) and is kept behind a cross-check flag; evaluating at
-x = -1 kills the s-component since s^2 vanishes there.  The printed
+s^2 = (1+x)(1-27x) and gives A(n) = a_{n-1}(-1)/4, an independent
+cross-check of the b-sequence; evaluating at x = -1 kills the
+s-component since s^2 vanishes there.  The printed
 initial value a_1 = -(1/3) sqrt((1-x)(1+27x)) carries a typo'd
 radicand: only s^2 = (1+x)(1-27x) throughout reproduces the A(n) table
 (the other variant already fails at A(3)), so that is what we use.
+
+Both sequences are kept in grow-only lists of immutable tuples, extended
+one recursion step at a time to the largest index asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from threading import Lock
 
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
 
@@ -104,69 +108,66 @@ class ExactCentral:
     L: mpf
 
 
-@lru_cache(maxsize=8)
-def _b_sequence(kmax: int) -> tuple:
-    """b_0..b_kmax as coefficient tuples, computed once."""
-    # (x-7)(64x-7) = 64x^2 - 455x + 49
-    quad = [Fraction(49), Fraction(-455), Fraction(64)]
-    bs = [[Fraction(1, 2)], [Fraction(1)]]
-    for k in range(1, kmax):
-        bk, bk1 = bs[k], bs[k - 1]
-        lin = [Fraction(42 - 56 * k), Fraction(32 * k)]
-        term = _padd(_pmul(lin, bk), _pscale(_pmul(quad, _pdiff(bk)), -1))
-        term = _padd(term, _pscale(_pmul([Fraction(7), Fraction(11)], bk1), -2 * k * (2 * k - 1)))
-        bs.append(_pscale(term, Fraction(1, 21)))
-    return tuple(tuple(p) for p in bs[: kmax + 1])
+# (x-7)(64x-7) = 64x^2 - 455x + 49
+_QUAD = (Fraction(49), Fraction(-455), Fraction(64))
+# the a-path radicand s^2 = (1+x)(1-27x) and its derivative
+_R = (Fraction(1), Fraction(-26), Fraction(-27))
+_DR = tuple(_pdiff(_R))
+
+_LOCK = Lock()  # guards the growth of _B and _A
+_B = [(Fraction(1, 2),), (Fraction(1),)]  # b_0, b_1, ... as coefficient tuples
+_A = [((Fraction(1),), (Fraction(0),)), ((Fraction(0),), (Fraction(-1, 3),))]  # (u, v)
+
+
+def _b_step(k: int, bk: tuple, bk1: tuple) -> tuple:
+    """b_{k+1} from b_k and b_{k-1}."""
+    lin = [Fraction(42 - 56 * k), Fraction(32 * k)]
+    term = _padd(_pmul(lin, bk), _pscale(_pmul(_QUAD, _pdiff(bk)), -1))
+    term = _padd(term, _pscale(_pmul([Fraction(7), Fraction(11)], bk1), -2 * k * (2 * k - 1)))
+    return tuple(_pscale(term, Fraction(1, 21)))
+
+
+def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
+    """a_{k+1} = (u, v) from a_k and a_{k-1} in the ring u + v*s."""
+    (u, v), (u1, v1) = ak, ak1
+    x = [Fraction(0), Fraction(1)]
+    c = Fraction(2 * k + 1, 3)
+    # sqrt(R)*(x d/dx - c)(u + v s) = [x(v'R + vR'/2) - cvR] + [xu' - cu]s
+    new_u = _padd(
+        _pmul(x, _padd(_pmul(_pdiff(v), _R), _pscale(_pmul(v, _DR), Fraction(1, 2)))),
+        _pscale(_pmul(v, _R), -c),
+    )
+    new_v = _padd(_pmul(x, _pdiff(u)), _pscale(u, -c))
+    corr = Fraction(k * k, 9)
+    one5x = [Fraction(1), Fraction(-5)]
+    new_u = _padd(new_u, _pscale(_pmul(one5x, u1), -corr))
+    new_v = _padd(new_v, _pscale(_pmul(one5x, v1), -corr))
+    return tuple(new_u), tuple(new_v)
+
+
+def _grow(seq: list, step, k: int) -> tuple:
+    """seq[k], first extending seq one step at a time up to index k."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    with _LOCK:
+        while len(seq) <= k:
+            j = len(seq) - 1
+            seq.append(step(j, seq[j], seq[j - 1]))
+    return seq[k]
 
 
 def b_poly(k: int) -> VZPoly:
     """The exact rational polynomial b_k(x)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return VZPoly.make(list(_b_sequence(max(k, 1))[k]))
+    return VZPoly.make(list(_grow(_B, _b_step, k)))
 
 
-# radicands for the a-path; 'recursion' is the one that reproduces the table
-_RADICANDS = {
-    "recursion": [Fraction(1), Fraction(-26), Fraction(-27)],  # (1+x)(1-27x)
-    "initial": [Fraction(1), Fraction(26), Fraction(-27)],  # (1-x)(1+27x)
-}
-
-
-@lru_cache(maxsize=8)
-def _a_sequence(kmax: int, variant: str = "recursion") -> tuple:
-    """a_0..a_kmax in the ring u + v*s, s^2 = radicand(variant)."""
-    R = _RADICANDS[variant]
-    dR = _pdiff(R)
-    seq = [([Fraction(1)], [Fraction(0)]), ([Fraction(0)], [Fraction(-1, 3)])]
-    x = [Fraction(0), Fraction(1)]
-    for k in range(1, kmax):
-        u, v = seq[k]
-        u1, v1 = seq[k - 1]
-        c = Fraction(2 * k + 1, 3)
-        # sqrt(R)*(x d/dx - c)(u + v s) = [x(v'R + vR'/2) - cvR] + [xu' - cu]s
-        new_u = _padd(
-            _pmul(x, _padd(_pmul(_pdiff(v), R), _pscale(_pmul(v, dR), Fraction(1, 2)))),
-            _pscale(_pmul(v, R), -c),
-        )
-        new_v = _padd(_pmul(x, _pdiff(u)), _pscale(u, -c))
-        corr = Fraction(k * k, 9)
-        one5x = [Fraction(1), Fraction(-5)]
-        new_u = _padd(new_u, _pscale(_pmul(one5x, u1), -corr))
-        new_v = _padd(new_v, _pscale(_pmul(one5x, v1), -corr))
-        seq.append((new_u, new_v))
-    return tuple((tuple(u), tuple(v)) for (u, v) in seq[: kmax + 1])
-
-
-def a_poly(k: int, variant: str = "recursion") -> VZPoly:
+def a_poly(k: int) -> VZPoly:
     """The a-sequence element a_k = u + v*s (cross-check path)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    u, v = _a_sequence(max(k, 1), variant)[k]
+    u, v = _grow(_A, _a_step, k)
     return VZPoly.make(list(u), list(v))
 
 
-def A_from_a_path(n: int, variant: str = "recursion") -> Fraction:
+def A_from_a_path(n: int) -> Fraction:
     """A(n) = a_{n-1}(-1)/4 for odd n, via the quadratic-extension path.
 
     At x = -1 the radicand (1+x)(1-27x) vanishes, so the limit is just
@@ -174,7 +175,7 @@ def A_from_a_path(n: int, variant: str = "recursion") -> Fraction:
     """
     if n % 2 == 0:
         return Fraction(0)
-    u_at, _v_at = a_poly(n - 1, variant).eval_at(-1)
+    u_at, _v_at = a_poly(n - 1).eval_at(-1)
     return u_at / 4
 
 
@@ -182,7 +183,7 @@ def B_of(n: int) -> Fraction:
     """B(n) = b_{(n-1)/2}(0) for odd n; B(1) = 1/2, integer for n > 1."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd positive integer")
-    return Fraction(_b_sequence(max((n - 1) // 2, 1))[(n - 1) // 2][0])
+    return Fraction(_grow(_B, _b_step, (n - 1) // 2)[0])
 
 
 def A_of(n: int) -> Fraction:
@@ -212,7 +213,6 @@ def congruence_check(max_n: int) -> list[tuple[int, int, bool]]:
     """B(n) = -n (mod 4) for odd 1 < n <= max_n: the nonvanishing sweep."""
     if max_n % 2 == 0:
         raise ValueError("max_n must be odd")
-    _b_sequence((max_n - 1) // 2)  # build once
     out = []
     for n in range(3, max_n + 1, 2):
         B = B_of(n)

@@ -1,5 +1,7 @@
 """Exact central-value recursions: b-sequence, a-path, A(n) = B(n)^2."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -99,11 +101,53 @@ def test_a_path_agrees_with_b_path():
     assert vz.A_from_a_path(4) == 0
 
 
-def test_a_path_variants_differ():
-    # the radicand sign choice matters; only 'recursion' reproduces A(n)
-    vals_r = [vz.A_from_a_path(n, "recursion") for n in (7, 9, 11)]
-    vals_i = [vz.A_from_a_path(n, "initial") for n in (7, 9, 11)]
-    assert vals_r != vals_i
+def _counted(monkeypatch, name):
+    # wrap a recursion step so each call records the index it steps from
+    ks, step = [], getattr(vz, name)
+    monkeypatch.setattr(vz, name, lambda k, *prev: ks.append(k) or step(k, *prev))
+    return ks
+
+
+def test_stores_take_one_step_per_new_index(monkeypatch):
+    # start both stores from their initial terms, then check that the
+    # b and a recursions run exactly once for each index they add
+    monkeypatch.setattr(vz, "_B", vz._B[:2])
+    monkeypatch.setattr(vz, "_A", vz._A[:2])
+    b_ks, a_ks = _counted(monkeypatch, "_b_step"), _counted(monkeypatch, "_a_step")
+    rows = vz.congruence_check(301)
+    assert vz.A_of(301) == vz.B_of(301) ** 2
+    assert vz.A_from_a_path(101) == vz.A_of(101)
+    assert all(ok for (_, _, ok) in rows)
+    assert len(vz._B) == 151 and len(vz._A) == 101
+    assert b_ks == list(range(1, 150)) and a_ks == list(range(1, 100))
+
+
+def test_store_growth_under_threads(monkeypatch):
+    # concurrent readers extend the shared b store without repeating a step
+    monkeypatch.setattr(vz, "_B", vz._B[:2])
+    b_ks = _counted(monkeypatch, "_b_step")
+    want = {n: vz.B_of(n) for n in range(1, 82, 2)}
+    monkeypatch.setattr(vz, "_B", vz._B[:2])
+    b_ks.clear()
+    got, old = {}, sys.getswitchinterval()
+
+    def read(ns):
+        for n in ns:
+            got[n] = vz.B_of(n)
+
+    orders = [range(1, 82, 2), range(81, 0, -2), range(41, 82, 2), range(1, 42, 2)]
+    threads = [threading.Thread(target=read, args=(o,)) for o in orders * 2]
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+    assert sorted(b_ks) == list(range(1, 40)) and len(vz._B) == 41
 
 
 def test_central_value_reproduces_table_truncated():
