@@ -40,6 +40,6 @@ for n in (1, 5, 9):
     ec = vz.central_value_exact(n, ctx)
     print(f"n={n}: |series - exact| =", mp.nstr(abs(cv.value - ec.L), 3))
 
-# Q(n, x) itself: partial exponential sums with log-space anchoring.
+# Q(n, x) itself: mpmath's regularized gammainc at the context precision.
 print("\nQ(5, 2.5) =", mp.nstr(reg_gamma_Q(5, 2.5, ctx), 25))
 print("Q(5, 0)   =", reg_gamma_Q(5, 0, ctx), "(exactly 1 at x = 0)")

@@ -82,12 +82,15 @@ def series_truncation(n: int, digits: int) -> int:
     """
     target = -(digits + 2) * log(10.0)
     m = max(int(4.0 * (n - 1) / (3.0 * BETA)) + 1, int(n / BETA) + 2, 4)
-    while True:
-        x = BETA * (m + 1)
-        logbound = log(20.0 * n) - x + (n - 1) * log(x) - lgamma(n)
-        if logbound < target:
-            return m
+    while _log_tail_bound(n, m) >= target:
         m += max(1, m // 256)
+    return m
+
+
+def _log_tail_bound(n: int, m: int) -> float:
+    """log of the series remainder bound past m (see series_truncation)."""
+    x = BETA * (m + 1)
+    return log(20.0 * n) - x + (n - 1) * log(x) - lgamma(n)
 
 
 def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> CentralValue:
@@ -114,10 +117,7 @@ def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> Central
                 continue
             acc += c * q / mpmath.sqrt(m)
         value = 2 * acc
-        # remainder bound from series_truncation, evaluated at M
-        x = BETA * (M + 1)
-        logbound = log(20.0 * n) - x + (n - 1) * log(x) - lgamma(n)
-        tail = mpmath.exp(logbound)
+        tail = mpmath.exp(_log_tail_bound(n, M))
         return CentralValue(n=n, value=+value, method="series", tail_bound=+tail)
 
 
@@ -165,6 +165,14 @@ def _integral_Y(a: float, drop: float) -> float:
     return y
 
 
+def _log_edges(Y: float, h: float) -> list[float]:
+    """Panel edges 1, e^h, e^(2h), ..., up to the first one >= Y."""
+    edges = [1.0]
+    while edges[-1] < Y:
+        edges.append(edges[-1] * exp(h))
+    return edges
+
+
 def _panel_rule(edges, degree: int):
     """Nodes and weights of the degree-point Gauss-Legendre rule on each
     panel [edges[i], edges[i+1]], flattened panel by panel."""
@@ -207,10 +215,7 @@ class ZEngine:
         # panel width: resolve both the cos(t ln y) oscillation and the
         # theta series' own structure scale
         h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
-        edges = [1.0]
-        while edges[-1] < Y:
-            edges.append(edges[-1] * exp(h))
-        ys, ws = _panel_rule(edges, self.DEGREE)
+        ys, ws = _panel_rule(_log_edges(Y, h), self.DEGREE)
         # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
         # factored out, in blocks of nodes to bound the (node x m) matrix
         tj = np.empty_like(ys)
@@ -264,9 +269,7 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     table = field.coeff_table(k, M, ctx.digits + 12)
     Y = _integral_Y(a_f, drop)
     h = min(0.2, 1.5 / (1.0 + abs(float(t))), 3.0 / (1.0 + fsqrt(a_f)))
-    edges = [1.0]
-    while edges[-1] < Y:
-        edges.append(edges[-1] * exp(h))
+    edges = _log_edges(Y, h)
     with mp.workdps(wp):
         t_ = mpf(t)
         a = mpf(2 * n) - mpf(3) / 2

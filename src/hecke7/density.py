@@ -43,6 +43,7 @@ from .specfun import (
 )
 
 LOG_Q7 = log(7.0 / (2.0 * fpi))
+L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def explicit_formula_sum(
     else:
         phihat = phi.fhat
     k_max = _phihat_cutoff(phi, scale)
-    if k_max > 10**7:
+    if k_max > field.PRIME_TABLE_CAP:
         raise ConvergenceError(
             f"prime sum cutoff {k_max} too large for test function {phi.describe()}"
         )
@@ -417,25 +418,21 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     return complex(-np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr)))
 
 
-def _L_at_1(ctx: PrecisionContext):
-    """L(1, chi_{-7}) at the working precision of `_zeta_L_block`."""
-    with mp.workdps(ctx.working_dps + 10):
-        return _L_chi7_any(mpf(1))
+def _zeta_L_block(t: float):
+    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as
+    Python complex values.
 
-
-def _zeta_L_block(t: float, ctx: PrecisionContext, L1):
-    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as mpc,
-    with L1 = `_L_at_1(ctx)`.
-
-    zeta(1+2it) is computed once, L and L' come from one pass over the
-    Hurwitz values, and L(1-2it) = conj L(1+2it) because chi_{-7} is
-    real."""
-    with mp.workdps(ctx.working_dps + 10):
+    mpmath runs at 20 digits: float64's 16 plus the at most 4 lost where
+    the 1/(2it) poles cancel for |t| >= 1e-4.  zeta(1+2it) is computed
+    once, L and L' come from one pass over the Hurwitz values,
+    L(1-2it) = conj L(1+2it) because chi_{-7} is real, and
+    L(1) = pi/sqrt(7) by the class number formula (h = 1, w = 2)."""
+    with mp.workdps(20):
         s = 1 + 2j * mpf(t)
         zeta_val = mpmath.zeta(s)
         Lv, dLv = _L_chi7_any(s, 1)
         block = -mpmath.zeta(s, derivative=1) / zeta_val + dLv / Lv
-        return block, zeta_val * mpmath.conj(Lv) / L1
+        return complex(block), complex(zeta_val * mpmath.conj(Lv)) / L1_CHI7
 
 
 def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> float:
@@ -448,26 +445,26 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
 
     The zeta(1+2it) pole cancels in the bracket; below |t| = 1e-4 the
     even analytic limit is taken by Richardson extrapolation from
-    t0 = 1e-4 (error O(t0^4))."""
-    t, L1 = float(t), _L_at_1(ctx)
+    t0 = 2e-4 and t0/2 (error O(t0^4)).  `ctx` is accepted for API
+    compatibility; the result is float64."""
+    t = float(t)
     if abs(t) < 1e-4:
         t0 = 2e-4
-        i1 = _ratios_integrand_direct(n, t0, ctx, P, L1)
-        i2 = _ratios_integrand_direct(n, t0 / 2, ctx, P, L1)
+        i1 = _ratios_integrand_direct(n, t0, P)
+        i2 = _ratios_integrand_direct(n, t0 / 2, P)
         return float((4.0 * i2 - i1) / 3.0)
-    return float(_ratios_integrand_direct(n, t, ctx, P, L1))
+    return float(_ratios_integrand_direct(n, t, P))
 
 
-def _ratios_integrand_direct(n, t: float, ctx: PrecisionContext, P: int, L1):
+def _ratios_integrand_direct(n, t: float, P: int):
     """The integrand at height t for the family index n, or for each
-    entry of an array of indices (the arithmetic factors are shared);
-    L1 = `_L_at_1(ctx)`."""
-    block, xblock = _zeta_L_block(t, ctx, L1)
-    ap = ratios_A_prime(t, ctx, P)
-    a_mir = ratios_A(-1j * t, 1j * t, ctx, P)
+    entry of an array of indices (the arithmetic factors are shared)."""
+    block, xblock = _zeta_L_block(t)
+    ap = ratios_A_prime(t, P=P)
+    a_mir = ratios_A(-1j * t, 1j * t, P=P)
     c = 2 * np.asarray(n) - 1
     e_factor = np.exp(c_loggamma(c - 1j * t) - c_loggamma(c + 1j * t) - 2j * t * LOG_Q7)
-    bracket = complex(block) + ap - e_factor * complex(xblock) * a_mir
+    bracket = block + ap - e_factor * xblock * a_mir
     arch = 2.0 * LOG_Q7 + 2.0 * c_digamma(c + 1j * t).real
     return arch + 2.0 * bracket.real
 
@@ -478,15 +475,15 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
 
     The integrand is even, so the integral is twice a 48-point
     Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
-    with f(t_end log N/pi) = 1e-12."""
+    with f(t_end log N/pi) = 1e-12.  `ctx` is accepted for API
+    compatibility; the result is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
     s = log(N)
     t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     ns = np.arange(1, N + 1)
-    L1 = _L_at_1(ctx)
     total = 0.0
     for t, wt in zip(ts.tolist(), ws.tolist()):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, ctx, P, L1)))
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, P)))
     return 2.0 * total / (2.0 * fpi * N)

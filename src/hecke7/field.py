@@ -23,10 +23,9 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
 
-from .specfun import PrecisionContext, PrecisionError
+from .specfun import CHI7, ComputeCapError, PrecisionContext, PrecisionError
 
-# Legendre symbol (x/7): quadratic residues mod 7 are {1, 2, 4}.
-_LEGENDRE7 = {0: 0, 1: 1, 2: 1, 3: -1, 4: 1, 5: -1, 6: -1}
+PRIME_TABLE_CAP = 10**7  # largest P the shared prime table is grown to
 
 
 def norm(a: int, b: int) -> int:
@@ -65,7 +64,7 @@ def epsilon(a: int, b: int) -> int:
     Vanishes exactly when a + b*eta is not coprime to sqrt(-7).
     """
     t = (a * a * a - 2 * a * a * b - a * b * b + b * b * b) % 7
-    return _LEGENDRE7[t]
+    return CHI7[t]
 
 
 def representations(m: int) -> list[tuple[int, int]]:
@@ -182,7 +181,7 @@ def prime_class(p: int) -> str:
     """
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-    return _CLASS_NAMES[_LEGENDRE7[p % 7]]
+    return _CLASS_NAMES[CHI7[p % 7]]
 
 
 def _spf_sieve(n: int) -> list[int]:
@@ -324,7 +323,7 @@ def _build_table(P: int, base: PrimeTable | None) -> PrimeTable:
     spf = np.array(_spf_sieve(P), dtype=np.int64)
     ms = np.arange(P + 1)
     primes = ms[2:][spf[2:] == ms[2:]]
-    classes = np.array([_CLASS_NAMES[_LEGENDRE7[r]] for r in range(7)])[primes % 7]
+    classes = np.array([_CLASS_NAMES[CHI7[r]] for r in range(7)])[primes % 7]
     n_old = 0 if base is None else len(base.primes)
     rep_eps = np.zeros((len(primes), 2))
     rep_turns = np.zeros((len(primes), 2), dtype=np.uint64)
@@ -352,8 +351,11 @@ _TABLE_LOCK = threading.Lock()
 
 def prime_table(P: int) -> PrimeTable:
     """The shared PrimeTable cut to p <= P: built on first use, never at
-    import, and grown to the largest P asked for, reusing computed angles."""
+    import, and grown to the largest P asked for, reusing computed angles.
+    Raises ComputeCapError for P > PRIME_TABLE_CAP."""
     global _TABLE
+    if P > PRIME_TABLE_CAP:
+        raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
     with _TABLE_LOCK:
         if _TABLE is None or _TABLE.P < P:
             _TABLE = _build_table(P, _TABLE)

@@ -203,7 +203,7 @@ def delta_one(m: int) -> int:
     r = isqrt(m)
     if r * r != m:
         return 0
-    return CHI7.get(r % 7, 0)
+    return CHI7[r % 7]
 
 
 def _delta_two_local(cls: str, a: int, b: int) -> int:

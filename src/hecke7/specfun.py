@@ -1,27 +1,27 @@
 """Arbitrary-precision special functions used throughout the lab.
 
 Everything takes a PrecisionContext (decimal digits + guard digits) and
-returns mpmath values rounded at the requested precision.  The
-regularized incomplete gamma Q(n,x) is implemented here directly with
-log-space scaling so it survives n ~ 2000, x ~ 2000; the classical
-pieces (erfc, digamma, Hurwitz zeta, Gamma) are delegated to mpmath,
-which implements the same Euler-Maclaurin / asymptotic-series methods
-we would otherwise write by hand.
+returns mpmath values rounded at the requested precision.  The pieces
+are mpmath's: the regularized incomplete gamma Q(n,x) is its gammainc,
+and erfc, digamma, Hurwitz zeta and Gamma use its Euler-Maclaurin /
+asymptotic-series methods.  This module fixes their working precision
+and the lab's conventions around them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log, ceil
+from math import ceil
 
 import mpmath
 from mpmath import mp, mpf
 
 MAX_DIGITS = 100_000
 
-# chi_{-7}(r) for r = 1..6: quadratic residues mod 7 get +1.
-CHI7 = {1: 1, 2: 1, 3: -1, 4: 1, 5: -1, 6: -1}
+# chi_{-7}(r) = Legendre symbol (r/7): quadratic residues mod 7 are
+# {1, 2, 4}; 0 at r = 0.
+CHI7 = {0: 0, 1: 1, 2: 1, 3: -1, 4: 1, 5: -1, 6: -1}
 
 
 class PrecisionError(ValueError):
@@ -69,61 +69,16 @@ def policy_digits(k: int, base: int = 64) -> int:
 
 
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n).
-
-    For integer n this is the partial exponential sum
-    e^(-x) sum_{i<n} x^i/i!, i.e. the upward recurrence
-    Q(n+1,x) = Q(n,x) + x^n e^(-x)/n! unrolled.  The dominant term is
-    anchored in log space and exponentiated once; summation proceeds
-    away from the anchor until terms fall below the tolerance, with the
-    skipped remainder bounded geometrically.
-    """
+    """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n)
+    for a positive integer n and x >= 0, by mpmath's gammainc at
+    working precision plus 10 guard digits."""
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    n = int(n)
-    wp = ctx.working_dps
-    with mp.workdps(wp + 10):
+    with mp.workdps(ctx.working_dps + 10):
         x = mpf(x)
         if x < 0:
             raise ValueError("x must be nonnegative")
-        if x == 0:
-            return mpf(1)
-        tol = mpf(10) ** (-(wp + 5))
-        # branch decision in float log space
-        xf = float(x)
-        if xf < n:
-            # P-series: P(n,x) = x^n e^(-x)/Gamma(n+1) * sum_i prod_{l<=i} x/(n+l)
-            logp = n * log(xf) - xf - lgamma(n + 1)
-            # geometric bound on the series factor
-            bound = -log(1.0 - xf / n) if xf / n < 1 else 0.0
-            if (logp + bound) / log(10) < -(wp + 5):
-                return +mpf(1)
-            lead = mpmath.exp(n * mpmath.log(x) - x - mpmath.loggamma(n + 1))
-            term = mpf(1)
-            acc = mpf(1)
-            i = 1
-            while True:
-                term *= x / (n + i)
-                acc += term
-                if term < tol * acc:
-                    break
-                i += 1
-                if i > 100 * (n + 100):
-                    raise ConvergenceError("P-series failed to converge")
-            return +(mpf(1) - lead * acc)
-        # partial exponential sum, anchored at the top term i = n-1
-        lead = mpmath.exp((n - 1) * mpmath.log(x) - x - mpmath.loggamma(n))
-        acc = lead
-        term = lead
-        for i in range(n - 1, 0, -1):
-            term *= i / x
-            acc += term
-            if term < tol * acc:
-                # remaining terms bounded by geometric series with ratio i/x < 1
-                break
-        if acc > 1:
-            acc = mpf(1)  # clamp roundoff at the boundary Q <= 1
-        return +acc
+        return mpmath.gammainc(int(n), x, regularized=True)
 
 
 def erfc(y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:

@@ -10,7 +10,7 @@ import sympy
 from mpmath import mp, mpf
 
 from hecke7 import density, field
-from hecke7.specfun import ConvergenceError, PrecisionContext, digamma
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, digamma
 
 CTX = PrecisionContext(25)
 
@@ -81,6 +81,14 @@ def test_lambda_vm_values():
     assert density.lambda_vm(2, 7, 1) == 0.0
     with pytest.raises(ValueError):
         density.lambda_vm(1, 2, 0)
+
+
+def test_prime_table_cap_refuses_before_sieving():
+    # a prime past the cap must be refused, not sieved to (~1e9 entries)
+    with pytest.raises(ComputeCapError):
+        density.lambda_vm(1, 1_000_000_007, 1)
+    with pytest.raises(ComputeCapError):
+        field.prime_table(10**7 + 1)
 
 
 def test_prime_sum_respects_support():
