@@ -15,8 +15,9 @@ from hecke7.specfun import PrecisionContext
 ctx = PrecisionContext(25)
 
 # The float64 engine (one per family member) evaluates Z(t) as a
-# cosine dot product over precomputed Gauss-Legendre data; the mpmath
-# route cross-checks it.
+# cosine dot product over precomputed Gauss-Legendre data.  The mpmath
+# route cross-checks it independently: it sums complex-order incomplete
+# gamma values (the smoothed approximate functional equation).
 ts = np.array([0.5, 3.0, 7.5])
 for t, zf in zip(ts, central.get_engine(1).z_many(ts)):
     zm = float(central.hardy_Z(1, t, ctx))

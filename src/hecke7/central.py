@@ -5,20 +5,23 @@ Two indexings, following the source conventions:
   * completed_lambda / hardy_Z / zeros_up_to(n): the character is
     chi^(4n-3) (family index; always even functional equation).
 
-Central values use the series over the regularized incomplete gamma:
+Both rest on one sum over the upper incomplete gamma function, with
+s = c + it and x_m = 2pi m/7:
 
-    L(1/2, chi^(2n-1)) = (2/(n-1)!) sum_m chi^(2n-1)(m) Gamma(n, 2pi m/7)/m^n
+    S(c, t) = sum_m chi^(2c-1)(m) x_m^(-s) Gamma(s, x_m).
+
+At t = 0 it is the central-value series
+
+    L(1/2, chi^(2n-1)) = 2 (2pi/7)^n/(n-1)! S(n, 0)
                        = 2 sum_m a(m) Q(n, 2pi m/7) / sqrt(m),
 
-a(m) the normalized coefficients.  The critical line is reached through
-the theta integral: with a = 2n - 3/2, Q = 7/(2pi),
-f(y) = sum_m chi^(k)(m) e^(-2pi m y/7),
-
-    Lambda(1/2+it) = Q^(-a) int_1^inf f(y) (y^(1/2+it+a) + y^(1/2-it+a)) dy/y,
-
-which avoids complex-order incomplete gamma entirely.  Zero scans run
-on a float64 engine that factorizes the t-dependence into a single
-cosine dot product over precomputed, log-rescaled quadrature data.
+a(m) the normalized coefficients.  On the critical line, with
+c = 2n - 1 and Q = 7/(2pi), it is the smoothed approximate functional
+equation (Rubinstein 2005): Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t).
+Zero scans run on a float64 engine that factorizes the t-dependence of
+the theta integral into one cosine dot product over precomputed,
+log-rescaled quadrature data; the mpmath route shares no quadrature
+code with it.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, log, exp, pi as fpi, sqrt as fsqrt
+from math import ceil, lgamma, log, exp, pi as fpi, sqrt as fsqrt
 
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import NoConvergence
 from scipy.special import loggamma as c_loggamma
 
 from . import field
@@ -39,7 +43,6 @@ from .specfun import (
     DEFAULT_CTX,
     ComputeCapError,
     ConvergenceError,
-    reg_gamma_Q,
 )
 
 BETA = 2.0 * fpi / 7.0  # 2pi/7, the exponential rate of the theta series
@@ -94,7 +97,8 @@ def _log_tail_bound(n: int, m: int) -> float:
 
 
 def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> CentralValue:
-    """L(1/2, chi^(2n-1)) by the incomplete-gamma series at ctx precision."""
+    """L(1/2, chi^(2n-1)) = 2 (2pi/7)^n/(n-1)! S(n, 0), truncated at
+    series_truncation(n, ctx.digits) with tail_bound its remainder bound."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 2 == 0:
@@ -104,21 +108,32 @@ def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> Central
     M = series_truncation(n, ctx.digits)
     if M * k > MK_CAP:
         raise ComputeCapError(f"series length {M} x exponent {k} exceeds cap {MK_CAP}")
-    table = field.coeff_table(k, M, ctx.digits)
-    with mp.workdps(ctx.working_dps + 5):
-        beta = 2 * mp.pi / 7
-        acc = mpf(0)
-        for m in range(1, M + 1):
-            c = table.normalized[m]
-            if c == 0:
-                continue
-            q = reg_gamma_Q(n, beta * m, ctx)
-            if q == 0:
-                continue
-            acc += c * q / mpmath.sqrt(m)
-        value = 2 * acc
+    wp = ctx.working_dps + 5
+    S = _gamma_sum(n, 0, M, wp)
+    with mp.workdps(wp):
+        value = 2 * (2 * mp.pi / 7) ** n / mpmath.factorial(n - 1) * S
         tail = mpmath.exp(_log_tail_bound(n, M))
         return CentralValue(n=n, value=+value, method="series", tail_bound=+tail)
+
+
+def _gamma_sum(c: int, t, M: int, wp: int):
+    """S(c, t) = sum_{m<=M} chi^(2c-1)(m) x_m^(-s) Gamma(s, x_m) with
+    s = c + it and x_m = 2pi m/7, by mpmath's gammainc at wp digits;
+    real (an mpf) at t = 0."""
+    table = field.coeff_table(2 * c - 1, M)
+    with mp.workdps(wp):
+        s = mpc(c, t) if t else mpf(c)
+        beta = 2 * mp.pi / 7
+        acc = mpf(0)
+        try:
+            for m in range(1, M + 1):
+                e = table.exact[m]
+                if e:
+                    x = beta * m
+                    acc += e * x ** (-s) * mpmath.gammainc(s, x)
+        except NoConvergence as exc:  # pragma: no cover
+            raise ConvergenceError(f"incomplete gamma at order {s} failed: {exc}") from exc
+        return acc
 
 
 def gamma_factor_X(k: int, s, ctx: PrecisionContext = DEFAULT_CTX):
@@ -165,14 +180,6 @@ def _integral_Y(a: float, drop: float) -> float:
     return y
 
 
-def _log_edges(Y: float, h: float) -> list[float]:
-    """Panel edges 1, e^h, e^(2h), ..., up to the first one >= Y."""
-    edges = [1.0]
-    while edges[-1] < Y:
-        edges.append(edges[-1] * exp(h))
-    return edges
-
-
 def _panel_rule(edges, degree: int):
     """Nodes and weights of the degree-point Gauss-Legendre rule on each
     panel [edges[i], edges[i+1]], flattened panel by panel."""
@@ -215,7 +222,10 @@ class ZEngine:
         # panel width: resolve both the cos(t ln y) oscillation and the
         # theta series' own structure scale
         h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
-        ys, ws = _panel_rule(_log_edges(Y, h), self.DEGREE)
+        edges = [1.0]  # 1, e^h, e^(2h), ..., up to the first one >= Y
+        while edges[-1] < Y:
+            edges.append(edges[-1] * exp(h))
+        ys, ws = _panel_rule(edges, self.DEGREE)
         # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
         # factored out, in blocks of nodes to bound the (node x m) matrix
         tj = np.empty_like(ys)
@@ -257,47 +267,29 @@ def get_engine(n: int) -> ZEngine:
 
 
 def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """Lambda(1/2+it) for chi^(4n-3) by panel Gauss-Legendre quadrature
-    of the theta integral, at ctx precision."""
+    """Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t) for chi^(4n-3), c = 2n - 1,
+    at ctx precision (the smoothed approximate functional equation).
+
+    |Gamma(c+it, x)| <= Gamma(c, x), so series_truncation(c, .) bounds
+    the remainder at every t.  The terms cancel down by
+    10^loss = Gamma(c)/|Gamma(c+it)|, so the sum is run and truncated at
+    working_dps + loss + 12 digits."""
     if n < 1:
         raise ValueError("family index n must be >= 1")
-    k = 4 * n - 3
-    wp = ctx.working_dps + 12
-    a_f = 2.0 * n - 1.5
-    drop = (ctx.working_dps + 12) * log(10.0) + 25.0
-    M = _theta_m_cutoff(a_f, 1.0, drop)
-    table = field.coeff_table(k, M, ctx.digits + 12)
-    Y = _integral_Y(a_f, drop)
-    h = min(0.2, 1.5 / (1.0 + abs(float(t))), 3.0 / (1.0 + fsqrt(a_f)))
-    edges = _log_edges(Y, h)
+    c = 2 * n - 1
+    loss = ceil((lgamma(c) - c_loggamma(complex(c, float(t))).real) / log(10.0))
+    wp = ctx.working_dps + loss + 12
+    M = series_truncation(c, wp)
+    S = _gamma_sum(c, t, M, wp)
     with mp.workdps(wp):
-        t_ = mpf(t)
-        a = mpf(2 * n) - mpf(3) / 2
-        beta = 2 * mp.pi / 7
-        q = 7 / (2 * mp.pi)
-        ms = [m for m in range(1, M + 1) if table.exact[m] != 0]
-        cs = [table.normalized[m] for m in ms]
-        lms = [mpmath.log(m) for m in ms]
-
-        def f_times_kernel(y):
-            ly = mpmath.log(y)
-            # f(y) * y^(a-1/2), assembled in log space per term
-            acc = mpf(0)
-            for c, lm, m in zip(cs, lms, ms):
-                acc += c * mpmath.exp(a * lm - beta * m * y + (a - mpf(1) / 2) * ly)
-            return acc * 2 * mpmath.cos(t_ * ly)
-
-        try:
-            val = mpmath.quad(f_times_kernel, edges, method="gauss-legendre")
-        except Exception as exc:  # pragma: no cover
-            raise ConvergenceError(f"theta-integral quadrature failed: {exc}") from exc
-        lam = q ** (-a) * val
+        lam = 2 * (7 / (2 * mp.pi)) ** (mpf(1) / 2 - c) * mpmath.re(S)
         return mpc(+lam, 0)
 
 
 def hardy_Z(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Z(t) = Lambda(1/2+it) / |(7/2pi)^(1/2+it) Gamma(1/2+it+2n-3/2)|;
-    real and even with the same critical-line zeros as L."""
+    real and even with the same critical-line zeros as L, and good to
+    about 10^(-working_dps) absolute at every t (see completed_lambda)."""
     with mp.workdps(ctx.working_dps + 12):
         lam = completed_lambda(n, t, ctx)
         a = mpf(2 * n) - mpf(3) / 2
@@ -396,11 +388,12 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     refined = _illinois(eng, ts[brackets], ts[brackets + 1], zs[brackets], zs[brackets + 1])
     order = np.argsort(np.concatenate([exact, brackets]))
     gammas = np.concatenate([ts[exact], refined])[order].tolist()
-    main = zero_count_main_term(n, T)
-    if abs(len(gammas) - main) > 5 + log(2 * n):
+    # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
+    expected = (T * log(7.0 / (2.0 * fpi)) + c_loggamma(complex(2 * n - 1, T)).imag) / fpi
+    if abs(len(gammas) - expected) > 5 + log(2 * n):
         warnings.warn(
-            f"n={n}, T={T}: found {len(gammas)} zeros vs main term {main:.2f}; "
-            "grid may be too coarse"
+            f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "
+            f"{expected:.2f}; grid may be too coarse"
         )
     scale = log(2 * n) / fpi
     return ZeroRecord(

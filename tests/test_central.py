@@ -79,12 +79,20 @@ def test_completed_lambda_ties_to_series_route():
         central.completed_lambda(0, 1.0)
 
 
-def test_hardy_Z_engine_matches_mp_route():
-    ts = np.array([0.7, 4.3])
-    for n in (1, 3):
-        for t, zf in zip(ts, central.get_engine(n).z_many(ts)):
-            zm = float(central.hardy_Z(n, t, CTX25))
-            assert abs(zf - zm) < 1e-9 * max(1.0, abs(zm)), (n, t)
+@pytest.mark.parametrize("n", [1, 3, 24, 45, 96])
+def test_hardy_Z_engine_matches_mp_route(n):
+    ts = np.array([0.1, 0.25, 0.45]) * central.t_reliable(n)
+    for t, zf in zip(ts, central.get_engine(n).z_many(ts)):
+        zm = float(central.hardy_Z(n, t, CTX25))
+        assert abs(zf - zm) < 1e-9 * max(1.0, abs(zm)), (n, t)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(10, 34.428, 34.5), (45, 40.586, 40.611)])
+def test_hardy_Z_confirms_engine_hard_zeros(n, lo, hi):
+    # n = 10: the zero past the last full scan step below t_reliable(10);
+    # n = 45: the close pair the grid scan misses (see the xfail below)
+    ctx = PrecisionContext(15)
+    assert central.hardy_Z(n, lo, ctx) * central.hardy_Z(n, hi, ctx) < 0
 
 
 def test_one_engine_per_member(monkeypatch):
@@ -138,6 +146,15 @@ def test_zeros_scan_finds_close_pairs():
     ts = np.append(np.arange(0.0, T, step / 8), T)
     zs = central.get_engine(n).z_many(ts)
     assert len(central.zeros_up_to(n, T).gammas) == int(np.sum(zs[:-1] * zs[1:] < 0))
+
+
+def test_zeros_full_scan_matches_gamma_phase_count():
+    # n = 1 up to its ceiling has 10 zeros: the gamma-phase count
+    # theta(T)/pi agrees, the paper's main term (3.64) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = central.zeros_up_to(1, central.t_reliable(1))
+    assert len(rec.gammas) == 10
 
 
 def test_zeros_validation_and_truncation():
