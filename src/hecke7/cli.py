@@ -29,7 +29,13 @@ from mpmath import mp, mpf
 
 from . import field, vz
 from .central import T_CAP, central_value_series, zeros_up_to
-from .density import empirical_one_level, fejer, gaussian, ratios_one_level_integrand
+from .density import (
+    empirical_one_level,
+    fejer,
+    gaussian,
+    ratios_integrand_abs_err,
+    ratios_one_level_integrand,
+)
 from .moments import (
     SWEEP_CAP,
     empirical_moment,
@@ -264,7 +270,7 @@ def _cmd_ratios(args) -> int:
         ts = [args.t_max * i / max(args.steps - 1, 1) for i in range(args.steps)]
         header = ["t", "integrand", "integrand_abs_err"]
         rows = [
-            [_sci(t, 8), _sci(ratios_one_level_integrand(args.n, t, ctx), d), _sci(1e-7, 3)]
+            [_sci(t, 8), _sci(ratios_one_level_integrand(args.n, t, ctx), d), _sci(ratios_integrand_abs_err(t), 3)]
             for t in ts
         ]
         _emit(args, (header, rows))
@@ -274,7 +280,7 @@ def _cmd_ratios(args) -> int:
             "n": args.n,
             "t": _sci(args.t, 8),
             "integrand": _sci(val, d),
-            "integrand_abs_err": _sci(1e-7, 3),
+            "integrand_abs_err": _sci(ratios_integrand_abs_err(args.t), 3),
         }
         _emit(args, out)
     return 0

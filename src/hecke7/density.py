@@ -63,47 +63,41 @@ class TestFunction:
 
 def fejer(alpha: float = 1.0) -> TestFunction:
     """f(y) = (sin(pi alpha y)/(pi alpha y))^2 >= 0 with triangular
-    fhat(x) = (1 - |x|/alpha)/alpha on [-alpha, alpha]."""
+    fhat(x) = (1 - |x|/alpha)/alpha on [-alpha, alpha]; both take scalars
+    or arrays."""
     if alpha <= 0:
         raise ValueError("support alpha must be positive")
     a = float(alpha)
 
-    def f_arr(y):
+    def f(y):
         z = fpi * a * np.asarray(y, dtype=float)
         out = np.ones_like(z)
         nz = np.abs(z) >= 1e-8
         out[nz] = (np.sin(z[nz]) / z[nz]) ** 2
         out[~nz] = 1.0 - z[~nz] ** 2 / 3.0
-        return out
+        return out[()]
 
     def fhat(x):
-        ax = abs(float(x))
-        return (1.0 - ax / a) / a if ax <= a else 0.0
+        ax = np.abs(np.asarray(x, dtype=float))
+        return np.where(ax <= a, (1.0 - ax / a) / a, 0.0)[()]
 
-    fn = TestFunction(kind="fejer", f=lambda y: _scalar_or_array(f_arr, y), fhat=fhat, support=a, param=a)
-    return fn
+    return TestFunction(kind="fejer", f=f, fhat=fhat, support=a, param=a)
 
 
 def gaussian(width: float = 2.0) -> TestFunction:
-    """f(y) = exp(-(y/w)^2), fhat(x) = w sqrt(pi) exp(-(pi w x)^2)."""
+    """f(y) = exp(-(y/w)^2), fhat(x) = w sqrt(pi) exp(-(pi w x)^2); both
+    take scalars or arrays."""
     if width <= 0:
         raise ValueError("width must be positive")
     w = float(width)
 
-    def f_arr(y):
-        y = np.asarray(y, dtype=float)
-        return np.exp(-((y / w) ** 2))
+    def f(y):
+        return np.exp(-((np.asarray(y, dtype=float) / w) ** 2))[()]
 
     def fhat(x):
-        return w * fsqrt(fpi) * exp(-((fpi * w * float(x)) ** 2))
+        return w * fsqrt(fpi) * np.exp(-((fpi * w * np.asarray(x, dtype=float)) ** 2))[()]
 
-    return TestFunction(kind="gaussian", f=lambda y: _scalar_or_array(f_arr, y), fhat=fhat, support=None, param=w)
-
-
-def _scalar_or_array(f_arr, y):
-    if np.isscalar(y) or isinstance(y, (float, int, mpf)):
-        return float(f_arr(np.array([float(y)]))[0])
-    return f_arr(y)
+    return TestFunction(kind="gaussian", f=f, fhat=fhat, support=None, param=w)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     result is float64.
     """
     c = 2 * n - 1
-    ph0 = phihat(0.0)
+    ph0 = float(phihat(0.0))
     edges = [0.0]
     e = 1.0 / (2.0 * fpi * c)
     while e < x_end / 2:
@@ -161,7 +155,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     corr = []
     for order in (24, 16):
         xs, ws = _panel_rule(edges, order)
-        ph = np.array([phihat(x) for x in xs.tolist()], dtype=float)
+        ph = phihat(xs)
         g = 2.0 * (ph0 - ph) * np.exp(-2.0 * fpi * c * xs) / -np.expm1(-2.0 * fpi * xs)
         corr.append(float(np.dot(ws, g)))
     if abs(corr[0] - corr[1]) > 1e-12:
@@ -176,7 +170,7 @@ def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
     p, q, c = field.prime_table(k_max).powers(4 * n - 3, 2.0)
-    w = np.array([phihat(log(x) / (2.0 * fpi)) for x in q.tolist()], dtype=float)
+    w = phihat(np.log(q) / (2.0 * fpi))
     return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
 
 
@@ -209,7 +203,7 @@ def explicit_formula_sum(
     """
     if scale:
         s = float(scale)
-        phihat = lambda x: (fpi / s) * phi.fhat(fpi * float(x) / s)
+        phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
     else:
         phihat = phi.fhat
     k_max = _phihat_cutoff(phi, scale)
@@ -357,9 +351,7 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
         raise ValueError("shifts outside the conjecture domain")
     table = field.prime_table(P)
     lp, cls = np.log(table.primes), table.classes
-    # per-prime log factor is O(p^(-2 sigma)), sigma = 1 + min Re shift sum
-    sigma = 1.0 + min(2 * g.real, a.real + g.real)
-    tail_est = 6.0 * P ** (1.0 - 2.0 * sigma) / (max(2.0 * sigma - 1.0, 0.05) * log(P))
+    tail_est = _ratios_A_tail(a, g, P)
     if tail_est > tol:
         raise ConvergenceError(f"tail estimate {tail_est:.2e} exceeds tol {tol:.2e}")
     y = np.exp(-(1 + 2 * g) * lp)
@@ -370,6 +362,13 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
     fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
     fac[ram] = (1 - y[ram]) / (1 - w[ram])
     return complex(np.prod(fac))
+
+
+def _ratios_A_tail(a: complex, g: complex, P: int) -> float:
+    """Estimate of sum_{p>P} |log of the local factor of A(a, g)|: each is
+    at most 6 p^(-2 sigma), sigma = 1 + min Re shift sum."""
+    sigma = 1.0 + min(2 * g.real, a.real + g.real)
+    return 6.0 * P ** (1.0 - 2.0 * sigma) / (max(2.0 * sigma - 1.0, 0.05) * log(P))
 
 
 def ratios_local_brute(p: int, alpha, gamma, cutoff: int = 120, ctx: PrecisionContext = DEFAULT_CTX):
@@ -454,6 +453,23 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
         i2 = _ratios_integrand_direct(n, t0 / 2, P)
         return float((4.0 * i2 - i1) / 3.0)
     return float(_ratios_integrand_direct(n, t, P))
+
+
+def ratios_integrand_abs_err(t: float) -> float:
+    """Bound on how far the default truncation at p <= P = 10^5 moves
+    ratios_one_level_integrand at height t: twice the A'(it,it) tail plus
+    twice ratios_A's tail estimate times |zeta(1+2it) L(1-2it)/L(1) A|.
+
+    The A' tail is at most sum_{p>P} 2 log p/(p^2 - 1) < 4.08/P for
+    P >= 17, by partial summation with theta(x) < 1.01624 x.  Below
+    |t| = 1e-4 the bound follows the Richardson combination of the
+    integrand."""
+    t, P = abs(float(t)), 100_000
+    if t < 1e-4:
+        return (4.0 * ratios_integrand_abs_err(1e-4) + ratios_integrand_abs_err(2e-4)) / 3.0
+    _, xblock = _zeta_L_block(t)
+    a_err = _ratios_A_tail(-1j * t, 1j * t, P) * abs(xblock) * abs(ratios_A(-1j * t, 1j * t, P=P))
+    return 2.0 * (a_err + 4.08 / P)
 
 
 def _ratios_integrand_direct(n, t: float, P: int):

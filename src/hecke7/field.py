@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import mpmath
@@ -184,20 +185,18 @@ def prime_class(p: int) -> str:
     return _CLASS_NAMES[CHI7[p % 7]]
 
 
-def _spf_sieve(n: int) -> list[int]:
-    """Smallest-prime-factor table for 0..n."""
-    spf = list(range(n + 1))
+def _spf_sieve(n: int) -> np.ndarray:
+    """Smallest-prime-factor table for 0..n as an int64 array."""
+    spf = np.arange(n + 1, dtype=np.int64)
     for i in range(2, isqrt(n) + 1):
         if spf[i] == i:
-            for j in range(i * i, n + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+            np.minimum(spf[i * i :: i], i, out=spf[i * i :: i])
     return spf
 
 
 def factorizations(n: int) -> list[dict[int, int]]:
     """Prime factorizations of 0..n (index 0 and 1 give {})."""
-    spf = _spf_sieve(n)
+    spf = _spf_sieve(n).tolist()
     out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
     for m in range(2, n + 1):
         p = spf[m]
@@ -211,8 +210,7 @@ def primes_up_to(n: int) -> list[int]:
     """Primes <= n, increasing."""
     if n < 2:
         return []
-    spf = _spf_sieve(n)
-    return [m for m in range(2, n + 1) if spf[m] == m]
+    return np.flatnonzero(_spf_sieve(n) == np.arange(n + 1))[2:].tolist()
 
 
 @dataclass(frozen=True)
@@ -220,43 +218,36 @@ class CoeffTable:
     """Exact and normalized Hecke coefficients chi^(k)(m) for m <= maxM.
 
     exact[m] is the rational integer chi^(k)(m); normalized[m] is
-    chi^(k)(m)/m^(k/2) as an mpf at the table's precision.  Immutable
-    once built.
+    chi^(k)(m)/m^(k/2) as an mpf at the table's precision, computed on
+    first access.  Immutable once built.
     """
 
     k: int
     maxM: int
     digits: int
     exact: dict[int, int]
-    normalized: dict[int, mpf]
+
+    @cached_property
+    def normalized(self) -> dict[int, mpf]:
+        with mp.workdps(PrecisionContext(self.digits).working_dps):
+            kh = mpf(self.k) / 2
+            return {m: +(mpf(e) / mpf(m) ** kh) for m, e in self.exact.items()}
 
 
 def coeff_table(k: int, maxM: int, digits: int = 15) -> CoeffTable:
     """Build a CoeffTable: direct sums at prime powers, multiplicative
-    assembly at composites (both exact), floating normalization last."""
+    assembly at composites over the prime table's ppart (both exact)."""
     if k < 1 or k % 2 == 0:
         raise ValueError("character exponent k must be an odd positive integer")
     if maxM < 1:
         raise ValueError("maxM must be >= 1")
-    ctx = PrecisionContext(digits)
-    spf = _spf_sieve(maxM)
+    PrecisionContext(digits)  # PrecisionError before any work
+    ppart = prime_table(maxM).ppart.tolist()
     exact: dict[int, int] = {1: 1}
     for m in range(2, maxM + 1):
-        p = spf[m]
-        q, rest = p, m // p
-        while rest % p == 0:
-            q *= p
-            rest //= p
-        if rest == 1:
-            exact[m] = hecke_coeff(k, m)  # prime power: direct sum
-        else:
-            exact[m] = exact[q] * exact[rest]
-    normalized: dict[int, mpf] = {}
-    with mp.workdps(ctx.working_dps):
-        kh = mpf(k) / 2
-        for m in range(1, maxM + 1):
-            normalized[m] = +(mpf(exact[m]) / mpf(m) ** kh)
-    return CoeffTable(k=k, maxM=maxM, digits=digits, exact=exact, normalized=normalized)
+        q = ppart[m]
+        exact[m] = hecke_coeff(k, m) if q == m else exact[q] * exact[m // q]
+    return CoeffTable(k=k, maxM=maxM, digits=digits, exact=exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,16 +256,18 @@ class PrimeTable:
 
     Per prime: its prime_class and, for its two half-representations (none
     at inert p; eps = 0 at p = 7), eps and theta as 64-bit fixed-point
-    turns, so k theta mod 1 is one wrapping uint64 multiply.  Per m <= P:
-    ppart, the exact power of the smallest prime factor dividing m.
+    turns, so k theta mod 1 is one wrapping uint64 multiply.  The angles
+    are computed only when chebyshev first needs them.  Per m <= P: ppart,
+    the exact power of the smallest prime factor dividing m.
     """
 
     P: int
     primes: np.ndarray
     classes: np.ndarray
-    rep_eps: np.ndarray
-    rep_turns: np.ndarray
     ppart: np.ndarray
+
+    rep_eps = property(lambda self: _rep_angles(self)[0])
+    rep_turns = property(lambda self: _rep_angles(self)[1])
 
     def chebyshev(self, k: int, e_max: int, c0: float) -> np.ndarray:
         """x_0..x_{e_max} for each prime: x_0 = c0, x_1 = a_k(p), the sum of
@@ -318,47 +311,60 @@ class PrimeTable:
         return a
 
 
-def _build_table(P: int, base: PrimeTable | None) -> PrimeTable:
-    """A PrimeTable for p <= P, reusing the angles of a smaller base table."""
-    spf = np.array(_spf_sieve(P), dtype=np.int64)
+def _build_table(P: int) -> PrimeTable:
+    """A PrimeTable for p <= P."""
+    spf = _spf_sieve(P)
     ms = np.arange(P + 1)
-    primes = ms[2:][spf[2:] == ms[2:]]
+    primes = np.flatnonzero(spf == ms)[2:]
     classes = np.array([_CLASS_NAMES[CHI7[r]] for r in range(7)])[primes % 7]
-    n_old = 0 if base is None else len(base.primes)
-    rep_eps = np.zeros((len(primes), 2))
-    rep_turns = np.zeros((len(primes), 2), dtype=np.uint64)
-    if base is not None:
-        rep_eps[:n_old], rep_turns[:n_old] = base.rep_eps, base.rep_turns
-    with mp.workdps(30):
-        for i in np.flatnonzero(classes[n_old:] == "split") + n_old:
-            for j, (a, b) in enumerate(half_representations(int(primes[i]))):
-                rep_eps[i, j] = epsilon(a, b)
-                turns = mpmath.nint(mpmath.ldexp(theta(a, b, digits=30), 64))
-                rep_turns[i, j] = int(turns) % (1 << 64)
     ppart = np.ones(P + 1, dtype=np.int64)
     ppart[2:] = p = spf[2:]
     while (more := ms[2:] % (ppart[2:] * p) == 0).any():
         ppart[2:][more] *= p[more]
-    arrays = (primes, classes, rep_eps, rep_turns, ppart)
+    arrays = (primes, classes, ppart)
     for arr in arrays:
         arr.setflags(write=False)
     return PrimeTable(P, *arrays)
 
 
 _TABLE: PrimeTable | None = None
+_ANGLES = (np.zeros((0, 2)), np.zeros((0, 2), dtype=np.uint64))
 _TABLE_LOCK = threading.Lock()
+
+
+def _rep_angles(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(rep_eps, rep_turns) for the primes of a cut of the shared table,
+    from a grow-only store of read-only arrays extended to exactly them."""
+    global _ANGLES
+    n = len(table.primes)
+    with _TABLE_LOCK:
+        n_old = len(_ANGLES[0])
+        if n_old < n:
+            rep_eps = np.zeros((n, 2))
+            rep_turns = np.zeros((n, 2), dtype=np.uint64)
+            rep_eps[:n_old], rep_turns[:n_old] = _ANGLES
+            with mp.workdps(30):
+                for i in np.flatnonzero(table.classes[n_old:] == "split") + n_old:
+                    for j, (a, b) in enumerate(half_representations(int(table.primes[i]))):
+                        rep_eps[i, j] = epsilon(a, b)
+                        turns = mpmath.nint(mpmath.ldexp(theta(a, b, digits=30), 64))
+                        rep_turns[i, j] = int(turns) % (1 << 64)
+            _ANGLES = (rep_eps, rep_turns)
+            for arr in _ANGLES:
+                arr.setflags(write=False)
+        return _ANGLES[0][:n], _ANGLES[1][:n]
 
 
 def prime_table(P: int) -> PrimeTable:
     """The shared PrimeTable cut to p <= P: built on first use, never at
-    import, and grown to the largest P asked for, reusing computed angles.
-    Raises ComputeCapError for P > PRIME_TABLE_CAP."""
+    import, and grown to the largest P asked for.  Raises ComputeCapError
+    for P > PRIME_TABLE_CAP."""
     global _TABLE
     if P > PRIME_TABLE_CAP:
         raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
     with _TABLE_LOCK:
         if _TABLE is None or _TABLE.P < P:
-            _TABLE = _build_table(P, _TABLE)
+            _TABLE = _build_table(P)
         t = _TABLE
     n = int(np.searchsorted(t.primes, P, side="right"))
-    return PrimeTable(P, t.primes[:n], t.classes[:n], t.rep_eps[:n], t.rep_turns[:n], t.ppart[: P + 1])
+    return PrimeTable(P, t.primes[:n], t.classes[:n], t.ppart[: P + 1])

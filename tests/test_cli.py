@@ -132,6 +132,20 @@ def test_ratios_single_t(capsys):
     assert float(obj["integrand"]) == pytest.approx(-5.037553584365670, abs=1e-6)
 
 
+def test_ratios_abs_err_covers_truncation(capsys):
+    # the printed error bounds the move of the integrand when the Euler
+    # products run to p <= 10^6 instead of the default 10^5
+    from hecke7.density import ratios_one_level_integrand
+
+    for t in (0.3, 1.0, 3.0):
+        rc, out = run(capsys, "ratios", "--n", "1", "--t", str(t), "--format", "json")
+        assert rc == 0
+        obj = json.loads(out)
+        assert list(obj) == ["n", "t", "integrand", "integrand_abs_err"]
+        move = abs(float(obj["integrand"]) - ratios_one_level_integrand(1, t, P=10**6))
+        assert move <= float(obj["integrand_abs_err"]) <= 1e-3, t
+
+
 def test_ratios_sweep_csv(capsys):
     rc, out = run(
         capsys, "ratios", "--n", "1", "--t-max", "0.4", "--steps", "3", "--format", "csv"

@@ -141,7 +141,7 @@ def test_arch_term_fejer_against_tanh_sinh():
     # one-level density's own scaling, log 96, across the family
     f = density.fejer(1.0)
     s = math.log(96)
-    phihat = lambda x: (math.pi / s) * f.fhat(math.pi * float(x) / s)
+    phihat = lambda x: (math.pi / s) * f.fhat(math.pi * x / s)
     x_end = f.support * s / math.pi
     for n in (1, 48, 96):
         got = density.arch_term(n, phihat, x_end, CTX)

@@ -158,6 +158,43 @@ def test_factorizations_and_primes():
     assert facs[48] == {2: 4, 3: 1} or facs[48] == [(2, 4), (3, 1)]
 
 
+def test_sieve_and_ppart_against_sympy():
+    import sympy
+
+    spf = field._spf_sieve(10**5)
+    assert spf.dtype == np.int64
+    assert spf[:2].tolist() == [0, 1]
+    assert spf[2:].tolist() == [min(sympy.factorint(m)) for m in range(2, 10**5 + 1)]
+    assert field.primes_up_to(10**5) == list(sympy.primerange(2, 10**5 + 1))
+    ppart = field.prime_table(10**4).ppart
+    for m in range(2, 10**4 + 1):
+        p = min(fac := sympy.factorint(m))
+        assert ppart[m] == p ** fac[p], m
+
+
+def test_angles_only_where_coefficients_are_read(monkeypatch):
+    # a fresh kernel: the prime table and the angle store start empty
+    monkeypatch.setattr(field, "_TABLE", None)
+    monkeypatch.setattr(field, "_ANGLES", (np.zeros((0, 2)), np.zeros((0, 2), dtype=np.uint64)))
+    calls = []
+    theta = field.theta
+    monkeypatch.setattr(field, "theta", lambda *a, **kw: calls.append(a) or theta(*a, **kw))
+    from hecke7 import density, moments
+
+    field.prime_table(10**5)
+    density.ratios_A(-0.3j, 0.3j)
+    density.ratios_A_prime(0.3)
+    moments.delta_series_product(0.05, 0.05, 10**4)
+    field.coeff_table(5, 300)
+    assert calls == []
+    # reading coefficients extends the store to exactly the table's primes
+    table = field.prime_table(100)
+    table.coeffs(1)
+    n_split = sum(c == "split" for c in table.classes.tolist())
+    assert len(calls) == 2 * n_split
+    assert len(field._ANGLES[0]) == len(table.primes)
+
+
 def test_spec_example_a2():
     # normalized a(2) = 1/sqrt 2 at k=1
     with mp.workdps(25):

@@ -39,7 +39,8 @@ def test_cached_arrays_read_only():
         moments.sweep_central_values(50)[0] = 99.0
     assert moments.empirical_moment(1, 50).empirical == before
     table = field.prime_table(50)
-    for arr in (v for v in vars(table).values() if isinstance(v, np.ndarray)):
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    for arr in arrays + [table.rep_eps, table.rep_turns]:
         with pytest.raises(ValueError):
             arr[0] = 99
 
