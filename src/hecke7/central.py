@@ -189,6 +189,48 @@ def _panel_rule(edges, degree: int):
     return (mid + rad * nodes).ravel(), (rad * weights).ravel()
 
 
+_BLOCK = 256  # nodes per (node x coefficient) block of the build
+
+
+def _assemble(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Quadrature data (L, G, lgnorm) of member n's engine (see ZEngine)
+    under the degree-point Gauss-Legendre rule on each of its panels."""
+    a = 2.0 * n - 1.5
+    drop = 44.0  # ~19 digits of headroom in the truncations
+    M = _theta_m_cutoff(a, 1.0, drop)
+    coeff = field.prime_table(M).coeffs(4 * n - 3)
+    ms = np.nonzero(coeff)[0]
+    cs = coeff[ms]
+    lm = np.log(ms.astype(float))
+    Y = _integral_Y(a, drop)
+    # panel width: resolve both the cos(t ln y) oscillation and the
+    # theta series' own structure scale
+    h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
+    edges = [1.0]  # 1, e^h, e^(2h), ..., up to the first one >= Y
+    while edges[-1] < Y:
+        edges.append(edges[-1] * exp(h))
+    ys, ws = _panel_rule(edges, degree)
+    # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
+    # factored out, in blocks of nodes to bound the (node x m) matrix
+    tj = np.empty_like(ys)
+    phis = np.empty_like(ys)
+    for b in range(0, len(ys), _BLOCK):
+        yb = ys[b : b + _BLOCK]
+        expo = a * lm - (BETA * yb)[:, None] * ms
+        tj[b : b + _BLOCK] = tb = expo.max(axis=1)
+        phis[b : b + _BLOCK] = np.exp(expo - tb[:, None]) @ cs
+    Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
+    Estar = float(Es.max())
+    return np.log(ys), phis * np.exp(Es - Estar), Estar - (a + 0.5) * log(7.0 / (2.0 * fpi))
+
+
+def _z_values(a: float, L: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
+    """Z at the points ts from the quadrature data (L, G, lgnorm)."""
+    dots = 2.0 * (np.cos(np.outer(ts, L)) @ G)
+    lg = c_loggamma(a + 0.5 + 1j * ts).real
+    return dots * np.exp(lgnorm - lg)
+
+
 class ZEngine:
     """Fast Hardy-Z evaluator for the family member chi^(4n-3).
 
@@ -199,52 +241,44 @@ class ZEngine:
                                               - Re log Gamma(a+1/2+it)).
 
     The panel width resolves cos(t ln y) up to T_CAP, so one engine
-    serves every scan height of its member.  Reliable while the
-    Gamma-modulus suppression stays above the float64 cancellation
-    floor; the module function t_reliable(n) reports that ceiling.
+    serves every scan height of its member.  The rule's degree per panel
+    is chosen when the engine is built: the data at degree d and at 2d
+    are assembled on the same panels and evaluated at 16 probe points of
+    (0, t_reliable(n)/2]; the first d of 8, 16, 32 whose two rules agree
+    within PROBE_TOL relative to max(1, |Z|) is kept (`degree`),
+    otherwise ConvergenceError.  Degree 8 passes for every member
+    n <= 100.  The probes stop at t_reliable(n)/2 because nearer the
+    ceiling any two rules differ by float64 noise of up to about 1e-5.
+    Reliable while the Gamma-modulus suppression stays above
+    the float64 cancellation floor; the module function t_reliable(n)
+    reports that ceiling.
     """
 
-    DEGREE = 32
-    BLOCK = 256  # nodes per (node x coefficient) block of the build
+    DEGREES = (8, 16, 32)  # each twice the last: a rejected 2d rule is the next d rule
+    PROBE_TOL = 1e-10
 
     def __init__(self, n: int):
         self.n = n
         self.k = 4 * n - 3
         self.a = 2.0 * n - 1.5
-        a = self.a
-        drop = 44.0  # ~19 digits of headroom in the truncations
-        M = _theta_m_cutoff(a, 1.0, drop)
-        coeff = field.prime_table(M).coeffs(self.k)
-        ms = np.nonzero(coeff)[0]
-        cs = coeff[ms]
-        lm = np.log(ms.astype(float))
-        Y = _integral_Y(a, drop)
-        # panel width: resolve both the cos(t ln y) oscillation and the
-        # theta series' own structure scale
-        h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
-        edges = [1.0]  # 1, e^h, e^(2h), ..., up to the first one >= Y
-        while edges[-1] < Y:
-            edges.append(edges[-1] * exp(h))
-        ys, ws = _panel_rule(edges, self.DEGREE)
-        # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
-        # factored out, in blocks of nodes to bound the (node x m) matrix
-        tj = np.empty_like(ys)
-        phis = np.empty_like(ys)
-        for b in range(0, len(ys), self.BLOCK):
-            yb = ys[b : b + self.BLOCK]
-            expo = a * lm - (BETA * yb)[:, None] * ms
-            tj[b : b + self.BLOCK] = tb = expo.max(axis=1)
-            phis[b : b + self.BLOCK] = np.exp(expo - tb[:, None]) @ cs
-        Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
-        self.Estar = float(Es.max())
-        self.G = phis * np.exp(Es - self.Estar)
-        self.L = np.log(ys)
-        self.lgnorm = self.Estar - (a + 0.5) * log(7.0 / (2.0 * fpi))
+        probe = np.linspace(0.0, 0.5 * t_reliable(n), 17)[1:]
+        data = _assemble(n, self.DEGREES[0])
+        for degree in self.DEGREES:
+            finer = _assemble(n, 2 * degree)
+            z, zf = (_z_values(self.a, *rule, probe) for rule in (data, finer))
+            gap = float(np.max(np.abs(z - zf) / np.maximum(1.0, np.abs(zf))))
+            if gap <= self.PROBE_TOL:
+                break
+            data = finer
+        else:
+            raise ConvergenceError(
+                f"ZEngine n={n}: Gauss-Legendre degrees {degree} and {2 * degree} differ by {gap:.1e}"
+            )
+        self.degree = degree
+        self.L, self.G, self.lgnorm = data
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
-        dots = 2.0 * (np.cos(np.outer(ts, self.L)) @ self.G)
-        lg = c_loggamma(self.a + 0.5 + 1j * ts).real
-        return dots * np.exp(self.lgnorm - lg)
+        return _z_values(self.a, self.L, self.G, self.lgnorm, ts)
 
 
 def t_reliable(n: int) -> float:

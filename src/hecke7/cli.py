@@ -61,7 +61,10 @@ ENV_DIGITS = "HECKE7_DIGITS"
 
 def _sci(x, digits: int) -> str:
     """Decimal scientific notation with `digits` significant figures,
-    stable across runs."""
+    stable across runs; a Python float gets at most 17, the most a
+    float64 holds."""
+    if isinstance(x, float):
+        digits = min(digits, 17)
     with mp.workdps(digits + 10):
         v = mpf(x) if not isinstance(x, mpf) else x
         if mpmath.isnan(v):

@@ -317,10 +317,15 @@ def _build_table(P: int) -> PrimeTable:
     ms = np.arange(P + 1)
     primes = np.flatnonzero(spf == ms)[2:]
     classes = np.array([_CLASS_NAMES[CHI7[r]] for r in range(7)])[primes % 7]
-    ppart = np.ones(P + 1, dtype=np.int64)
-    ppart[2:] = p = spf[2:]
-    while (more := ms[2:] % (ppart[2:] * p) == 0).any():
-        ppart[2:][more] *= p[more]
+    ppart = spf.copy()
+    ppart[0] = 1
+    # the m >= 2 divisible by p^2, p = spf(m); each pass multiplies in one
+    # more p and keeps only the m divisible by the next power
+    p = spf[2:]
+    left = np.flatnonzero(ms[2:] % (p * p) == 0) + 2
+    while len(left):
+        ppart[left] *= spf[left]
+        left = left[left % (ppart[left] * spf[left]) == 0]
     arrays = (primes, classes, ppart)
     for arr in arrays:
         arr.setflags(write=False)

@@ -1,5 +1,6 @@
 """Central values by series, the completed function, and critical-line zeros."""
 
+import copy
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 from hecke7 import central, vz
-from hecke7.specfun import ComputeCapError, PrecisionContext
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext
 
 CTX20 = PrecisionContext(20)
 CTX25 = PrecisionContext(25)
@@ -107,6 +108,41 @@ def test_one_engine_per_member(monkeypatch):
             central.zeros_up_to(1, T)
     assert builds == [1]
     assert central.t_reliable(1) == pytest.approx(16.5, abs=0.6)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 45, 96])
+def test_engine_degree_chosen_at_build(n):
+    assert central.get_engine(n).degree == 8
+
+
+def test_engine_degree_check_refuses(monkeypatch):
+    monkeypatch.setattr(central.ZEngine, "PROBE_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match="degrees 32 and 64"):
+        central.ZEngine(1)
+
+
+def test_chosen_degree_keeps_the_zeros(monkeypatch):
+    # against a degree-32 reference assembled on the same panels: the
+    # same zero count up to min(T_CAP, t_reliable), and zeros below half
+    # the ceiling move by less than 1e-10 (worst over n <= 100: 4.9e-11,
+    # n = 91 at t = 45.748; degree 16 moves it by 3.7e-11)
+    zeros = {}
+    for n in (1, 45, 91, 96):
+        t_rel = central.t_reliable(n)
+        T = min(central.T_CAP, t_rel)
+        ref = copy.copy(central.get_engine(n))
+        ref.L, ref.G, ref.lgnorm = central._assemble(n, 32)
+        got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
+        monkeypatch.setattr(central, "get_engine", lambda m: ref)
+        want = np.array(central.zeros_up_to(n, T).gammas)
+        monkeypatch.undo()
+        assert len(got) == len(want), n
+        low = want < 0.5 * t_rel
+        assert np.max(np.abs(got - want)[low]) < 1e-10, n
+    # the mpmath Z changes sign across the chosen-degree zero that moved most
+    g = zeros[91][np.argmin(np.abs(zeros[91] - 45.748))]
+    ctx = PrecisionContext(15)
+    assert central.hardy_Z(91, g - 1e-10, ctx) * central.hardy_Z(91, g + 1e-10, ctx) < 0
 
 
 def test_zeros_n1_frozen():

@@ -130,6 +130,8 @@ def test_ratios_single_t(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert float(obj["integrand"]) == pytest.approx(-5.037553584365670, abs=1e-6)
+    # a float64 result prints at 17 significant figures, not --digits (30)
+    assert len(obj["integrand"].lstrip("-").split("e")[0].replace(".", "")) == 17
 
 
 def test_ratios_abs_err_covers_truncation(capsys):

@@ -161,15 +161,16 @@ def test_factorizations_and_primes():
 def test_sieve_and_ppart_against_sympy():
     import sympy
 
+    facs = [sympy.factorint(m) for m in range(2, 10**5 + 1)]
     spf = field._spf_sieve(10**5)
     assert spf.dtype == np.int64
     assert spf[:2].tolist() == [0, 1]
-    assert spf[2:].tolist() == [min(sympy.factorint(m)) for m in range(2, 10**5 + 1)]
+    assert spf[2:].tolist() == [min(fac) for fac in facs]
     assert field.primes_up_to(10**5) == list(sympy.primerange(2, 10**5 + 1))
-    ppart = field.prime_table(10**4).ppart
-    for m in range(2, 10**4 + 1):
-        p = min(fac := sympy.factorint(m))
-        assert ppart[m] == p ** fac[p], m
+    # ppart[m] = p^(v_p(m)) for p = spf(m)
+    ppart = field.prime_table(10**5).ppart
+    assert ppart[:2].tolist() == [1, 1]
+    assert ppart[2:].tolist() == [min(fac) ** fac[min(fac)] for fac in facs]
 
 
 def test_angles_only_where_coefficients_are_read(monkeypatch):
