@@ -276,6 +276,8 @@ class ZEngine:
             )
         self.degree = degree
         self.L, self.G, self.lgnorm = data
+        for arr in (self.L, self.G):
+            arr.setflags(write=False)  # get_engine shares one engine per member
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
         return _z_values(self.a, self.L, self.G, self.lgnorm, ts)

@@ -140,12 +140,13 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     The correction integral is a float64 Gauss-Legendre sum on panels
     graded to resolve e^(-2pi c x): edges 0, 1/(2pi c), doubling below
     x_end/2, then x_end/2 and x_end (the edge of supp phihat, where it
-    may kink), then x_end plus 1/(2pi c), doubling below 3, and
-    x_end + 3.  Grading the tail keeps the pole of 1/(1 - e^(-2pi x)) at
-    x = 0 far from each panel relative to its width, which a single
-    panel [x_end, x_end + 3] is not when x_end is small.  Orders 24 and
-    16 must agree within 1e-12, or ConvergenceError.  `ctx` is accepted
-    for API compatibility; the result is float64.
+    may kink), then x_end plus 1/(2pi c), doubling below 45/(2pi c), and
+    x_end + 45/(2pi c), where e^(-2pi c (x - x_end)) has fallen to e^-45.
+    Grading the tail keeps the pole of 1/(1 - e^(-2pi x)) at x = 0 far
+    from each panel relative to its width, which a single tail panel is
+    not when x_end is small.  Orders 24 and 16 must agree within 1e-12,
+    or ConvergenceError.  `ctx` is accepted for API compatibility; the
+    result is float64.
     """
     c = 2 * n - 1
     ph0 = float(phihat(0.0))
@@ -156,11 +157,12 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
         edges.append(e)
         e *= 2.0
     edges += [x_end / 2, x_end]
+    tail = 45.0 * w  # e^(-2pi c (x - x_end)) = e^-45 ~ 3e-20 at the end
     e = w
-    while e < 3.0:
+    while e < tail:
         edges.append(x_end + e)
         e *= 2.0
-    edges.append(x_end + 3.0)
+    edges.append(x_end + tail)
     corr = []
     for order in (24, 16):
         xs, ws = _panel_rule(edges, order)

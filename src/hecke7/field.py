@@ -269,18 +269,21 @@ class PrimeTable:
     rep_eps = property(lambda self: _rep_angles(self)[0])
     rep_turns = property(lambda self: _rep_angles(self)[1])
 
-    def chebyshev(self, k: int, e_max: int, c0: float) -> np.ndarray:
+    def chebyshev(self, k: int | np.ndarray, e_max: int, c0: float) -> np.ndarray:
         """x_0..x_{e_max} for each prime: x_0 = c0, x_1 = a_k(p), the sum of
         eps cos(2 pi k theta) over the half-representations of p, and
         x_{e+1} = a_k(p) x_e - x_{e-1} (x_e = 0 for e >= 1 at p = 7).  c0 = 1
-        gives a_k(p^e) (U-sequence), c0 = 2 gives Lambda_k(p^e)/log p (T)."""
-        phase = (np.uint64(k) * self.rep_turns).view(np.int64) * 2.0**-64  # in [-1/2, 1/2)
-        ap = (self.rep_eps * np.cos(2.0 * np.pi * phase)).sum(axis=1)
+        gives a_k(p^e) (U-sequence), c0 = 2 gives Lambda_k(p^e)/log p (T).
+        k is an int or an integer array; the axes of k lead the result's
+        (prime, e) axes."""
+        k = np.asarray(k, dtype=np.uint64)[..., None, None]
+        phase = (k * self.rep_turns).view(np.int64) * 2.0**-64  # in [-1/2, 1/2)
+        ap = (self.rep_eps * np.cos(2.0 * np.pi * phase)).sum(axis=-1)
         c = self.classes != "ramified"
         xs = [np.full_like(ap, c0), ap]
         for _ in range(e_max - 1):
             xs.append(ap * xs[-1] - c * xs[-2])
-        return np.stack(xs[: e_max + 1], axis=1)
+        return np.stack(xs[: e_max + 1], axis=-1)
 
     def powers(self, k: int, c0: float):
         """(p, q, x): the prime powers q = p^e <= P (e >= 1) and the

@@ -9,16 +9,16 @@ The sweep evaluates the incomplete-gamma series in float64 (coefficients
 from the shared prime table, Q from scipy) and validates against
 the arbitrary-precision series route on a fixed subsample.  The module
 also houses the multiplicative averages delta(m), delta(l,m),
-delta_mu(p^m, p^l), their direct-averaging oracles, and the local/global
-Euler factors F(alpha,beta) of the shifted second moment.
+delta_mu(p^m, p^l), a family-average oracle for them over the shared
+prime table's coefficients, and the local/global Euler factors
+F(alpha,beta) of the shifted second moment.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt, log, pi as fpi
+from math import isqrt, log
 
 import numpy as np
 import mpmath
@@ -254,34 +254,25 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=128)
-def _oracle_rep_arrays(m: int):
-    reps = field.half_representations(m)
-    eps = np.array([field.epsilon(a, b) for a, b in reps], dtype=float)
-    thetas = np.array([float(field.theta(a, b, digits=30)) for a, b in reps])
-    return eps, thetas
-
-
-def _oracle_coeff_matrix(m: int, ks: np.ndarray) -> np.ndarray:
-    """a_n(m) for each exponent k in ks, by the direct representation sum
-    sum eps cos(2 pi k theta) (independent of the closed-form tables)."""
-    eps, thetas = _oracle_rep_arrays(m)
-    if len(eps) == 0:
-        return np.zeros(len(ks))
-    phases = np.mod(np.outer(ks.astype(float), thetas), 1.0)
-    return (np.cos(2.0 * fpi * phases) * eps).sum(axis=1)
-
-
 def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """(1/N) sum_{n<=N} a_n(m) a_n(l) by direct representation-angle
-    averaging; converges to the closed forms at rate O(1/N)."""
+    """(1/N) sum_{n<=N} a_n(m) a_n(l), with a_n(m) read from the shared
+    prime table as the product over p^e || m of its U-sequence value at
+    exponent 4n - 3; converges to the closed forms at rate O(1/N)."""
     if m < 1 or l < 1 or m > 130 or l > 130:
         raise ValueError("m, l must be in [1, 130]")
     if N < 1 or N > 10**4:
         raise ValueError("N must be in [1, 10^4]")
     ks = 4 * np.arange(1, N + 1) - 3
-    am = _oracle_coeff_matrix(m, ks)
-    al = am if l == m else _oracle_coeff_matrix(l, ks)
+    facs = field.factorizations(max(m, l))
+
+    def coeffs(x: int) -> np.ndarray:
+        a = np.ones(N)
+        for p, e in facs[x].items():
+            a *= field.prime_table(p).chebyshev(ks, e, 1.0)[:, -1, e]
+        return a
+
+    am = coeffs(m)
+    al = am if l == m else coeffs(l)
     return float(np.mean(am * al))
 
 

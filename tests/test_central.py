@@ -110,6 +110,14 @@ def test_one_engine_per_member(monkeypatch):
     assert central.t_reliable(1) == pytest.approx(16.5, abs=0.6)
 
 
+def test_shared_engine_read_only():
+    engine = central.get_engine(1)
+    with pytest.raises(ValueError):
+        engine.G[0] = 0.0
+    with pytest.raises(ValueError):
+        engine.L[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [1, 5, 20, 45, 96])
 def test_engine_degree_chosen_at_build(n):
     assert central.get_engine(n).degree == 8

@@ -132,21 +132,24 @@ def _arch_term_tanh_sinh(n, phihat, x_end, ctx):
 
     with mp.workdps(ctx.working_dps):
         lead = ph0 / mp.pi * (mp.log(7 / (2 * mp.pi)) + digamma(c, ctx))
-        corr = mpmath.quad(g, [0, min(0.05, x_end / 8), x_end / 2, x_end, x_end + 3.0])
+        corr = mpmath.quad(g, [0, min(0.05, x_end / 8), x_end / 2, x_end, mp.inf])
         return float(lead + corr)
 
 
 def test_arch_term_fejer_against_tanh_sinh():
-    # the float64 Gauss-Legendre sum against the mpmath route at the
-    # one-level density's own scaling, log 96, across the family
-    f = density.fejer(1.0)
-    s = math.log(96)
-    phihat = lambda x: (math.pi / s) * f.fhat(math.pi * x / s)
-    x_end = f.support * s / math.pi
-    for n in (1, 48, 96):
-        got = density.arch_term(n, phihat, x_end, CTX)
-        want = _arch_term_tanh_sinh(n, phihat, x_end, CTX)
-        assert abs(got - want) < 1e-13, (n, got - want)
+    # the float64 Gauss-Legendre sum against the mpmath route to infinity
+    # at the one-level density's own scaling, log N, across the family;
+    # Fejer(1/2) at N = 10 has the shortest support, so n = 1's tail past
+    # x_end is heaviest there (5.7e-10 beyond x_end + 3)
+    for alpha, N in ((1.0, 96), (0.5, 10)):
+        f = density.fejer(alpha)
+        s = math.log(N)
+        phihat = lambda x: (math.pi / s) * f.fhat(math.pi * x / s)
+        x_end = f.support * s / math.pi
+        for n in (1, 48, 96):
+            got = density.arch_term(n, phihat, x_end, CTX)
+            want = _arch_term_tanh_sinh(n, phihat, x_end, CTX)
+            assert abs(got - want) < 1e-13, (alpha, N, n, got - want)
 
 
 @pytest.mark.parametrize("N", [10, 20, 30])

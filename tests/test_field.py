@@ -143,6 +143,16 @@ def test_coeff_table_consistency():
         exact = field.coeff_table(k, 1391).normalized
         want = np.array([0.0] + [float(exact[m]) for m in range(1, 1392)])
         assert np.abs(table.coeffs(k) - want).max() < 1e-14, k
+    # the largest exponents the delta oracle reads (N = 4000), for m <= 130
+    table = field.prime_table(130)
+    for k in (15993, 15997):
+        exact = field.coeff_table(k, 130).normalized
+        want = np.array([0.0] + [float(exact[m]) for m in range(1, 131)])
+        assert np.abs(table.coeffs(k) - want).max() < 1e-13, k
+    # an array of exponents gives the stacked int results bit for bit
+    ks = 4 * np.arange(1, 4001) - 3
+    stacked = np.stack([table.chebyshev(int(k), 7, 1.0) for k in ks])
+    assert np.array_equal(table.chebyshev(ks, 7, 1.0), stacked)
     table = field.prime_table(10**4)
     assert table.primes.tolist() == field.primes_up_to(10**4)
     assert table.classes.tolist() == [field.prime_class(p) for p in table.primes.tolist()]

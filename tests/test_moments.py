@@ -123,7 +123,7 @@ def test_delta_mu_cases():
 
 
 def test_delta_oracle_agrees_with_closed_forms():
-    # direct representation-angle averaging over the family
+    # family averages of coefficients read from the shared prime table
     for m, l in ((2, 2), (3, 3), (4, 2), (9, 9), (11, 11), (6, 6)):
         emp = moments.empirical_delta_oracle(m, l, 2000)
         assert abs(emp - moments.delta_two(l, m)) < 0.06, (m, l)
@@ -131,6 +131,26 @@ def test_delta_oracle_agrees_with_closed_forms():
         moments.empirical_delta_oracle(131, 1, 100)
     with pytest.raises(ValueError):
         moments.empirical_delta_oracle(2, 2, 10**4 + 1)
+
+
+def test_delta_oracle_against_representation_sums():
+    # the oracle's prime-table coefficients against the direct sums
+    # eps cos(2 pi k theta) over the half-representations of m, with theta
+    # at 30 digits and the cosine at mpmath precision; the pairs are built
+    # from split primes (an inert prime to an odd power gives 0 either way)
+    N = 25
+    with mp.workdps(30):
+
+        def a(k, m):
+            return mpmath.fsum(
+                field.epsilon(x, y) * mpmath.cospi(2 * k * field.theta(x, y, digits=30))
+                for x, y in field.half_representations(m)
+            )
+
+        for m, l in ((2, 8), (22, 22), (128, 2), (11, 121)):
+            want = mpmath.fsum(a(k, m) * a(k, l) for k in range(1, 4 * N, 4)) / N
+            got = moments.empirical_delta_oracle(m, l, N)
+            assert abs(got - float(want)) < 1e-13, (m, l, got - float(want))
 
 
 def test_F_shift_and_constants():
