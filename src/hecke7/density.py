@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log, pi as fpi, sqrt as fsqrt
+from math import ceil, exp, factorial, log, pi as fpi, sqrt as fsqrt
 
 import numpy as np
 import mpmath
@@ -35,12 +35,7 @@ from scipy.special import digamma as c_digamma, loggamma as c_loggamma
 
 from . import field
 from .central import T_CAP, _panel_rule, t_reliable, zeros_up_to
-from .specfun import (
-    PrecisionContext,
-    DEFAULT_CTX,
-    ConvergenceError,
-    _L_chi7_any,
-)
+from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError
 
 LOG_Q7 = log(7.0 / (2.0 * fpi))
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
@@ -428,21 +423,107 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     return complex(-np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr)))
 
 
-def _zeta_L_block(t: float):
-    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1) as
-    Python complex values.
+# B_{2j}/(2j)! for j = 1..15: the Euler-Maclaurin corrections of the
+# Hurwitz zeta sums below use j <= _EM_J, and j = _EM_J + 1 bounds the
+# remainder.
+_EM_COEFFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+)
+_EM_J = 14
+# Taylor coefficients of h(u) = expm1(u)/u and h'(u) at u = 0, highest
+# degree first for np.polyval: 1/(k+1)! and (k+1)/(k+2)!, k = 15..0
+# (tail below 1e-16 for |u| < 0.5).
+_H_TAYLOR = np.array([1.0 / factorial(k + 1) for k in range(15, -1, -1)])
+_DH_TAYLOR = np.array([(k + 1.0) / factorial(k + 2) for k in range(15, -1, -1)])
+# zeta(s) = zeta(s, 1) and L(s, chi_{-7}) = 7^(-s) sum_r chi(r) zeta(s, r/7)
+_HURWITZ_A = np.array([1.0] + [r / 7.0 for r in range(1, 7)])
+_CHI7 = np.array([CHI7[r] for r in range(1, 7)], dtype=float)
+_T_MAX_BLOCK = 1e5  # the direct sums grow with |t|; see _zeta_L_block
 
-    mpmath runs at 20 digits: float64's 16 plus the at most 4 lost where
-    the 1/(2it) poles cancel for |t| >= 1e-4.  zeta(1+2it) is computed
-    once, L and L' come from one pass over the Hurwitz values,
-    L(1-2it) = conj L(1+2it) because chi_{-7} is real, and
-    L(1) = pi/sqrt(7) by the class number formula (h = 1, w = 2)."""
-    with mp.workdps(20):
-        s = 1 + 2j * mpf(t)
-        zeta_val = mpmath.zeta(s)
-        Lv, dLv = _L_chi7_any(s, 1)
-        block = -mpmath.zeta(s, derivative=1) / zeta_val + dLv / Lv
-        return complex(block), complex(zeta_val * mpmath.conj(Lv)) / L1_CHI7
+
+def _hurwitz_regular(s: np.ndarray, a: np.ndarray, M: int):
+    """R_a(s) = zeta(s, a) - 1/(s-1) and its s-derivative R_a'(s) on
+    s = 1 + 2it, in float64, for every s (shape S) and a (shape A) at
+    once; both results have shape S + A.
+
+    Euler-Maclaurin with M direct terms and _EM_J corrections at
+    X = M + a.  The pole is removed analytically: the term
+    X^(1-s)/(s-1) - 1/(s-1) is -log X h(u) with h(u) = expm1(u)/u and
+    u = -(s-1) log X, and its s-derivative is (log X)^2 h'(u), both from
+    their Taylor series where |u| < 0.5.  ConvergenceError if the first
+    omitted correction, times Johansson's factor |s+2J+1|/(Re s+2J+1)
+    and the derivative's log X + sum 1/|s+i|, exceeds 1e-16 |s|, the
+    float64 rounding of the direct sums' phases."""
+    s = s[..., None]
+    x = np.arange(M)[:, None] + a  # (M, A)
+    lx = np.log(x)
+    terms = np.exp(-s[..., None, :] * lx)  # (S, M, A)
+    R = terms.sum(axis=-2)
+    dR = -(terms * lx).sum(axis=-2)
+    X = M + a
+    lX = np.log(X)
+    u = -(s - 1.0) * lX
+    small = np.abs(u) < 0.5
+    us = np.where(small, u, 0.0)
+    h = np.where(small, np.polyval(_H_TAYLOR, us), np.expm1(u) / np.where(small, 1.0, u))
+    dh = np.where(
+        small,
+        np.polyval(_DH_TAYLOR, us),
+        (np.exp(u) * (u - 1.0) + 1.0) / np.where(small, 1.0, u) ** 2,
+    )
+    Xs = np.exp(-s * lX)
+    R += -lX * h + Xs / 2.0
+    dR += lX**2 * dh - lX * Xs / 2.0
+    # p_j = s(s+1)...(s+2j-2) X^(-s-2j+1), q_j = sum_{i<=2j-2} 1/(s+i)
+    p = s * Xs / X
+    q = 1.0 / s
+    for j in range(1, _EM_J + 1):
+        c = _EM_COEFFS[j - 1]
+        R += c * p
+        dR += c * p * (q - lX)
+        p = p * (s + 2 * j - 1) * (s + 2 * j) / X**2
+        q = q + 1.0 / (s + 2 * j - 1) + 1.0 / (s + 2 * j)
+    qabs = sum(1.0 / np.abs(s + i) for i in range(2 * _EM_J + 1))
+    omitted = np.abs(_EM_COEFFS[_EM_J] * p) * np.abs(s + 2 * _EM_J + 1) / (s.real + 2 * _EM_J + 1)
+    err = omitted * (1.0 + lX + qabs) / np.abs(s)
+    if not np.all(err <= 1e-16):
+        raise ConvergenceError(f"Euler-Maclaurin remainder {np.max(err):.1e} |s| at M = {M} exceeds 1e-16 |s|")
+    return R, dR
+
+
+def _zeta_L_block(t):
+    """(-zeta'/zeta + L'/L)(1+2it) and zeta(1+2it) L(1-2it)/L(1), in
+    float64, for a height t or an array of heights (one result each).
+
+    Both come from _hurwitz_regular at a = 1 and a = r/7 with
+    M = 32 + 16 ceil(max |t|/16) direct terms, enough for the corrections
+    to converge at every height; rounding M up to a multiple of 16 gives
+    the heights of a batch the truncation of a one-height call whenever
+    they share that multiple.  With e = s - 1 = 2it and R = R_1,
+    -zeta'/zeta = (1 - e^2 R')/(e(1 + e R)), so the 1/(2it) pole is
+    exact; L = 7^(-s) sum_r chi(r) R_{r/7} has no pole because
+    sum_r chi(r) = 0.  L(1-2it) = conj L(1+2it) because chi_{-7} is real,
+    and L(1) = pi/sqrt(7) by the class number formula (h = 1, w = 2).
+    The float64 phases 2t log(k+a) limit the error to about 1e-16 |t|
+    relative, and the direct sums grow with |t|: ConvergenceError for
+    |t| > 1e5."""
+    t = np.asarray(t, dtype=float)
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if not t_max <= _T_MAX_BLOCK:
+        raise ConvergenceError(f"zeta/L block needs |t| <= {_T_MAX_BLOCK:g}, got {t_max:g}")
+    e = 2j * t
+    R, dR = _hurwitz_regular(1.0 + e, _HURWITZ_A, 32 + 16 * ceil(t_max / 16))
+    R1, dR1 = R[..., 0], dR[..., 0]
+    chiR = (R[..., 1:] * _CHI7).sum(axis=-1)
+    chidR = (dR[..., 1:] * _CHI7).sum(axis=-1)
+    block = (1.0 - e * e * dR1) / (e * (1.0 + e * R1)) + chidR / chiR - log(7.0)
+    L = np.exp(-(1.0 + e) * log(7.0)) * chiR
+    xblock = (1.0 / e + R1) * np.conj(L) / L1_CHI7
+    return block[()], xblock[()]
 
 
 def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> float:
@@ -483,10 +564,11 @@ def ratios_integrand_abs_err(t: float) -> float:
     return 2.0 * (a_err + 4.08 / P)
 
 
-def _ratios_integrand_direct(n, t: float, P: int):
+def _ratios_integrand_direct(n, t: float, P: int, zeta_L=None):
     """The integrand at height t for the family index n, or for each
-    entry of an array of indices (the arithmetic factors are shared)."""
-    block, xblock = _zeta_L_block(t)
+    entry of an array of indices (the arithmetic factors are shared).
+    zeta_L is _zeta_L_block(t) when the caller already has it."""
+    block, xblock = _zeta_L_block(t) if zeta_L is None else zeta_L
     ap = ratios_A_prime(t, P=P)
     a_mir = ratios_A(-1j * t, 1j * t, P=P)
     c = 2 * np.asarray(n) - 1
@@ -502,7 +584,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
 
     The integrand is even, so the integral is twice a 48-point
     Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
-    with f(t_end log N/pi) = 1e-12.  `ctx` is accepted for API
+    with f(t_end log N/pi) = 1e-12.  The zeta and L factors are one
+    _zeta_L_block call over all the nodes.  `ctx` is accepted for API
     compatibility; the result is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
@@ -511,6 +594,6 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     ns = np.arange(1, N + 1)
     total = 0.0
-    for t, wt in zip(ts.tolist(), ws.tolist()):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, P)))
+    for t, wt, zeta_L in zip(ts.tolist(), ws.tolist(), zip(*_zeta_L_block(ts))):
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, P, zeta_L)))
     return 2.0 * total / (2.0 * fpi * N)

@@ -133,18 +133,19 @@ def _L_chi7_any(s, order: int = 0):
     via the Hurwitz decomposition L(s) = 7^(-s) sum_r chi(r) zeta(s, r/7).
 
     s may be complex.  At s = 1 each zeta(s, r/7) has a simple pole but
-    sum_r chi(r) = 0, so the limit is taken through the Laurent data:
-    the constant term of zeta(s,a) is -psi(a) and the linear term is
-    -stieltjes_1(a).
+    sum_r chi(r) = 0, so L(1) is the sum of the constant terms -psi(r/7).
+    L'(1) comes from s = 0 by the functional equation of the odd
+    character: Lerch's zeta'(0, a) = log Gamma(a) - log(2pi)/2 gives
+    L(0) = 1 and L'(0) = sum_r chi(r) log Gamma(r/7) - log 7, and
+    L'/L(1) = -L'/L(0) - log(7/pi) + gamma + log 2.
     """
     s = mpmath.mpmathify(s)
     if s == 1:
-        t0 = mpmath.fsum(CHI7[r] * (-mpmath.psi(0, mpf(r) / 7)) for r in range(1, 7))
+        L1 = mpmath.fsum(CHI7[r] * (-mpmath.psi(0, mpf(r) / 7)) for r in range(1, 7)) / 7
         if order == 0:
-            return t0 / 7
-        # d/ds [7^(-s) sum chi(r) zeta(s, r/7)] at s=1, poles cancelling
-        t1 = mpmath.fsum(CHI7[r] * (-mpmath.stieltjes(1, mpf(r) / 7)) for r in range(1, 7))
-        return t0 / 7, (t1 - mpmath.log(7) * t0) / 7
+            return L1
+        dL0 = mpmath.fsum(CHI7[r] * mpmath.loggamma(mpf(r) / 7) for r in range(1, 7)) - mpmath.log(7)
+        return L1, L1 * (-dL0 - mpmath.log(7 / mp.pi) + mp.euler + mpmath.log(2))
     base = mpmath.fsum(CHI7[r] * mpmath.zeta(s, mpf(r) / 7) for r in range(1, 7))
     p = mpmath.power(7, -s)
     if order == 0:

@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from hecke7 import density, field
-from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, digamma
+from hecke7.central import _panel_rule
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, _L_chi7_any, digamma
 
 CTX = PrecisionContext(25)
 
@@ -276,6 +277,73 @@ def test_ratios_integrand_even_and_regular():
     assert density.ratios_one_level_integrand(1, 1.0, CTX) == pytest.approx(
         -3.356840630836404, rel=1e-9
     )
+
+
+def _zeta_L_block_mp(t):
+    # the block at 40 digits: mpmath's zeta and zeta' and the Hurwitz
+    # route to L and L'
+    with mp.workdps(40):
+        s = 1 + 2j * mpf(t)
+        z = mpmath.zeta(s)
+        L, dL = _L_chi7_any(s, 1)
+        block = -mpmath.zeta(s, derivative=1) / z + dL / L
+        return complex(block), complex(z * mpmath.conj(L) / (mp.pi / mp.sqrt(7)))
+
+
+def _gaussian_nodes(w):
+    # the Gauss-Legendre nodes of ratios_one_level_density(20, gaussian(w))
+    t_end = math.pi * w * math.sqrt(-math.log(1e-12)) / math.log(20)
+    return _panel_rule([0.0, t_end / 2, t_end], 48)[0]
+
+
+def test_zeta_L_block_against_mpmath():
+    cases = [(t, 1e-13) for t in (1e-4, 2e-4, 1e-3, 1e-2, 0.3, 1.0, 3.0, 11.0)]
+    cases += [(t, 1e-12) for t in (40.0, 100.0, 300.0)]
+    for t, tol in cases:
+        got = density._zeta_L_block(t)
+        for g, w in zip(got, _zeta_L_block_mp(t)):
+            assert abs(g - w) < tol * max(1.0, abs(w)), (t, g, w)
+    for w in (1.8, 2.2):
+        ts = _gaussian_nodes(w)
+        batch = density._zeta_L_block(ts)
+        assert batch[0].shape == batch[1].shape == (96,)
+        for i, t in enumerate(ts):
+            single = density._zeta_L_block(t)
+            for b, g, want in zip(batch, single, _zeta_L_block_mp(t)):
+                assert abs(b[i] - want) < 1e-13 * max(1.0, abs(want)), (w, t)
+                assert abs(b[i] - g) < 1e-14 * abs(g), (w, t)
+
+
+def test_zeta_L_block_truncation_guard():
+    # 32 direct terms do not reach t = 100 (2t > 2pi X): the first
+    # omitted Euler-Maclaurin correction refuses
+    s = np.array([1 + 200j])
+    with pytest.raises(ConvergenceError):
+        density._hurwitz_regular(s, np.array([1.0]), 32)
+    R, dR = density._hurwitz_regular(s, np.array([1.0]), 132)
+    with mp.workdps(30):
+        want = mpmath.zeta(1 + 200j) - 1 / mpc(200j)
+        want_d = mpmath.zeta(1 + 200j, derivative=1) + 1 / mpc(200j) ** 2
+    assert abs(R[0, 0] - complex(want)) < 1e-12
+    assert abs(dR[0, 0] - complex(want_d)) < 1e-12
+    with pytest.raises(ConvergenceError):
+        density._zeta_L_block(2e5)
+
+
+def test_ratios_integrand_values_pinned():
+    # values of the 20-digit mpmath block this float64 block replaced
+    pinned = {
+        0.0: -7.45837198530397,
+        5e-5: -7.45837198530397,
+        1e-4: -7.458371576275494,
+        2e-4: -7.458370349190065,
+        0.3: -5.774172986082692,
+        3.0: -0.9854967481473791,
+    }
+    for t, want in pinned.items():
+        assert abs(density.ratios_one_level_integrand(1, t) - want) < 1e-13, t
+    for w, want in ((1.8, 2.908165959438692), (2.0, 3.236129063144008), (2.2, 3.5684178181102744)):
+        assert abs(density.ratios_one_level_density(20, density.gaussian(w)) - want) < 1e-13, w
 
 
 def test_ratios_route_matches_explicit_formula(gauss_report):

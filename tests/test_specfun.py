@@ -139,8 +139,9 @@ def test_L_chi7_direct_sum_oracle():
 
 
 def test_L_chi7_derivative_dual_route():
-    # order=1 at s=1 goes through Laurent data; compare against a central
-    # difference of the generic-s route
+    # order=1 at s=1 goes through Lerch's formula at s=0 and the
+    # functional equation; compare against a central difference of the
+    # generic-s Hurwitz route
     with mp.workdps(60):
         h = mpf(10) ** -15
         num = (dirichlet_L_chi7(1 + h, ctx=PrecisionContext(45)) -
