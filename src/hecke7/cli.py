@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 usage, 3 precision/convergence, 4 compute cap,
 5 acceptance failure.  Outputs are deterministic: fixed significant
 figures, insertion-ordered JSON keys, UNIX newlines, UTF-8.  The
 default precision comes from the HECKE7_DIGITS environment variable
-when set.  --threads is validated and recorded but evaluation is
-single-process; results never depend on it.
+when set.  --threads is validated (it must be >= 1) but otherwise
+unused: evaluation is single-process, and results never depend on it.
 """
 
 from __future__ import annotations

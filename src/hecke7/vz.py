@@ -10,15 +10,23 @@ giving B(2n+1) = b_n(0), A(n) = B(n)^2, and the exact central value
     L(1/2, chi^(2n-1)) = 2 (2pi/sqrt7)^n Omega^(2n-1) A(n) / (n-1)!.
 
 The a-sequence lives in the quadratic extension u(x) + v(x)*s with
-s^2 = (1+x)(1-27x) and gives A(n) = a_{n-1}(-1)/4, an independent
-cross-check of the b-sequence; evaluating at x = -1 kills the
-s-component since s^2 vanishes there.  The printed
-initial value a_1 = -(1/3) sqrt((1-x)(1+27x)) carries a typo'd
-radicand: only s^2 = (1+x)(1-27x) throughout reproduces the A(n) table
-(the other variant already fails at A(3)), so that is what we use.
+s^2 = (1+x)(1-27x):
 
-Both sequences are kept in grow-only lists of immutable tuples, extended
-one recursion step at a time to the largest index asked for.
+    a_{k+1} = s (x d/dx - (2k+1)/3) a_k - (k^2/9)(1-5x) a_{k-1},
+    a_0 = 1, a_1 = -s/3,
+
+and gives A(n) = a_{n-1}(-1)/4, an independent cross-check of the
+b-sequence; evaluating at x = -1 kills the s-component since s^2
+vanishes there.  The printed initial value a_1 = -(1/3) sqrt((1-x)(1+27x))
+carries a typo'd radicand: only s^2 = (1+x)(1-27x) throughout reproduces
+the A(n) table (the other variant already fails at A(3)), so that is what
+we use.
+
+The recursion steps work on object arrays of Fraction coefficients
+(index = degree) through numpy.polynomial.polynomial, whose routines keep
+the object dtype and trim trailing zeros.  Both sequences are stored as
+coefficient tuples in grow-only lists, extended one recursion step at a
+time to the largest index asked for.
 """
 
 from __future__ import annotations
@@ -27,57 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from threading import Lock
 
+import numpy as np
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
+from numpy.polynomial import polynomial as P
 
 from .specfun import PrecisionContext, DEFAULT_CTX, constants
-
-Poly = list  # list of Fraction coefficients, index = degree
-
-
-def _trim(p: Poly) -> Poly:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pscale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    return _trim([c * a for a in p])
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _pdiff(p: Poly) -> Poly:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return _trim([i * p[i] for i in range(1, len(p))])
-
-
-def _peval(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
 
 @dataclass(frozen=True)
 class VZPoly:
@@ -90,12 +52,13 @@ class VZPoly:
     v: tuple
 
     @staticmethod
-    def make(u: Poly, v: Poly | None = None) -> "VZPoly":
+    def make(u, v=None) -> "VZPoly":
         return VZPoly(tuple(u), tuple(v if v is not None else [Fraction(0)]))
 
     def eval_at(self, x) -> tuple[Fraction, Fraction]:
         """(u(x), v(x)); the element's value is u(x) + v(x)*s(x)."""
-        return _peval(list(self.u), x), _peval(list(self.v), x)
+        x = Fraction(x)
+        return P.polyval(x, self.u), P.polyval(x, self.v)
 
 
 @dataclass(frozen=True)
@@ -108,11 +71,19 @@ class ExactCentral:
     L: mpf
 
 
+def _poly(*coeffs) -> np.ndarray:
+    """Object array of Fraction coefficients, index = degree."""
+    return np.array([Fraction(c) for c in coeffs], dtype=object)
+
+
 # (x-7)(64x-7) = 64x^2 - 455x + 49
-_QUAD = (Fraction(49), Fraction(-455), Fraction(64))
+_QUAD = _poly(49, -455, 64)
 # the a-path radicand s^2 = (1+x)(1-27x) and its derivative
-_R = (Fraction(1), Fraction(-26), Fraction(-27))
-_DR = tuple(_pdiff(_R))
+_R = _poly(1, -26, -27)
+_DR = P.polyder(_R)
+_X = _poly(0, 1)
+_11X_7 = _poly(7, 11)
+_1_5X = _poly(1, -5)
 
 _LOCK = Lock()  # guards the growth of _B and _A
 _B = [(Fraction(1, 2),), (Fraction(1),)]  # b_0, b_1, ... as coefficient tuples
@@ -121,27 +92,24 @@ _A = [((Fraction(1),), (Fraction(0),)), ((Fraction(0),), (Fraction(-1, 3),))]  #
 
 def _b_step(k: int, bk: tuple, bk1: tuple) -> tuple:
     """b_{k+1} from b_k and b_{k-1}."""
-    lin = [Fraction(42 - 56 * k), Fraction(32 * k)]
-    term = _padd(_pmul(lin, bk), _pscale(_pmul(_QUAD, _pdiff(bk)), -1))
-    term = _padd(term, _pscale(_pmul([Fraction(7), Fraction(11)], bk1), -2 * k * (2 * k - 1)))
-    return tuple(_pscale(term, Fraction(1, 21)))
+    term = P.polysub(P.polymul(_poly(42 - 56 * k, 32 * k), bk), P.polymul(_QUAD, P.polyder(bk)))
+    term = P.polysub(term, P.polymul(_11X_7, bk1) * (2 * k * (2 * k - 1)))
+    return tuple(term / 21)
 
 
 def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
     """a_{k+1} = (u, v) from a_k and a_{k-1} in the ring u + v*s."""
-    (u, v), (u1, v1) = ak, ak1
-    x = [Fraction(0), Fraction(1)]
+    (u, v), (u1, v1) = [(_poly(*p), _poly(*q)) for p, q in (ak, ak1)]
     c = Fraction(2 * k + 1, 3)
-    # sqrt(R)*(x d/dx - c)(u + v s) = [x(v'R + vR'/2) - cvR] + [xu' - cu]s
-    new_u = _padd(
-        _pmul(x, _padd(_pmul(_pdiff(v), _R), _pscale(_pmul(v, _DR), Fraction(1, 2)))),
-        _pscale(_pmul(v, _R), -c),
+    # s*(x d/dx - c)(u + v s) = [x(v'R + vR'/2) - cvR] + [xu' - cu]s
+    new_u = P.polysub(
+        P.polymul(_X, P.polyadd(P.polymul(P.polyder(v), _R), P.polymul(v, _DR) / 2)),
+        P.polymul(v, _R) * c,
     )
-    new_v = _padd(_pmul(x, _pdiff(u)), _pscale(u, -c))
+    new_v = P.polysub(P.polymul(_X, P.polyder(u)), u * c)
     corr = Fraction(k * k, 9)
-    one5x = [Fraction(1), Fraction(-5)]
-    new_u = _padd(new_u, _pscale(_pmul(one5x, u1), -corr))
-    new_v = _padd(new_v, _pscale(_pmul(one5x, v1), -corr))
+    new_u = P.polysub(new_u, P.polymul(_1_5X, u1) * corr)
+    new_v = P.polysub(new_v, P.polymul(_1_5X, v1) * corr)
     return tuple(new_u), tuple(new_v)
 
 
@@ -158,13 +126,12 @@ def _grow(seq: list, step, k: int) -> tuple:
 
 def b_poly(k: int) -> VZPoly:
     """The exact rational polynomial b_k(x)."""
-    return VZPoly.make(list(_grow(_B, _b_step, k)))
+    return VZPoly.make(_grow(_B, _b_step, k))
 
 
 def a_poly(k: int) -> VZPoly:
     """The a-sequence element a_k = u + v*s (cross-check path)."""
-    u, v = _grow(_A, _a_step, k)
-    return VZPoly.make(list(u), list(v))
+    return VZPoly.make(*_grow(_A, _a_step, k))
 
 
 def A_from_a_path(n: int) -> Fraction:

@@ -48,6 +48,27 @@ def _b_sympy(kmax):
     return x, bs
 
 
+def _a_sympy(kmax):
+    # independent re-derivation of the a recursion in Q[x][s]/(s^2 - R),
+    # with d/dx acting on s through ds/dx = R'/(2s)
+    x, s = sp.symbols("x s")
+    R = (1 + x) * (1 - 27 * x)
+
+    def s_d(p):  # s * d/dx
+        return s * sp.diff(p, x) + sp.diff(p, s) * sp.diff(R, x) / 2
+
+    a = [sp.Integer(1), -s / 3]
+    for k in range(1, kmax):
+        c = sp.Rational(2 * k + 1, 3)
+        nxt = x * s_d(a[k]) - c * s * a[k] - sp.Rational(k * k, 9) * (1 - 5 * x) * a[k - 1]
+        a.append(sp.rem(sp.expand(nxt), s**2 - sp.expand(R), s))
+    return x, s, a
+
+
+def _fractions(expr, x):
+    return tuple(Fraction(int(c.p), int(c.q)) for c in sp.Poly(expr, x).all_coeffs()[::-1])
+
+
 def test_b_initial_conditions():
     assert vz.b_poly(0).u == (Fraction(1, 2),)
     assert vz.b_poly(1).u == (Fraction(1),)
@@ -58,10 +79,7 @@ def test_b_initial_conditions():
 def test_b_sequence_matches_independent_recursion():
     x, bs = _b_sympy(10)
     for k in range(0, 11):
-        coeffs = sp.Poly(bs[k], x).all_coeffs()[::-1]
-        want = tuple(Fraction(int(c.p), int(c.q)) for c in [sp.Rational(c) for c in coeffs])
-        got = vz.b_poly(k).u
-        assert got == want, k
+        assert vz.b_poly(k).u == _fractions(bs[k], x), k
         assert vz.b_poly(k).v == (Fraction(0),)
 
 
@@ -99,6 +117,16 @@ def test_a_path_agrees_with_b_path():
     for n in range(1, 22, 2):
         assert vz.A_from_a_path(n) == vz.A_of(n), n
     assert vz.A_from_a_path(4) == 0
+
+
+def test_a_sequence_matches_independent_recursion():
+    # both components of a_k, not only u at x = -1
+    x, s, a = _a_sympy(20)
+    for k in range(0, 21):
+        e = sp.expand(a[k])
+        got = vz.a_poly(k)
+        assert got.u == _fractions(e.coeff(s, 0), x), k
+        assert got.v == _fractions(e.coeff(s, 1), x), k
 
 
 def _counted(monkeypatch, name):
