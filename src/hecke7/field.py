@@ -10,7 +10,7 @@ coefficient function chi^(k)(m) sums eps * (a+b*eta)^k over all
 representations of m and halves the result.  All of that is done in
 exact integer arithmetic; floating normalization is applied last.  These
 serve the mpmath routes and the oracles; the float64 family routes share
-one PrimeTable (fixed-point representation angles) instead.
+one PrimeTable (exact fixed-point representation angles) instead.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-import mpmath
 import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
+from mpmath.libmp import from_int, mpf_atan2, mpf_div, mpf_mul, mpf_pi, mpf_sqrt, round_nearest, to_int
 
 from .specfun import CHI7, ComputeCapError, PrecisionContext, PrecisionError
 
@@ -254,20 +254,19 @@ def coeff_table(k: int, maxM: int, digits: int = 15) -> CoeffTable:
 class PrimeTable:
     """Float64 prime kernel for p <= P; every array is read-only.
 
-    Per prime: its prime_class and, for its two half-representations (none
-    at inert p; eps = 0 at p = 7), eps and theta as 64-bit fixed-point
-    turns, so k theta mod 1 is one wrapping uint64 multiply.  The angles
-    are computed only when chebyshev first needs them.  Per m <= P: ppart,
-    the exact power of the smallest prime factor dividing m.
+    Per prime: its prime_class and, for its two half-representations in
+    half_representations order (zero rows at inert p and p = 7), rep_eps
+    and rep_turns, theta(a, b, 30) rounded to 64-bit fixed-point turns, so
+    k theta mod 1 is one wrapping uint64 multiply.  Per m <= P: ppart, the
+    exact power of the smallest prime factor dividing m.
     """
 
     P: int
     primes: np.ndarray
     classes: np.ndarray
     ppart: np.ndarray
-
-    rep_eps = property(lambda self: _rep_angles(self)[0])
-    rep_turns = property(lambda self: _rep_angles(self)[1])
+    rep_eps: np.ndarray
+    rep_turns: np.ndarray
 
     def chebyshev(self, k: int | np.ndarray, e_max: int, c0: float) -> np.ndarray:
         """x_0..x_{e_max} for each prime: x_0 = c0, x_1 = a_k(p), the sum of
@@ -329,38 +328,31 @@ def _build_table(P: int) -> PrimeTable:
     while len(left):
         ppart[left] *= spf[left]
         left = left[left % (ppart[left] * spf[left]) == 0]
-    arrays = (primes, classes, ppart)
+    # Each split p <= P is the norm of one z = (a, b) with b > 0 < 2a + b; its rows
+    # are -conj(z) = (-a-b, b), with 1/2 - theta(z) and -eps(z), then z itself.
+    prec = 136  # theta(..., digits=30)'s working precision: the turns match it bit for bit
+    sqrt7 = mpf_sqrt(from_int(7), prec, round_nearest)
+    scale = mpf_div(from_int(1 << 63), mpf_pi(prec, round_nearest), prec, round_nearest)  # 2^64/2pi
+    rep_eps = np.zeros((len(primes), 2))
+    rep_turns = np.zeros((len(primes), 2), dtype=np.uint64)
+    for b in range(1, isqrt(4 * P // 7) + 1):
+        a = np.arange(-((b - 1) // 2), (isqrt(4 * P - 7 * b * b) - b) // 2 + 1)
+        q = a * a + a * b + 2 * b * b
+        split = spf[q] == q
+        y = mpf_mul(from_int(b), sqrt7, prec, round_nearest)
+        for i, x in zip(np.searchsorted(primes, q[split]).tolist(), a[split].tolist()):
+            atan = mpf_atan2(y, from_int(2 * x + b), prec, round_nearest)
+            t = to_int(mpf_mul(atan, scale, prec, round_nearest), round_nearest)
+            rep_eps[i] = -epsilon(x, b), epsilon(x, b)
+            rep_turns[i] = (1 << 63) - t, t
+    arrays = (primes, classes, ppart, rep_eps, rep_turns)
     for arr in arrays:
         arr.setflags(write=False)
     return PrimeTable(P, *arrays)
 
 
 _TABLE: PrimeTable | None = None
-_ANGLES = (np.zeros((0, 2)), np.zeros((0, 2), dtype=np.uint64))
 _TABLE_LOCK = threading.Lock()
-
-
-def _rep_angles(table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """(rep_eps, rep_turns) for the primes of a cut of the shared table,
-    from a grow-only store of read-only arrays extended to exactly them."""
-    global _ANGLES
-    n = len(table.primes)
-    with _TABLE_LOCK:
-        n_old = len(_ANGLES[0])
-        if n_old < n:
-            rep_eps = np.zeros((n, 2))
-            rep_turns = np.zeros((n, 2), dtype=np.uint64)
-            rep_eps[:n_old], rep_turns[:n_old] = _ANGLES
-            with mp.workdps(30):
-                for i in np.flatnonzero(table.classes[n_old:] == "split") + n_old:
-                    for j, (a, b) in enumerate(half_representations(int(table.primes[i]))):
-                        rep_eps[i, j] = epsilon(a, b)
-                        turns = mpmath.nint(mpmath.ldexp(theta(a, b, digits=30), 64))
-                        rep_turns[i, j] = int(turns) % (1 << 64)
-            _ANGLES = (rep_eps, rep_turns)
-            for arr in _ANGLES:
-                arr.setflags(write=False)
-        return _ANGLES[0][:n], _ANGLES[1][:n]
 
 
 def prime_table(P: int) -> PrimeTable:
@@ -375,4 +367,4 @@ def prime_table(P: int) -> PrimeTable:
             _TABLE = _build_table(P)
         t = _TABLE
     n = int(np.searchsorted(t.primes, P, side="right"))
-    return PrimeTable(P, t.primes[:n], t.classes[:n], t.ppart[: P + 1])
+    return PrimeTable(P, t.primes[:n], t.classes[:n], t.ppart[: P + 1], t.rep_eps[:n], t.rep_turns[:n])

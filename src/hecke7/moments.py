@@ -17,7 +17,7 @@ F(alpha,beta) of the shifted second moment.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt, log
 
 import numpy as np
@@ -268,7 +268,12 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
     def coeffs(x: int) -> np.ndarray:
         a = np.ones(N)
         for p, e in facs[x].items():
-            a *= field.prime_table(p).chebyshev(ks, e, 1.0)[:, -1, e]
+            # the last row of the cut to p is p's own
+            t = field.prime_table(p)
+            row = replace(
+                t, primes=t.primes[-1:], classes=t.classes[-1:], rep_eps=t.rep_eps[-1:], rep_turns=t.rep_turns[-1:]
+            )
+            a *= row.chebyshev(ks, e, 1.0)[:, 0, e]
         return a
 
     am = coeffs(m)

@@ -177,6 +177,16 @@ def test_density_report(capsys):
     assert float(obj["nonvanishing_lower_bound"]) == 0.0  # v > 2 clips to 0
 
 
+def test_density_fejer_report(capsys):
+    rc, out = run(capsys, "density", "--N", "10", "--alpha", "0.5", "--format", "json")
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["testfn"] == "fejer(0.5)"
+    assert float(obj["rmt"]) == float(obj["v"]) == 2.5
+    assert float(obj["nonvanishing_lower_bound"]) == 0.0
+    assert abs(float(obj["empirical"]) - float(obj["explicit_formula"])) <= float(obj["discarded_mass_bound"])
+
+
 def test_exit_codes(capsys):
     assert cli.main(["bogus"]) == 2
     assert cli.main(["central", "--n", "3", "--digits", "5"]) == 3
@@ -184,6 +194,7 @@ def test_exit_codes(capsys):
     assert cli.main(["zeros", "--n", "1", "--T", "100"]) == 2
     assert cli.main(["central", "--n", "5001"]) == 4
     assert cli.main(["ratios", "--n", "1"]) == 2
+    assert cli.main(["ratios", "--n", "1", "--t", "2e5"]) == 3  # ConvergenceError
     assert cli.main(["central", "--n", "3", "--threads", "0"]) == 2
     capsys.readouterr()
 

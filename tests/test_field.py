@@ -183,27 +183,29 @@ def test_sieve_and_ppart_against_sympy():
     assert ppart[2:].tolist() == [min(fac) ** fac[min(fac)] for fac in facs]
 
 
-def test_angles_only_where_coefficients_are_read(monkeypatch):
-    # a fresh kernel: the prime table and the angle store start empty
+def test_table_angles_match_theta_route(monkeypatch):
+    # a fresh kernel builds the angles with the table, from its own lattice
+    # walk: neither theta nor half_representations is called
     monkeypatch.setattr(field, "_TABLE", None)
-    monkeypatch.setattr(field, "_ANGLES", (np.zeros((0, 2)), np.zeros((0, 2), dtype=np.uint64)))
+    theta, half_representations = field.theta, field.half_representations
     calls = []
-    theta = field.theta
-    monkeypatch.setattr(field, "theta", lambda *a, **kw: calls.append(a) or theta(*a, **kw))
-    from hecke7 import density, moments
-
-    field.prime_table(10**5)
-    density.ratios_A(-0.3j, 0.3j)
-    density.ratios_A_prime(0.3)
-    moments.delta_series_product(0.05, 0.05, 10**4)
-    field.coeff_table(5, 300)
-    assert calls == []
-    # reading coefficients extends the store to exactly the table's primes
-    table = field.prime_table(100)
+    for name, f in (("theta", theta), ("half_representations", half_representations)):
+        monkeypatch.setattr(field, name, lambda *a, f=f, **kw: calls.append(a) or f(*a, **kw))
+    table = field.prime_table(10**5)
     table.coeffs(1)
-    n_split = sum(c == "split" for c in table.classes.tolist())
-    assert len(calls) == 2 * n_split
-    assert len(field._ANGLES[0]) == len(table.primes)
+    assert calls == []
+    # each split row is (eps, theta(.., 30) in 64-bit turns) over
+    # half_representations(p); inert rows and the row of p = 7 are zero
+    assert table.rep_eps.shape == table.rep_turns.shape == (len(table.primes), 2)
+    split = table.classes == "split"
+    assert not table.rep_eps[~split].any() and not table.rep_turns[~split].any()
+    assert 7 in table.primes[~split]
+    rows = zip(table.primes[split].tolist(), table.rep_eps[split].tolist(), table.rep_turns[split].tolist())
+    with mp.workdps(30):
+        for p, eps, turns in rows:
+            reps = half_representations(p)
+            assert eps == [field.epsilon(a, b) for a, b in reps], p
+            assert turns == [int(mpmath.nint(mpmath.ldexp(theta(a, b, 30), 64))) % 2**64 for a, b in reps], p
 
 
 def test_spec_example_a2():

@@ -40,7 +40,8 @@ def test_cached_arrays_read_only():
     assert moments.empirical_moment(1, 50).empirical == before
     table = field.prime_table(50)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    for arr in arrays + [table.rep_eps, table.rep_turns]:
+    assert len(arrays) == 5  # primes, classes, ppart, rep_eps, rep_turns
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 99
 
