@@ -113,8 +113,8 @@ def lambda_vm(n: int, p: int, r: int, ctx: PrecisionContext = DEFAULT_CTX) -> fl
     at even r.  Returns 0 at p = 7."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    field.prime_class(p)  # ValueError unless p is prime
-    return log(p) * float(field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r])
+    field.prime_class(p)  # ValueError unless p is prime, so the last row of the cut to p is p's own
+    return log(p) * float(field.prime_table(p)[-1:].chebyshev(4 * n - 3, r, 2.0)[0, r])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,8 @@ def empirical_one_level(
     Zeros enter up to height min(T, per-n float64 reliability ceiling);
     the report records the discarded-mass bound for the dropped tail.
     """
-    if N < 1 or N > 200:
-        raise ValueError("N must be in [1, 200] (desk scale)")
+    if N < 2 or N > 200:
+        raise ValueError("N must be in [2, 200] (desk scale)")
     s = log(N)
     emp_total = 0.0
     mass_bound = 0.0
@@ -581,6 +581,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     compatibility; the result is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
+    if N < 2:
+        raise ValueError("N must be >= 2: the scale log N vanishes at N = 1")
     s = log(N)
     t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)

@@ -16,7 +16,7 @@ one PrimeTable (exact fixed-point representation angles) instead.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isqrt
 
@@ -259,6 +259,10 @@ class PrimeTable:
     and rep_turns, theta(a, b, 30) rounded to 64-bit fixed-point turns, so
     k theta mod 1 is one wrapping uint64 multiply.  Per m <= P: ppart, the
     exact power of the smallest prime factor dividing m.
+
+    table[i:j] cuts the per-prime arrays to those rows and keeps P and
+    ppart.  chebyshev works on any row cut; powers and coeffs read every
+    prime <= P, so they need the cut prime_table(P) makes.
     """
 
     P: int
@@ -267,6 +271,10 @@ class PrimeTable:
     ppart: np.ndarray
     rep_eps: np.ndarray
     rep_turns: np.ndarray
+
+    def __getitem__(self, rows: slice) -> PrimeTable:
+        cut = {name: getattr(self, name)[rows] for name in ("primes", "classes", "rep_eps", "rep_turns")}
+        return replace(self, **cut)
 
     def chebyshev(self, k: int | np.ndarray, e_max: int, c0: float) -> np.ndarray:
         """x_0..x_{e_max} for each prime: x_0 = c0, x_1 = a_k(p), the sum of
@@ -367,4 +375,4 @@ def prime_table(P: int) -> PrimeTable:
             _TABLE = _build_table(P)
         t = _TABLE
     n = int(np.searchsorted(t.primes, P, side="right"))
-    return PrimeTable(P, t.primes[:n], t.classes[:n], t.ppart[: P + 1], t.rep_eps[:n], t.rep_turns[:n])
+    return replace(t[:n], P=P, ppart=t.ppart[: P + 1])

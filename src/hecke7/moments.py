@@ -6,18 +6,18 @@ equation).  Moments:
     M_r(N) = (1/N) sum_{n<=N} L(1/2, chi^(4n-3))^r.
 
 The sweep evaluates the incomplete-gamma series in float64 (coefficients
-from the shared prime table, Q from scipy) and validates against
-the arbitrary-precision series route on a fixed subsample.  The module
-also houses the multiplicative averages delta(m), delta(l,m),
-delta_mu(p^m, p^l), a family-average oracle for them over the shared
-prime table's coefficients, and the local/global Euler factors
-F(alpha,beta) of the shifted second moment.
+from the shared prime table, Q from scipy) into a read-only module store,
+rebuilt for a larger N and validated against the arbitrary-precision
+series route on a fixed subsample.  The module also houses the
+multiplicative averages delta(m), delta(l,m), delta_mu(p^m, p^l), a
+family-average oracle for them over the prime table, and the
+local/global Euler factors F(alpha,beta) of the shifted second moment.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt, log
 
 import numpy as np
@@ -66,57 +66,44 @@ class EulerFactorValue:
 # ---------------------------------------------------------------------------
 
 
-class _SweepCache:
-    """Grow-only cache of family central values L(1/2, chi^(4n-3)); the
-    cached array is read-only, so the views it hands out are too."""
-
-    def __init__(self):
-        self.values = np.zeros(0)
-        self.lock = threading.Lock()
-
-    def ensure(self, N: int) -> np.ndarray:
-        with self.lock:
-            if len(self.values) >= N:
-                return self.values[:N]
-            jmax = 2 * N - 1
-            M = series_truncation(jmax, 11)
-            table = field.prime_table(M)
-            ms = np.arange(1, M + 1)
-            inv_sqrt_m = 1.0 / np.sqrt(ms)
-            x = BETA * ms
-            out = np.zeros(N)
-            for nu in range(1, N + 1):
-                j = 2 * nu - 1
-                k = 4 * nu - 3
-                a = table.coeffs(k)[1:]
-                q = gammaincc(j, x)
-                out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
-            self._validate(out, N)
-            out.setflags(write=False)
-            self.values = out
-            return self.values[:N]
-
-    def _validate(self, out: np.ndarray, N: int) -> None:
-        ctx = PrecisionContext(digits=20)
-        for nu in _VALIDATION_SUBSAMPLE:
-            if nu > N:
-                break
-            ref = central_value_series(2 * nu - 1, ctx)
-            err = abs(out[nu - 1] - float(ref.value))
-            if err > _VALIDATION_TOL:
-                raise PrecisionError(
-                    f"sweep validation failed at n={nu}: |fast - mp| = {err:.3e}"
-                )
+def _build_sweep(N: int) -> np.ndarray:
+    """The first N central values, read-only; PrecisionError unless those
+    in _VALIDATION_SUBSAMPLE match the 20-digit series route."""
+    M = series_truncation(2 * N - 1, 11)
+    table = field.prime_table(M)
+    ms = np.arange(1, M + 1)
+    inv_sqrt_m = 1.0 / np.sqrt(ms)
+    x = BETA * ms
+    out = np.zeros(N)
+    for nu in range(1, N + 1):
+        a = table.coeffs(4 * nu - 3)[1:]
+        out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, gammaincc(2 * nu - 1, x)))
+    ctx = PrecisionContext(digits=20)
+    for nu in _VALIDATION_SUBSAMPLE:
+        if nu > N:
+            break
+        err = abs(out[nu - 1] - float(central_value_series(2 * nu - 1, ctx).value))
+        if err > _VALIDATION_TOL:
+            raise PrecisionError(f"sweep validation failed at n={nu}: |fast - mp| = {err:.3e}")
+    out.setflags(write=False)
+    return out
 
 
-_SWEEP = _SweepCache()
+_SWEEP = np.zeros(0)
+_SWEEP_LOCK = threading.Lock()
 
 
 def sweep_central_values(N: int) -> np.ndarray:
-    """L(1/2, chi^(4n-3)) for n = 1..N, float64, cached across calls."""
+    """L(1/2, chi^(4n-3)) for n = 1..N in float64: a read-only view of the
+    shared store _SWEEP, which is rebuilt and validated for every member
+    whenever a larger N is asked for."""
+    global _SWEEP
     if not 1 <= N <= SWEEP_CAP:
         raise ValueError(f"N must be in [1, {SWEEP_CAP}]")
-    return _SWEEP.ensure(N)
+    with _SWEEP_LOCK:
+        if len(_SWEEP) < N:
+            _SWEEP = _build_sweep(N)
+        return _SWEEP[:N]
 
 
 def empirical_moment(r: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> MomentReport:
@@ -269,11 +256,7 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
         a = np.ones(N)
         for p, e in facs[x].items():
             # the last row of the cut to p is p's own
-            t = field.prime_table(p)
-            row = replace(
-                t, primes=t.primes[-1:], classes=t.classes[-1:], rep_eps=t.rep_eps[-1:], rep_turns=t.rep_turns[-1:]
-            )
-            a *= row.chebyshev(ks, e, 1.0)[:, 0, e]
+            a *= field.prime_table(p)[-1:].chebyshev(ks, e, 1.0)[:, 0, e]
         return a
 
     am = coeffs(m)

@@ -196,6 +196,8 @@ def test_exit_codes(capsys):
     assert cli.main(["ratios", "--n", "1"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t", "2e5"]) == 3  # ConvergenceError
     assert cli.main(["central", "--n", "3", "--threads", "0"]) == 2
+    assert cli.main(["density", "--N", "1"]) == 2
+    assert cli.main(["density", "--N", "1", "--testfn", "gaussian"]) == 2
     capsys.readouterr()
 
 

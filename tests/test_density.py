@@ -9,7 +9,7 @@ import pytest
 import sympy
 from mpmath import mp, mpc, mpf
 
-from hecke7 import density, field
+from hecke7 import density, field, moments
 from hecke7.central import _panel_rule
 from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, _L_chi7_any, digamma
 
@@ -82,6 +82,21 @@ def test_lambda_vm_values():
     assert density.lambda_vm(2, 7, 1) == 0.0
     with pytest.raises(ValueError):
         density.lambda_vm(1, 2, 0)
+
+
+def test_lambda_vm_reads_one_row(monkeypatch):
+    # p's own row of the cut to p gives the value of the full cut bit for bit
+    for n, p, r in ((1, 2, 1), (3, 11, 2), (7, 1009, 5), (1, 99991, 3), (20, 99989, 4)):
+        want = math.log(p) * field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r]
+        assert density.lambda_vm(n, p, r) == want, (n, p, r)
+    rows = []
+    chebyshev = field.PrimeTable.chebyshev
+    monkeypatch.setattr(
+        field.PrimeTable, "chebyshev", lambda self, *a: rows.append(len(self.primes)) or chebyshev(self, *a)
+    )
+    density.lambda_vm(1, 99991, 3)
+    moments.empirical_delta_oracle(12, 18, 100)
+    assert len(rows) == 5 and set(rows) == {1}
 
 
 def test_prime_table_cap_refuses_before_sieving():
@@ -185,8 +200,9 @@ def test_empirical_report_fejer_n20():
     # discarded-tail mass
     assert abs(rep.empirical - rep.explicit_formula) <= rep.discarded_mass_bound
     assert rep.empirical == pytest.approx(1.1471481366282217, rel=1e-6)
-    with pytest.raises(ValueError):
-        density.empirical_one_level(0, density.fejer(1.0))
+    for N in (0, 1):  # the scale log N vanishes at N = 1
+        with pytest.raises(ValueError):
+            density.empirical_one_level(N, density.fejer(1.0))
     with pytest.raises(ValueError):
         density.empirical_one_level(201, density.fejer(1.0))
 
@@ -352,3 +368,5 @@ def test_ratios_route_matches_explicit_formula(gauss_report):
     assert abs(pred - gauss_report.explicit_formula) < 0.05
     with pytest.raises(ValueError):
         density.ratios_one_level_density(20, density.fejer(1.0), CTX)
+    with pytest.raises(ValueError):
+        density.ratios_one_level_density(1, density.gaussian(2.0), CTX)

@@ -183,6 +183,18 @@ def test_sieve_and_ppart_against_sympy():
     assert ppart[2:].tolist() == [min(fac) ** fac[min(fac)] for fac in facs]
 
 
+def test_prime_table_row_cut():
+    # a row cut slices the four per-prime arrays and keeps P and ppart
+    table = field.prime_table(10**4)
+    for rows in (slice(3, 40), slice(-1, None), slice(100, 100)):
+        cut = table[rows]
+        assert cut.P == table.P and cut.ppart is table.ppart
+        for name in ("primes", "classes", "rep_eps", "rep_turns"):
+            arr = getattr(cut, name)
+            assert np.array_equal(arr, getattr(table, name)[rows]), name
+            assert not arr.flags.writeable, name
+
+
 def test_table_angles_match_theta_route(monkeypatch):
     # a fresh kernel builds the angles with the table, from its own lattice
     # walk: neither theta nor half_representations is called
