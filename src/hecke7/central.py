@@ -180,10 +180,21 @@ def _integral_Y(a: float, drop: float) -> float:
     return y
 
 
+# degree -> its Gauss-Legendre rule on [-1, 1], published by setdefault once read-only
+_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _panel_rule(edges, degree: int):
     """Nodes and weights of the degree-point Gauss-Legendre rule on each
-    panel [edges[i], edges[i+1]], flattened panel by panel."""
-    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    panel [edges[i], edges[i+1]], flattened panel by panel, from the
+    base rule on [-1, 1] computed once per degree and kept in _GL_RULES."""
+    rule = _GL_RULES.get(degree)
+    if rule is None:
+        rule = np.polynomial.legendre.leggauss(degree)
+        for arr in rule:
+            arr.setflags(write=False)
+        rule = _GL_RULES.setdefault(degree, rule)
+    nodes, weights = rule
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     mid, rad = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
     return (mid + rad * nodes).ravel(), (rad * weights).ravel()

@@ -176,14 +176,13 @@ def prime_sum(n: int, phihat, k_max: int) -> float:
 
 def _phihat_cutoff(phi: TestFunction, scale: float, tol: float = 1e-14) -> int:
     """Largest integer k with |phihat(log k / 2pi)| above tol, where
-    phihat(x) = (pi/scale) fhat(pi x/scale) if scale else fhat(x)."""
+    phihat(x) = (pi/scale) fhat(pi x/scale) and scale > 0."""
     if phi.support is not None:
-        alpha = phi.support
-        x_max = alpha * scale / fpi if scale else alpha
+        x_max = phi.support * scale / fpi
         return int(np.floor(exp(2.0 * fpi * x_max))) if x_max * 2 * fpi < 60 else 10**9
-    # gaussian: phihat(x) ~ exp(-(pi W x)^2), W = w unscaled, pi w/scale scaled
+    # gaussian: phihat(x) ~ exp(-(pi W x)^2) with W = pi w/scale
     w = phi.param
-    W = fpi * w / scale if scale else w
+    W = fpi * w / scale
     x_max = fsqrt(max(0.0, -log(tol / (w * fsqrt(fpi))))) / (fpi * W)
     return int(np.floor(exp(2.0 * fpi * x_max)))
 
@@ -194,38 +193,31 @@ def explicit_formula_sum(
     ctx: PrecisionContext = DEFAULT_CTX,
     scale: float = 0.0,
 ) -> float:
-    """Formula side of sum_gamma phi(gamma) for L(s, chi^(4n-3)).
+    """Formula side of sum_gamma phi(gamma) for L(s, chi^(4n-3)), with
+    phi(t) = f(t s/pi): s = log N matches the scaled zero statistic, and
+    scale = 0 means s = pi, the test function itself (phi = f).
 
-    With scale = 0 the test function is used directly (phi(t) = f(t));
-    with scale = log N it is phi(t) = f(t scale/pi), matching the scaled
-    zero statistic.  Equals arch_term - prime_sum with
-    phihat(x) = (pi/scale) fhat(pi x/scale) under scaling.
+    Equals arch_term - prime_sum with phihat(x) = (pi/s) fhat(pi x/s).
     """
-    if scale:
-        s = float(scale)
-        phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
-    else:
-        phihat = phi.fhat
-    k_max = _phihat_cutoff(phi, scale)
+    s = float(scale) or fpi
+    phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
+    k_max = _phihat_cutoff(phi, s)
     if k_max > field.PRIME_TABLE_CAP:
         raise ConvergenceError(
             f"prime sum cutoff {k_max} too large for test function {phi.describe()}"
         )
     if phi.support is not None:
-        x_end = phi.support * (scale / fpi if scale else 1.0)
+        x_end = phi.support * (s / fpi)
     else:
         x_end = log(max(k_max, 3)) / (2.0 * fpi) * 1.5 + 0.5
     return arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
 
 
 def zero_side_sum(n: int, phi: TestFunction, T: float, scale: float = 0.0) -> float:
-    """sum over zeros (both signs) of phi(gamma), truncated at |gamma| <= T."""
-    rec = zeros_up_to(n, T)
-    g = np.array(rec.gammas)
-    if scale:
-        g = g * (scale / fpi)
-    if len(g) == 0:
-        return 0.0
+    """sum over zeros (both signs) with |gamma| <= T of phi(gamma) =
+    f(gamma s/pi); scale = 0 means s = pi, as in explicit_formula_sum."""
+    s = float(scale) or fpi
+    g = np.array(zeros_up_to(n, T).gammas) * (s / fpi)
     return 2.0 * float(np.sum(phi.f(g)))
 
 
@@ -286,17 +278,16 @@ def empirical_one_level(
     s = log(N)
     emp_total = 0.0
     mass_bound = 0.0
+    ef_total = 0.0
     t_min = float("inf")
     for n in range(1, N + 1):
         t_n = min(T, t_reliable(n))
         t_min = min(t_min, t_n)
         emp_total += zero_side_sum(n, f, t_n, scale=s)
         mass_bound += _tail_mass_bound(n, f, t_n, s)
+        ef_total += explicit_formula_sum(n, f, ctx, scale=s)
     empirical = emp_total / N
     mass_bound /= N
-    ef_total = 0.0
-    for n in range(1, N + 1):
-        ef_total += explicit_formula_sum(n, f, ctx, scale=s)
     explicit = ef_total / N
     v = float(rmt_prediction(f, ctx))
     bound = min(1.0, max(0.0, (2.0 - v) / 2.0))
@@ -315,14 +306,13 @@ def empirical_one_level(
 def _tail_mass_bound(n: int, f: TestFunction, T: float, s: float) -> float:
     """Bound on 2 sum_{gamma > T} f(gamma s/pi) using zero density
     (1/pi) log(1.1141(2n+t)) and the kernel envelope."""
+    dens = log(1.1141 * (2 * n + T + 5)) / fpi
     if f.kind == "gaussian":
         w = f.param
         # envelope exp(-(Ts/(pi w))^2) decays fast; crude integral bound
         u = T * s / (fpi * w)
-        dens = log(1.1141 * (2 * n + T + 5)) / fpi
         return 2.0 * dens * fpi * w / s * fsqrt(fpi) / 2 * exp(-u * u)
     a = f.support or 1.0
-    dens = log(1.1141 * (2 * n + T + 5)) / fpi
     # f(t s/pi) <= 1/(a s t)^2, so the tail is <= 2 int_T dens/(a s t)^2 dt
     return 2.0 * dens / ((a * s) ** 2 * T)
 

@@ -98,6 +98,18 @@ def half_representations(m: int) -> list[tuple[int, int]]:
     return [(a, b) for (a, b) in representations(m) if b > 0 or (b == 0 and a > 0)]
 
 
+def _eps_power_sum(k: int, reps: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of eps_{a,b} (a+b*eta)^k over reps, as a Z[eta] pair."""
+    u = v = 0
+    for a, b in reps:
+        e = epsilon(a, b)
+        if e:
+            pu, pv = zpow((a, b), k)
+            u += e * pu
+            v += e * pv
+    return (u, v)
+
+
 def character_sum(k: int, m: int) -> tuple[int, int]:
     """Full sum of eps_{a,b} (a+b*eta)^k over all representations of m.
 
@@ -105,15 +117,7 @@ def character_sum(k: int, m: int) -> tuple[int, int]:
     to (0, 0) identically; for odd k it equals 2*chi^(k)(m) and the
     eta-component is 0.
     """
-    u = v = 0
-    for a, b in representations(m):
-        e = epsilon(a, b)
-        if e == 0:
-            continue
-        pu, pv = zpow((a, b), k)
-        u += e * pu
-        v += e * pv
-    return (u, v)
+    return _eps_power_sum(k, representations(m))
 
 
 def hecke_coeff(k: int, m: int) -> int:
@@ -125,14 +129,7 @@ def hecke_coeff(k: int, m: int) -> int:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("character exponent k must be an odd positive integer")
-    u = v = 0
-    for a, b in half_representations(m):
-        e = epsilon(a, b)
-        if e == 0:
-            continue
-        pu, pv = zpow((a, b), k)
-        u += e * pu
-        v += e * pv
+    u, v = _eps_power_sum(k, half_representations(m))
     if v != 0:
         raise ArithmeticError(f"character sum not real for k={k}, m={m}")
     return u
@@ -364,15 +361,16 @@ _TABLE_LOCK = threading.Lock()
 
 
 def prime_table(P: int) -> PrimeTable:
-    """The shared PrimeTable cut to p <= P: built on first use, never at
-    import, and grown to the largest P asked for.  Raises ComputeCapError
-    for P > PRIME_TABLE_CAP."""
+    """The shared PrimeTable cut to p <= P, the same at any stored size:
+    built on first use, never at import, and rebuilt for a larger P at
+    max(P, twice the stored P) clamped at PRIME_TABLE_CAP, so a rising run
+    of P costs few builds.  Raises ComputeCapError for P > PRIME_TABLE_CAP."""
     global _TABLE
     if P > PRIME_TABLE_CAP:
         raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
     with _TABLE_LOCK:
         if _TABLE is None or _TABLE.P < P:
-            _TABLE = _build_table(P)
+            _TABLE = _build_table(min(max(P, 2 * getattr(_TABLE, "P", 0)), PRIME_TABLE_CAP))
         t = _TABLE
     n = int(np.searchsorted(t.primes, P, side="right"))
     return replace(t[:n], P=P, ppart=t.ppart[: P + 1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from hecke7 import central, vz
+from hecke7 import central, moments, vz
 from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext
 
 CTX20 = PrecisionContext(20)
@@ -94,6 +94,15 @@ def test_hardy_Z_confirms_engine_hard_zeros(n, lo, hi):
     # n = 45: the close pair the grid scan misses (see the xfail below)
     ctx = PrecisionContext(15)
     assert central.hardy_Z(n, lo, ctx) * central.hardy_Z(n, hi, ctx) < 0
+
+
+def test_engine_central_value_matches_sweep():
+    # Z(0) = L(1/2, chi^(4n-3)) on two float64 routes that share no code:
+    # the engine's theta-integral quadrature and the sweep's gammaincc
+    # series (worst over n <= 100: 2.9e-12 absolute, n = 67)
+    sweep = moments.sweep_central_values(100)
+    z0 = np.array([central.get_engine(n).z_many(np.array([0.0]))[0] for n in range(1, 101)])
+    assert np.max(np.abs(z0 - sweep)) < moments._VALIDATION_TOL
 
 
 def test_one_engine_per_member(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from mpmath import mp, mpc, mpf
 
-from hecke7 import density, field, moments
+from hecke7 import central, density, field, moments
 from hecke7.central import _panel_rule
 from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, _L_chi7_any, digamma
 
@@ -183,6 +183,28 @@ def test_explicit_formula_matches_zero_side():
     ef = density.explicit_formula_sum(1, g, CTX)
     zs = density.zero_side_sum(1, g, 14.0)
     assert abs(ef - zs) < 1e-10
+
+
+def test_unscaled_is_scale_pi():
+    # scale = 0 takes the one scaled path at s = pi, where phi = f
+    for phi in (density.gaussian(2.0), density.fejer(1.0)):
+        for n in (1, 2):
+            assert density.explicit_formula_sum(n, phi, CTX) == density.explicit_formula_sum(n, phi, CTX, scale=math.pi)
+            assert density.zero_side_sum(n, phi, 14.0) == density.zero_side_sum(n, phi, 14.0, scale=math.pi)
+    assert density.zero_side_sum(1, density.fejer(1.0), 1.0) == 0.0  # no zero below t = 1
+
+
+def test_gauss_legendre_rule_once_per_degree(monkeypatch):
+    # from empty stores (rules and engines), one leggauss call per degree
+    leggauss = np.polynomial.legendre.leggauss
+    degrees = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda d: degrees.append(d) or leggauss(d))
+    monkeypatch.setattr(central, "_GL_RULES", {})
+    central.get_engine.cache_clear()
+    density.empirical_one_level(20, density.fejer(1.0), ctx=CTX)
+    assert sorted(degrees) == sorted(set(degrees)) == [8, 16, 24]
+    for nodes, weights in central._GL_RULES.values():
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_explicit_formula_cutoff_guard():

@@ -195,6 +195,27 @@ def test_prime_table_row_cut():
             assert not arr.flags.writeable, name
 
 
+def test_prime_table_grows_geometrically(monkeypatch):
+    # a rising run of P from an empty store rebuilds at twice the stored
+    # P, and every cut is the table a fresh build at P gives
+    monkeypatch.setattr(field, "_TABLE", None)
+    build, builds = field._build_table, []
+    monkeypatch.setattr(field, "_build_table", lambda P: builds.append(P) or build(P))
+    for P in range(100, 201):
+        got, want = field.prime_table(P), build(P)
+        assert got.P == want.P == P
+        for name in ("primes", "classes", "ppart", "rep_eps", "rep_turns"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (P, name)
+    assert builds == [100, 200]
+    # the doubling stops at the cap
+    monkeypatch.setattr(field, "_TABLE", None)
+    monkeypatch.setattr(field, "PRIME_TABLE_CAP", 150)
+    builds.clear()
+    for P in (100, 101):
+        field.prime_table(P)
+    assert builds == [100, 150]
+
+
 def test_table_angles_match_theta_route(monkeypatch):
     # a fresh kernel builds the angles with the table, from its own lattice
     # walk: neither theta nor half_representations is called
