@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, lgamma, log, exp, pi as fpi, sqrt as fsqrt
+from math import ceil, lgamma, log, exp, pi as fpi
 
 import numpy as np
 import mpmath
@@ -203,9 +203,10 @@ def _panel_rule(edges, degree: int):
 _BLOCK = 256  # nodes per (node x coefficient) block of the build
 
 
-def _assemble(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Quadrature data (L, G, lgnorm) of member n's engine (see ZEngine)
-    under the degree-point Gauss-Legendre rule on each of its panels."""
+    under the degree-point Gauss-Legendre rule on panels of the given
+    width in log y."""
     a = 2.0 * n - 1.5
     drop = 44.0  # ~19 digits of headroom in the truncations
     M = _theta_m_cutoff(a, 1.0, drop)
@@ -214,12 +215,9 @@ def _assemble(n: int, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
     cs = coeff[ms]
     lm = np.log(ms.astype(float))
     Y = _integral_Y(a, drop)
-    # panel width: resolve both the cos(t ln y) oscillation and the
-    # theta series' own structure scale
-    h = min(2.0 / (1.0 + T_CAP), 4.0 / (1.0 + fsqrt(a)))
-    edges = [1.0]  # 1, e^h, e^(2h), ..., up to the first one >= Y
+    edges = [1.0]  # 1, e^width, e^(2 width), ..., up to the first one >= Y
     while edges[-1] < Y:
-        edges.append(edges[-1] * exp(h))
+        edges.append(edges[-1] * exp(width))
     ys, ws = _panel_rule(edges, degree)
     # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
     # factored out, in blocks of nodes to bound the (node x m) matrix
@@ -251,21 +249,24 @@ class ZEngine:
         Z(t) = 2 [sum_j G_j cos(t L_j)] * exp(E* - (a+1/2) ln Q
                                               - Re log Gamma(a+1/2+it)).
 
-    The panel width resolves cos(t ln y) up to T_CAP, so one engine
-    serves every scan height of its member.  The rule's degree per panel
-    is chosen when the engine is built: the data at degree d and at 2d
-    are assembled on the same panels and evaluated at 16 probe points of
-    (0, t_reliable(n)/2]; the first d of 8, 16, 32 whose two rules agree
-    within PROBE_TOL relative to max(1, |Z|) is kept (`degree`),
-    otherwise ConvergenceError.  Degree 8 passes for every member
-    n <= 100.  The probes stop at t_reliable(n)/2 because nearer the
-    ceiling any two rules differ by float64 noise of up to about 1e-5.
-    Reliable while the Gamma-modulus suppression stays above
-    the float64 cancellation floor; the module function t_reliable(n)
-    reports that ceiling.
+    The panels have one width in log y, PANEL_WIDTH = 16/(1 + T_CAP),
+    about 2.5 periods of cos(T_CAP ln y), so one engine serves every scan
+    height of its member.  The rule's degree per panel is chosen when the
+    engine is built: the data at degree d and at 2d are assembled on the
+    same panels and evaluated at 16 probe points of (0, t_reliable(n)/2];
+    the first d of 24, 48, 96 whose two rules agree within PROBE_TOL
+    relative to max(1, |Z|) is kept (`degree`), otherwise
+    ConvergenceError.  Degree 24 passes for every member n <= 100 (43,008
+    nodes over them, about 10 per period of cos(T_CAP ln y)), and degree 48 for
+    six of the members 101 <= n <= 200.  The probes stop at
+    t_reliable(n)/2 because nearer the ceiling any two rules differ by
+    float64 noise of up to about 1e-5.  Reliable while the Gamma-modulus
+    suppression stays above the float64 cancellation floor; the module
+    function t_reliable(n) reports that ceiling.
     """
 
-    DEGREES = (8, 16, 32)  # each twice the last: a rejected 2d rule is the next d rule
+    PANEL_WIDTH = 16.0 / (1.0 + T_CAP)  # in log y; 0.314 at T_CAP = 50
+    DEGREES = (24, 48, 96)  # each twice the last: a rejected 2d rule is the next d rule
     PROBE_TOL = 1e-10
 
     def __init__(self, n: int):
@@ -273,9 +274,9 @@ class ZEngine:
         self.k = 4 * n - 3
         self.a = 2.0 * n - 1.5
         probe = np.linspace(0.0, 0.5 * t_reliable(n), 17)[1:]
-        data = _assemble(n, self.DEGREES[0])
+        data = _assemble(n, self.DEGREES[0], self.PANEL_WIDTH)
         for degree in self.DEGREES:
-            finer = _assemble(n, 2 * degree)
+            finer = _assemble(n, 2 * degree, self.PANEL_WIDTH)
             z, zf = (_z_values(self.a, *rule, probe) for rule in (data, finer))
             gap = float(np.max(np.abs(z - zf) / np.maximum(1.0, np.abs(zf))))
             if gap <= self.PROBE_TOL:
@@ -295,15 +296,15 @@ class ZEngine:
 
 
 def t_reliable(n: int) -> float:
-    """Largest t (on a 0.5 grid) where the Gamma-modulus suppression of
-    member n stays above 1e-10, the float64 noise floor of the engine's
-    cosine dot product; it depends on n alone."""
+    """The first t of the 0.5 grid on [0, 4 T_CAP) where the Gamma-modulus
+    suppression of member n has fallen to 1e-10, the float64 noise floor
+    of the engine's cosine dot product, else 4 T_CAP; it depends on n
+    alone."""
     c = 2.0 * n - 1.0  # a + 1/2 of the engine
-    base = float(c_loggamma(complex(c, 0.0)).real)
-    t = 0.0
-    while t < 4 * T_CAP and exp(float(c_loggamma(complex(c, t)).real) - base) > 1e-10:
-        t += 0.5
-    return t
+    ts = np.arange(0.0, 4 * T_CAP, 0.5)
+    lg = c_loggamma(c + 1j * ts).real
+    below = np.nonzero(np.exp(lg - lg[0]) <= 1e-10)[0]
+    return float(ts[below[0]]) if len(below) else 4 * T_CAP
 
 
 @lru_cache(maxsize=256)

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.special import loggamma as c_loggamma
 
 from hecke7 import central, moments, vz
 from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext
@@ -129,26 +130,28 @@ def test_shared_engine_read_only():
 
 @pytest.mark.parametrize("n", [1, 5, 20, 45, 96])
 def test_engine_degree_chosen_at_build(n):
-    assert central.get_engine(n).degree == 8
+    assert central.get_engine(n).degree == 24
 
 
 def test_engine_degree_check_refuses(monkeypatch):
     monkeypatch.setattr(central.ZEngine, "PROBE_TOL", 0.0)
-    with pytest.raises(ConvergenceError, match="degrees 32 and 64"):
+    with pytest.raises(ConvergenceError, match="degrees 96 and 192"):
         central.ZEngine(1)
 
 
 def test_chosen_degree_keeps_the_zeros(monkeypatch):
-    # against a degree-32 reference assembled on the same panels: the
+    # against a reference independent of the engine's panels: degree 32
+    # on panels of width 2/(1 + T_CAP), an eighth of PANEL_WIDTH.  The
     # same zero count up to min(T_CAP, t_reliable), and zeros below half
-    # the ceiling move by less than 1e-10 (worst over n <= 100: 4.9e-11,
-    # n = 91 at t = 45.748; degree 16 moves it by 3.7e-11)
+    # the ceiling move by less than 1e-10 (worst over n <= 100: 1.8e-11,
+    # n = 80 at t = 41.931; degree 8 on the reference panels: 4.9e-11,
+    # n = 91 at t = 45.748)
     zeros = {}
-    for n in (1, 45, 91, 96):
+    for n in (1, 45, 80, 91, 96):
         t_rel = central.t_reliable(n)
         T = min(central.T_CAP, t_rel)
         ref = copy.copy(central.get_engine(n))
-        ref.L, ref.G, ref.lgnorm = central._assemble(n, 32)
+        ref.L, ref.G, ref.lgnorm = central._assemble(n, 32, 2.0 / (1.0 + central.T_CAP))
         got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
         monkeypatch.setattr(central, "get_engine", lambda m: ref)
         want = np.array(central.zeros_up_to(n, T).gammas)
@@ -157,9 +160,35 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
         low = want < 0.5 * t_rel
         assert np.max(np.abs(got - want)[low]) < 1e-10, n
     # the mpmath Z changes sign across the chosen-degree zero that moved most
-    g = zeros[91][np.argmin(np.abs(zeros[91] - 45.748))]
+    g = zeros[80][np.argmin(np.abs(zeros[80] - 41.931))]
     ctx = PrecisionContext(15)
-    assert central.hardy_Z(91, g - 1e-10, ctx) * central.hardy_Z(91, g + 1e-10, ctx) < 0
+    assert central.hardy_Z(80, g - 1e-10, ctx) * central.hardy_Z(80, g + 1e-10, ctx) < 0
+
+
+@pytest.mark.parametrize("n", [101, 115, 126, 150, 178, 200])
+def test_engines_beyond_100_build(n):
+    # empirical_one_level accepts N <= 200, and from n = 105 the top probe
+    # t_reliable(n)/2 is at or above T_CAP; each engine must pass the
+    # degree check (24 or 48 here), and its Z(0) = L(1/2, chi^(4n-3))
+    # must match the sweep's independent series (1.4e-12 at worst, n = 115)
+    engine = central.ZEngine(n)
+    assert engine.degree in central.ZEngine.DEGREES
+    z0 = engine.z_many(np.array([0.0]))[0]
+    assert abs(z0 - moments.sweep_central_values(n)[n - 1]) < moments._VALIDATION_TOL
+
+
+def test_t_reliable_matches_scalar_loop():
+    # the vectorised grid search against the loop it replaced
+    def loop(n):
+        c = 2.0 * n - 1.0
+        base = float(c_loggamma(complex(c, 0.0)).real)
+        t = 0.0
+        while t < 4 * central.T_CAP and math.exp(float(c_loggamma(complex(c, t)).real) - base) > 1e-10:
+            t += 0.5
+        return t
+
+    for n in range(1, 201):
+        assert central.t_reliable(n) == loop(n), n
 
 
 def test_zeros_n1_frozen():

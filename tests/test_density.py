@@ -202,7 +202,7 @@ def test_gauss_legendre_rule_once_per_degree(monkeypatch):
     monkeypatch.setattr(central, "_GL_RULES", {})
     central.get_engine.cache_clear()
     density.empirical_one_level(20, density.fejer(1.0), ctx=CTX)
-    assert sorted(degrees) == sorted(set(degrees)) == [8, 16, 24]
+    assert sorted(degrees) == sorted(set(degrees)) == [16, 24, 48]
     for nodes, weights in central._GL_RULES.values():
         assert not nodes.flags.writeable and not weights.flags.writeable
 
