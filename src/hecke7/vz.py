@@ -22,11 +22,17 @@ carries a typo'd radicand: only s^2 = (1+x)(1-27x) throughout reproduces
 the A(n) table (the other variant already fails at A(3)), so that is what
 we use.
 
-The recursion steps work on object arrays of Fraction coefficients
-(index = degree) through numpy.polynomial.polynomial, whose routines keep
-the object dtype and trim trailing zeros.  Both sequences are stored as
-coefficient tuples in grow-only lists, extended one recursion step at a
-time to the largest index asked for.
+The recursion steps run in scaled integers: the stores hold
+
+    beta_k = 2 * 21^k * b_k,   alpha_k = 9^k * a_k,
+
+which have integer coefficients and obey integer recursions (see
+_b_step and _a_step), so a step does no Fraction arithmetic.  Each step
+works on object arrays of Python ints (index = degree) through
+numpy.polynomial.polynomial, whose routines keep the object dtype and
+trim trailing zeros.  Both sequences are stored as tuples of ints in
+grow-only lists, extended one recursion step at a time to the largest
+index asked for; readers divide by the scale once, at the end.
 """
 
 from __future__ import annotations
@@ -71,43 +77,55 @@ class ExactCentral:
     L: mpf
 
 
-def _poly(*coeffs) -> np.ndarray:
-    """Object array of Fraction coefficients, index = degree."""
-    return np.array([Fraction(c) for c in coeffs], dtype=object)
+def _ints(*coeffs) -> np.ndarray:
+    """Object array of Python int coefficients, index = degree.
+
+    The object dtype keeps the arithmetic exact: numpy.polynomial's
+    polyder turns an int64 array into float64, and int64 would overflow.
+    """
+    return np.array(coeffs, dtype=object)
 
 
 # (x-7)(64x-7) = 64x^2 - 455x + 49
-_QUAD = _poly(49, -455, 64)
-# the a-path radicand s^2 = (1+x)(1-27x) and its derivative
-_R = _poly(1, -26, -27)
-_DR = P.polyder(_R)
-_X = _poly(0, 1)
-_11X_7 = _poly(7, 11)
-_1_5X = _poly(1, -5)
+_QUAD = _ints(49, -455, 64)
+# the a-path radicand R = s^2 = (1+x)(1-27x) and R'/2
+_R = _ints(1, -26, -27)
+_HALF_DR = _ints(-13, -27)
+_X = _ints(0, 1)
+_11X_7 = _ints(7, 11)
+_1_5X = _ints(1, -5)
 
 _LOCK = Lock()  # guards the growth of _B and _A
-_B = [(Fraction(1, 2),), (Fraction(1),)]  # b_0, b_1, ... as coefficient tuples
-_A = [((Fraction(1),), (Fraction(0),)), ((Fraction(0),), (Fraction(-1, 3),))]  # (u, v)
+_B = [(1,), (42,)]  # beta_k = 2 * 21^k * b_k as coefficient tuples
+_A = [((1,), (0,)), ((0,), (-3,))]  # alpha_k = 9^k * a_k as (u, v)
 
 
 def _b_step(k: int, bk: tuple, bk1: tuple) -> tuple:
-    """b_{k+1} from b_k and b_{k-1}."""
-    term = P.polysub(P.polymul(_poly(42 - 56 * k, 32 * k), bk), P.polymul(_QUAD, P.polyder(bk)))
-    term = P.polysub(term, P.polymul(_11X_7, bk1) * (2 * k * (2 * k - 1)))
-    return tuple(term / 21)
+    """beta_{k+1} from beta_k and beta_{k-1}.
+
+    beta_{k+1} = ((32kx - 56k + 42) - (x-7)(64x-7) d/dx) beta_k
+                 - 21 * 2k(2k-1)(11x+7) beta_{k-1}
+    """
+    bk, bk1 = _ints(*bk), _ints(*bk1)
+    term = P.polysub(P.polymul(_ints(42 - 56 * k, 32 * k), bk), P.polymul(_QUAD, P.polyder(bk)))
+    term = P.polysub(term, P.polymul(_11X_7, bk1) * (21 * 2 * k * (2 * k - 1)))
+    return tuple(term)
 
 
 def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
-    """a_{k+1} = (u, v) from a_k and a_{k-1} in the ring u + v*s."""
-    (u, v), (u1, v1) = [(_poly(*p), _poly(*q)) for p, q in (ak, ak1)]
-    c = Fraction(2 * k + 1, 3)
-    # s*(x d/dx - c)(u + v s) = [x(v'R + vR'/2) - cvR] + [xu' - cu]s
+    """alpha_{k+1} = (u, v) from alpha_k and alpha_{k-1} in the ring u + v*s.
+
+    alpha_{k+1} = s (9x d/dx - 3(2k+1)) alpha_k - 9k^2 (1-5x) alpha_{k-1}
+    """
+    (u, v), (u1, v1) = [(_ints(*p), _ints(*q)) for p, q in (ak, ak1)]
+    c = 3 * (2 * k + 1)
+    # s*(9x d/dx - c)(u + v s) = [9x(v'R + vR'/2) - cvR] + [9xu' - cu]s
     new_u = P.polysub(
-        P.polymul(_X, P.polyadd(P.polymul(P.polyder(v), _R), P.polymul(v, _DR) / 2)),
+        P.polymul(_X, P.polyadd(P.polymul(P.polyder(v), _R), P.polymul(v, _HALF_DR))) * 9,
         P.polymul(v, _R) * c,
     )
-    new_v = P.polysub(P.polymul(_X, P.polyder(u)), u * c)
-    corr = Fraction(k * k, 9)
+    new_v = P.polysub(P.polymul(_X, P.polyder(u)) * 9, u * c)
+    corr = 9 * k * k
     new_u = P.polysub(new_u, P.polymul(_1_5X, u1) * corr)
     new_v = P.polysub(new_v, P.polymul(_1_5X, v1) * corr)
     return tuple(new_u), tuple(new_v)
@@ -124,14 +142,20 @@ def _grow(seq: list, step, k: int) -> tuple:
     return seq[k]
 
 
+def _scaled(coeffs: tuple, scale: int) -> tuple:
+    """The stored integer coefficients divided by the store's scale."""
+    return tuple(Fraction(c, scale) for c in coeffs)
+
+
 def b_poly(k: int) -> VZPoly:
     """The exact rational polynomial b_k(x)."""
-    return VZPoly.make(_grow(_B, _b_step, k))
+    return VZPoly.make(_scaled(_grow(_B, _b_step, k), 2 * 21**k))
 
 
 def a_poly(k: int) -> VZPoly:
     """The a-sequence element a_k = u + v*s (cross-check path)."""
-    return VZPoly.make(*_grow(_A, _a_step, k))
+    u, v = _grow(_A, _a_step, k)
+    return VZPoly.make(_scaled(u, 9**k), _scaled(v, 9**k))
 
 
 def A_from_a_path(n: int) -> Fraction:
@@ -142,15 +166,16 @@ def A_from_a_path(n: int) -> Fraction:
     """
     if n % 2 == 0:
         return Fraction(0)
-    u_at, _v_at = a_poly(n - 1).eval_at(-1)
-    return u_at / 4
+    u = _grow(_A, _a_step, n - 1)[0]
+    return Fraction(sum(u[0::2]) - sum(u[1::2]), 4 * 9 ** (n - 1))
 
 
 def B_of(n: int) -> Fraction:
     """B(n) = b_{(n-1)/2}(0) for odd n; B(1) = 1/2, integer for n > 1."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd positive integer")
-    return Fraction(_grow(_B, _b_step, (n - 1) // 2)[0])
+    k = (n - 1) // 2
+    return Fraction(_grow(_B, _b_step, k)[0], 2 * 21**k)
 
 
 def A_of(n: int) -> Fraction:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import sympy
 
-from hecke7 import cli
+from hecke7 import cli, vz
 
 GOLDEN_TABLE = """\
 n,A_exact,A_factored,L_4dp
@@ -67,6 +72,38 @@ def test_table_matches_published_rows(capsys):
     rc, out = run(capsys, "table", "--format", "csv")
     assert rc == 0
     assert out == GOLDEN_TABLE
+
+
+def test_table_factoring_matches_sympy():
+    # the table's trial division against sympy on every |B(n)| it factors
+    for n in range(3, 34, 2):
+        B = abs(vz.B_of(n))
+        assert B.denominator == 1
+        assert cli._factorint(int(B)) == sympy.factorint(int(B)), n
+    for m in (1, 2, 49, 2**10, 1_000_000_007):
+        assert cli._factorint(m) == sympy.factorint(m), m
+
+
+def test_exact_commands_do_not_import_sympy():
+    # a fresh interpreter, because pytest has already imported sympy
+    code = (
+        "import sys\n"
+        "from hecke7 import cli\n"
+        "assert cli.main(['table', '--format', 'csv']) == 0\n"
+        "assert cli.main(['central', '--n', '33', '--method', 'both']) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_output_deterministic_across_threads(tmp_path, capsys):

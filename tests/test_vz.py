@@ -114,9 +114,22 @@ def test_B_congruence():
 
 def test_a_path_agrees_with_b_path():
     # two independent recursions for the same invariant
-    for n in range(1, 22, 2):
+    for n in range(1, 202, 2):
         assert vz.A_from_a_path(n) == vz.A_of(n), n
     assert vz.A_from_a_path(4) == 0
+
+
+def test_store_rows_are_int_tuples():
+    # the stores hand out immutable exact data: tuples of Python ints
+    vz.B_of(301)
+    vz.A_from_a_path(101)
+    assert len(vz._B) >= 151 and len(vz._A) >= 101
+    for row in vz._B:
+        assert type(row) is tuple and all(type(c) is int for c in row)
+    for row in vz._A:
+        assert type(row) is tuple and len(row) == 2
+        for part in row:
+            assert type(part) is tuple and all(type(c) is int for c in part)
 
 
 def test_a_sequence_matches_independent_recursion():
