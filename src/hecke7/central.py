@@ -50,6 +50,12 @@ MK_CAP = 50_000_000  # cap on truncation-length x exponent for the series route
 T_CAP = 50.0  # desk-scale search height
 
 
+def _check_family_index(n: int) -> None:
+    """ValueError unless n is a family index (n >= 1)."""
+    if n < 1:
+        raise ValueError("family index n must be >= 1")
+
+
 @dataclass(frozen=True)
 class CentralValue:
     """L(1/2, chi^(2n-1)) with its method tag and rigorous tail bound."""
@@ -270,8 +276,8 @@ class ZEngine:
     PROBE_TOL = 1e-10
 
     def __init__(self, n: int):
+        _check_family_index(n)
         self.n = n
-        self.k = 4 * n - 3
         self.a = 2.0 * n - 1.5
         probe = np.linspace(0.0, 0.5 * t_reliable(n), 17)[1:]
         data = _assemble(n, self.DEGREES[0], self.PANEL_WIDTH)
@@ -300,6 +306,7 @@ def t_reliable(n: int) -> float:
     suppression of member n has fallen to 1e-10, the float64 noise floor
     of the engine's cosine dot product, else 4 T_CAP; it depends on n
     alone."""
+    _check_family_index(n)
     c = 2.0 * n - 1.0  # a + 1/2 of the engine
     ts = np.arange(0.0, 4 * T_CAP, 0.5)
     lg = c_loggamma(c + 1j * ts).real
@@ -322,8 +329,7 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     the remainder at every t.  The terms cancel down by
     10^loss = Gamma(c)/|Gamma(c+it)|, so the sum is run and truncated at
     working_dps + loss + 12 digits."""
-    if n < 1:
-        raise ValueError("family index n must be >= 1")
+    _check_family_index(n)
     c = 2 * n - 1
     loss = ceil((lgamma(c) - c_loggamma(complex(c, float(t))).real) / log(10.0))
     wp = ctx.working_dps + loss + 12

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import log, sqrt
 from pathlib import Path
 
@@ -258,10 +257,7 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_density(args) -> int:
     ctx = _ctx(args)
-    if args.testfn == "fejer":
-        f = fejer(args.alpha)
-    else:
-        f = gaussian(args.width)
+    f = fejer(args.alpha) if args.testfn == "fejer" else gaussian(args.width)
     rep = empirical_one_level(args.N, f, args.T, ctx)
     d = args.digits
     out = {
@@ -286,6 +282,8 @@ def _cmd_ratios(args) -> int:
     ctx = _ctx(args)
     d = args.digits
     if args.t_max is not None:
+        if args.steps < 1:
+            raise ValueError("--steps must be >= 1")
         ts = [args.t_max * i / max(args.steps - 1, 1) for i in range(args.steps)]
         header = ["t", "integrand", "integrand_abs_err"]
         rows = [

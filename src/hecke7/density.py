@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, exp, factorial, log, pi as fpi, sqrt as fsqrt
 
 import numpy as np
@@ -33,7 +34,8 @@ from mpmath import mp, mpf, mpc
 from scipy.special import digamma as c_digamma, loggamma as c_loggamma
 
 from . import field
-from .central import T_CAP, _panel_rule, t_reliable, zeros_up_to
+from .central import T_CAP, _check_family_index, _panel_rule, t_reliable, zeros_up_to
+from .moments import _local_double_sum, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError
 
 LOG_Q7 = log(7.0 / (2.0 * fpi))
@@ -111,6 +113,7 @@ def lambda_vm(n: int, p: int, r: int, ctx: PrecisionContext = DEFAULT_CTX) -> fl
     T-Chebyshev value log(p) c_r with c_0 = 2, c_1 = a(p),
     c_{r+1} = a(p)c_r - c_{r-1}.  Inert: 0 at odd r, 2 log p (-1)^(r/2)
     at even r.  Returns 0 at p = 7."""
+    _check_family_index(n)
     if r < 1:
         raise ValueError("r must be >= 1")
     field.prime_class(p)  # ValueError unless p is prime, so the last row of the cut to p is p's own
@@ -137,6 +140,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     or ConvergenceError.  `ctx` is accepted for API compatibility; the
     result is float64.
     """
+    _check_family_index(n)
     c = 2 * n - 1
     ph0 = float(phihat(0.0))
     w = 1.0 / (2.0 * fpi * c)
@@ -169,6 +173,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
 def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
+    _check_family_index(n)
     p, q, c = field.prime_table(k_max).powers(4 * n - 3, 2.0)
     w = phihat(np.log(q) / (2.0 * fpi))
     return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
@@ -238,14 +243,11 @@ def rmt_prediction(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX):
             return Fraction(1, 1) / a + Fraction(1, 2)
         # (1/2) int_{-1}^{1} (1-|x|/a)/a dx = (1/a)(1 - 1/(2a))
         return 1 / a + (1 / a) * (1 - 1 / (2 * a))
-    if f.kind == "gaussian":
-        with mp.workdps(ctx.working_dps):
-            w = mpf(f.param)
-            return +(w * mp.sqrt(mp.pi) + mpmath.erf(mp.pi * w) / 2)
-    # generic: quadrature on the fhat side
+    if f.kind != "gaussian":
+        raise ValueError(f"no closed form for the {f.kind} test function")
     with mp.workdps(ctx.working_dps):
-        val = mpf(f.fhat(0.0)) + mpmath.quad(lambda x: f.fhat(x), [-1, 0, 1]) / 2
-        return +val
+        w = mpf(f.param)
+        return +(w * mp.sqrt(mp.pi) + mpmath.erf(mp.pi * w) / 2)
 
 
 def rmt_prediction_quad(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -275,6 +277,10 @@ def empirical_one_level(
     """
     if N < 2 or N > 200:
         raise ValueError("N must be in [2, 200] (desk scale)")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if T > T_CAP:
+        raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     s = log(N)
     emp_total = 0.0
     mass_bound = 0.0
@@ -362,19 +368,12 @@ def _ratios_A_tail(a: complex, g: complex, P: int) -> float:
 def ratios_local_brute(p: int, alpha, gamma, cutoff: int = 120, ctx: PrecisionContext = DEFAULT_CTX):
     """Local factor of A at p assembled from the delta_mu double sum
     (independent oracle for the simplified closed forms)."""
-    from .moments import delta_mu
-
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         g = mpmath.mpmathify(gamma)
         xa = mpf(p) ** (-(mpf(1) / 2 + a))
         xg = mpf(p) ** (-(mpf(1) / 2 + g))
-        bracket = mpc(0)
-        for m_exp in range(cutoff + 1):
-            for l_exp in range(3):
-                d = delta_mu(p, m_exp, l_exp)
-                if d:
-                    bracket += d * xa**m_exp * xg**l_exp
+        bracket = _local_double_sum(xa, xg, partial(delta_mu, p), cutoff, 2)
         u = mpf(p) ** (-1 - 2 * a)
         y = mpf(p) ** (-1 - 2 * g)
         w = mpf(p) ** (-1 - a - g)
@@ -520,6 +519,7 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
     even analytic limit is taken by Richardson extrapolation from
     t0 = 2e-4 and t0/2 (error O(t0^4)).  `ctx` is accepted for API
     compatibility; the result is float64."""
+    _check_family_index(n)
     t = float(t)
     if abs(t) < 1e-4:
         t0 = 2e-4

@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
 from mpmath.libmp import from_int, mpf_atan2, mpf_div, mpf_mul, mpf_pi, mpf_sqrt, round_nearest, to_int
 
-from .specfun import CHI7, ComputeCapError, PrecisionContext, PrecisionError
+from .specfun import CHI7, ComputeCapError, PrecisionContext
 
 PRIME_TABLE_CAP = 10**7  # largest P the shared prime table is grown to
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import isqrt, log
+from functools import partial
+from math import exp, isqrt, log
 
 import numpy as np
 import mpmath
@@ -26,7 +27,7 @@ from mpmath import mp, mpf, mpc
 from scipy.special import gammaincc
 
 from . import field
-from .central import BETA, CentralValue, central_value_series, series_truncation
+from .central import BETA, central_value_series, series_truncation
 from .specfun import (
     CHI7,
     PrecisionContext,
@@ -39,7 +40,7 @@ from .specfun import (
 )
 
 SWEEP_CAP = 2000  # family-size cap for the desk-scale sweep
-_VALIDATION_SUBSAMPLE = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 469)
+_VALIDATION_SUBSAMPLE = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 469, 610, 987, 1597, SWEEP_CAP)
 _VALIDATION_TOL = 1e-9
 
 
@@ -207,8 +208,7 @@ def delta_two(l: int, m: int) -> int:
     """<a_n(l) a_n(m)>, assembled multiplicatively from the prime-power table."""
     if l < 1 or m < 1:
         raise ValueError("arguments must be positive")
-    top = max(l, m)
-    facs = field.factorizations(top)
+    facs = field.factorizations(max(l, m))
     fl, fm = facs[l], facs[m]
     out = 1
     for p in set(fl) | set(fm):
@@ -219,8 +219,9 @@ def delta_two(l: int, m: int) -> int:
 
 
 def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
-    """<a_n(p^m) mu_n(p^l)>: the eight-case closed form (0 for l >= 3,
-    0 at p = 7 beyond the trivial (0,0) entry)."""
+    """<a_n(p^m) mu_n(p^l)>.  Off p = 7, mu_n(p) = -a_n(p), mu_n(p^2) = 1
+    and mu_n(p^l) = 0 for l >= 3, so it is (1, -1, 1)[l] delta(p^m,
+    p^(l mod 2)); at p = 7 only the (0, 0) entry is nonzero."""
     if m_exp < 0 or l_exp < 0:
         raise ValueError("exponents must be nonnegative")
     if m_exp == 0 and l_exp == 0:
@@ -228,17 +229,7 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
     cls = field.prime_class(p)
     if l_exp >= 3 or cls == "ramified":
         return 0
-    split = cls == "split"
-    if l_exp in (0, 2):
-        if m_exp % 2 == 1:
-            return 0
-        if split:
-            return 1
-        return -1 if (m_exp // 2) % 2 else 1
-    # l_exp == 1
-    if split and m_exp % 2 == 1:
-        return -2
-    return 0
+    return (1, -1, 1)[l_exp] * _delta_two_local(cls, m_exp, l_exp % 2)
 
 
 def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -307,6 +298,20 @@ def f1_constant(ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         return +(f0_constant(ctx) * (3 * L1p / L1 - 2 * zpz2 + mp.log(7) / 8))
 
 
+def _local_double_sum(x, y, rule, I: int, J: int) -> mpc:
+    """sum_{i<=I, j<=J} rule(i, j) x^i y^j in (i, j) order, skipping the
+    terms whose rule is 0: the brute Dirichlet series of one Euler factor."""
+    xs = [x**i for i in range(I + 1)]
+    ys = [y**j for j in range(J + 1)]
+    acc = mpc(0)
+    for i in range(I + 1):
+        for j in range(J + 1):
+            d = rule(i, j)
+            if d:
+                acc += d * xs[i] * ys[j]
+    return acc
+
+
 def _closed_local(p: int, cls: str, a, b):
     if cls == "ramified":
         return mpf(1)
@@ -344,23 +349,13 @@ def local_factor(
         if mode == "brute":
             xa = mpf(p) ** (-(mpf(1) / 2 + a))
             xb = mpf(p) ** (-(mpf(1) / 2 + b))
-            xbs = [xb**j for j in range(cutoff + 1)]
-            acc = mpc(0)
-            for i in range(cutoff + 1):
-                di = xa**i
-                for j in range(cutoff + 1):
-                    d = _delta_two_local(cls, i, j)
-                    if d:
-                        acc += d * di * xbs[j]
-            brute = acc
+            brute = _local_double_sum(xa, xb, partial(_delta_two_local, cls), cutoff, cutoff)
         return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff if mode == "brute" else None)
 
 
 def brute_cutoff_for(p: int, min_re_shift: float, tol: float = 1e-13) -> int:
     """Smallest cutoff (floor 60) whose geometric tail in the brute double
     sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step."""
-    from math import exp
-
     rate = (0.5 + min_re_shift) * log(p)
     c = 60
     while True:

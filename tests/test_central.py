@@ -239,6 +239,20 @@ def test_zeros_full_scan_matches_gamma_phase_count():
     assert len(rec.gammas) == 10
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_family_index_must_be_positive(n):
+    calls = (
+        lambda: central.zeros_up_to(n, 5.0),
+        lambda: central.get_engine(n),
+        lambda: central.t_reliable(n),
+        lambda: central.completed_lambda(n, 1.0),
+        lambda: central.hardy_Z(n, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="family index"):
+            call()
+
+
 def test_zeros_validation_and_truncation():
     with pytest.raises(ValueError):
         central.zeros_up_to(1, 0.0)

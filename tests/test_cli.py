@@ -235,6 +235,13 @@ def test_exit_codes(capsys):
     assert cli.main(["central", "--n", "3", "--threads", "0"]) == 2
     assert cli.main(["density", "--N", "1"]) == 2
     assert cli.main(["density", "--N", "1", "--testfn", "gaussian"]) == 2
+    assert cli.main(["zeros", "--n", "0", "--T", "5"]) == 2
+    assert cli.main(["ratios", "--n", "0", "--t", "0.5"]) == 2
+    assert cli.main(["density", "--N", "24", "--T", "60"]) == 2
+    assert cli.main(["density", "--N", "25", "--T", "60"]) == 2
+    assert cli.main(["density", "--N", "24", "--T", "0"]) == 2
+    assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "0"]) == 2
+    assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "-1"]) == 2
     capsys.readouterr()
 
 

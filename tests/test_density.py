@@ -63,6 +63,13 @@ def test_rmt_prediction_closed_forms():
         assert abs(density.rmt_prediction(density.gaussian(2.0), CTX) - want) < 1e-20
 
 
+def test_rmt_prediction_needs_closed_form():
+    g = density.gaussian(2.0)
+    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, support=None, param=1.0)
+    with pytest.raises(ValueError):
+        density.rmt_prediction(other)
+
+
 def test_rmt_prediction_dual_route():
     # y-side quadrature against the fhat-side closed forms; the Fejer
     # kernel's oscillatory 1/y^3 tail past the truncation leaves ~3e-8
@@ -205,6 +212,34 @@ def test_gauss_legendre_rule_once_per_degree(monkeypatch):
     assert sorted(degrees) == sorted(set(degrees)) == [16, 24, 48]
     for nodes, weights in central._GL_RULES.values():
         assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_family_index_must_be_positive(n):
+    phi = density.fejer(1.0)
+    calls = (
+        lambda: density.arch_term(n, phi.fhat, 1.0),
+        lambda: density.explicit_formula_sum(n, phi, CTX),
+        lambda: density.prime_sum(n, phi.fhat, 100),
+        lambda: density.lambda_vm(n, 2, 1),
+        lambda: density.zero_side_sum(n, phi, 5.0),
+        lambda: density.ratios_one_level_integrand(n, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="family index"):
+            call()
+
+
+def test_empirical_T_checked_before_scanning(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a member was scanned")
+
+    monkeypatch.setattr(density, "zero_side_sum", no_scan)
+    with pytest.raises(ValueError, match="T=60.0 beyond desk-scale cap 50.0"):
+        density.empirical_one_level(25, density.fejer(1.0), T=60.0)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T must be positive"):
+            density.empirical_one_level(24, density.fejer(1.0), T=T)
 
 
 def test_explicit_formula_cutoff_guard():

@@ -33,6 +33,12 @@ def test_sweep_spot_against_mp_series():
         assert abs(vals[nu - 1] - float(ref.value)) < 1e-9, nu
 
 
+def test_validation_subsample_reaches_cap():
+    sub = moments._VALIDATION_SUBSAMPLE
+    assert list(sub) == sorted(set(sub))
+    assert sub[0] == 1 and sub[-1] == moments.SWEEP_CAP
+
+
 def test_cached_arrays_read_only():
     before = moments.empirical_moment(1, 50).empirical
     with pytest.raises(ValueError):
@@ -121,6 +127,34 @@ def test_delta_mu_cases():
     assert moments.delta_mu(2, 1, 3) == 0  # mu supported on cube-free
     with pytest.raises(ValueError):
         moments.delta_mu(2, -1, 0)
+    with pytest.raises(ValueError):
+        moments.delta_mu(4, 1, 1)  # not a prime
+
+
+def test_delta_mu_against_family_data():
+    # mu_n(p^l) as the Dirichlet inverse of the prime table's a_n(p^e):
+    # mu(1) = 1, mu(p^k) = -sum_{j=1..k} a(p^j) mu(p^(k-j))
+    N = 4000
+    ks = 4 * np.arange(1, N + 1) - 3
+    for p in (2, 3, 5, 7, 11):
+        a = field.prime_table(p)[-1:].chebyshev(ks, 6, 1.0)[:, 0, :]
+        mu = [np.ones(N)]
+        for k in range(1, 4):
+            mu.append(-sum(a[:, j] * mu[k - j] for j in range(1, k + 1)))
+        for m in range(7):
+            for l in range(4):
+                got = float(np.mean(a[:, m] * mu[l]))
+                assert abs(got - moments.delta_mu(p, m, l)) < 0.02, (p, m, l, got)
+
+
+def test_local_double_sum_against_geometric_series():
+    x, y = mpf("0.3"), mpmath.mpc("0.2", "0.1")
+    got = moments._local_double_sum(x, y, lambda i, j: 1, 5, 2)
+    want = (1 - x**6) / (1 - x) * (1 - y**3) / (1 - y)
+    assert abs(got - want) < 1e-14
+    # only the terms with a nonzero rule value enter, each weighted by it
+    got = moments._local_double_sum(x, y, lambda i, j: (i == j) * (i + 1), 5, 2)
+    assert abs(got - (1 + 2 * x * y + 3 * x**2 * y**2)) < 1e-14
 
 
 def test_delta_oracle_agrees_with_closed_forms():
