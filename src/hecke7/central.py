@@ -35,7 +35,6 @@ import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import NoConvergence
-from scipy.special import loggamma as c_loggamma
 
 from . import field
 from .specfun import (
@@ -43,6 +42,7 @@ from .specfun import (
     DEFAULT_CTX,
     ComputeCapError,
     ConvergenceError,
+    loggamma_f64,
 )
 
 BETA = 2.0 * fpi / 7.0  # 2pi/7, the exponential rate of the theta series
@@ -242,7 +242,7 @@ def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray
 def _z_values(a: float, L: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
     """Z at the points ts from the quadrature data (L, G, lgnorm)."""
     dots = 2.0 * (np.cos(np.outer(ts, L)) @ G)
-    lg = c_loggamma(a + 0.5 + 1j * ts).real
+    lg = loggamma_f64(a + 0.5, ts).real
     return dots * np.exp(lgnorm - lg)
 
 
@@ -309,7 +309,7 @@ def t_reliable(n: int) -> float:
     _check_family_index(n)
     c = 2.0 * n - 1.0  # a + 1/2 of the engine
     ts = np.arange(0.0, 4 * T_CAP, 0.5)
-    lg = c_loggamma(c + 1j * ts).real
+    lg = loggamma_f64(c, ts).real
     below = np.nonzero(np.exp(lg - lg[0]) <= 1e-10)[0]
     return float(ts[below[0]]) if len(below) else 4 * T_CAP
 
@@ -331,7 +331,7 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     working_dps + loss + 12 digits."""
     _check_family_index(n)
     c = 2 * n - 1
-    loss = ceil((lgamma(c) - c_loggamma(complex(c, float(t))).real) / log(10.0))
+    loss = ceil((lgamma(c) - loggamma_f64(c, float(t)).real) / log(10.0))
     wp = ctx.working_dps + loss + 12
     M = series_truncation(c, wp)
     S = _gamma_sum(c, t, M, wp)
@@ -443,7 +443,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     order = np.argsort(np.concatenate([exact, brackets]))
     gammas = np.concatenate([ts[exact], refined])[order].tolist()
     # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
-    expected = (T * log(7.0 / (2.0 * fpi)) + c_loggamma(complex(2 * n - 1, T)).imag) / fpi
+    expected = (T * log(7.0 / (2.0 * fpi)) + loggamma_f64(2 * n - 1, T).imag) / fpi
     if abs(len(gammas) - expected) > 5 + log(2 * n):
         warnings.warn(
             f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "

@@ -18,7 +18,8 @@ Archimedean integrals use the exact resummation
 (c = 2n-1), which converges on the support of phihat and avoids the
 slowly decaying t-tails of kernel-type test functions.  phihat is a
 float64 function, so the integral is a float64 Gauss-Legendre sum on
-panels graded to the decay of e^(-2pi c x), with psi(c) from scipy.
+panels graded to the decay of e^(-2pi c x), with psi(c) from
+specfun.digamma_f64.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from math import ceil, exp, factorial, log, pi as fpi, sqrt as fsqrt
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from scipy.special import digamma as c_digamma, loggamma as c_loggamma
 
 from . import field
 from .central import T_CAP, _check_family_index, _panel_rule, t_reliable, zeros_up_to
 from .moments import _local_double_sum, delta_mu
-from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError
+from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
 
 LOG_Q7 = log(7.0 / (2.0 * fpi))
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
@@ -166,7 +166,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
         raise ConvergenceError(
             f"arch_term n={n}: Gauss-Legendre orders 24 and 16 differ by {abs(corr[0] - corr[1]):.1e}"
         )
-    lead = ph0 / fpi * (LOG_Q7 + float(c_digamma(c)))
+    lead = ph0 / fpi * (LOG_Q7 + float(digamma_f64(c).real))
     return lead + corr[0]
 
 
@@ -554,9 +554,10 @@ def _ratios_integrand_direct(n, t: float, P: int, zeta_L=None):
     ap = ratios_A_prime(t, P=P)
     a_mir = ratios_A(-1j * t, 1j * t, P=P)
     c = 2 * np.asarray(n) - 1
-    e_factor = np.exp(c_loggamma(c - 1j * t) - c_loggamma(c + 1j * t) - 2j * t * LOG_Q7)
+    # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
+    e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q7))
     bracket = block + ap - e_factor * xblock * a_mir
-    arch = 2.0 * LOG_Q7 + 2.0 * c_digamma(c + 1j * t).real
+    arch = 2.0 * LOG_Q7 + 2.0 * digamma_f64(c, t).real
     return arch + 2.0 * bracket.real
 
 

@@ -6,10 +6,10 @@ equation).  Moments:
     M_r(N) = (1/N) sum_{n<=N} L(1/2, chi^(4n-3))^r.
 
 The sweep evaluates the incomplete-gamma series in float64 (coefficients
-from the shared prime table, Q from scipy) into a read-only module store,
-rebuilt for a larger N and validated against the arbitrary-precision
-series route on a fixed subsample.  The module also houses the
-multiplicative averages delta(m), delta(l,m), delta_mu(p^m, p^l), a
+from the shared prime table, Q from specfun.reg_gamma_Q_f64) into a
+read-only module store, rebuilt for a larger N and validated against the
+arbitrary-precision series route on a fixed subsample.  The module also
+houses the multiplicative averages delta(m), delta(l,m), delta_mu(p^m, p^l), a
 family-average oracle for them over the prime table, and the
 local/global Euler factors F(alpha,beta) of the shifted second moment.
 """
@@ -19,12 +19,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from math import exp, isqrt, log
 
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from scipy.special import gammaincc
 
 from . import field
 from .central import BETA, central_value_series, series_truncation
@@ -36,6 +36,7 @@ from .specfun import (
     constants,
     digamma,
     dirichlet_L_chi7,
+    reg_gamma_Q_f64,
     _L_chi7_any,
 )
 
@@ -74,11 +75,11 @@ def _build_sweep(N: int) -> np.ndarray:
     table = field.prime_table(M)
     ms = np.arange(1, M + 1)
     inv_sqrt_m = 1.0 / np.sqrt(ms)
-    x = BETA * ms
+    qs = islice(reg_gamma_Q_f64(2 * N - 1, BETA * ms), 0, None, 2)  # Q(2nu-1, x_m)
     out = np.zeros(N)
-    for nu in range(1, N + 1):
+    for nu, q in zip(range(1, N + 1), qs):
         a = table.coeffs(4 * nu - 3)[1:]
-        out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, gammaincc(2 * nu - 1, x)))
+        out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
     ctx = PrecisionContext(digits=20)
     for nu in _VALIDATION_SUBSAMPLE:
         if nu > N:

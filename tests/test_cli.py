@@ -84,15 +84,9 @@ def test_table_factoring_matches_sympy():
         assert cli._factorint(m) == sympy.factorint(m), m
 
 
-def test_exact_commands_do_not_import_sympy():
-    # a fresh interpreter, because pytest has already imported sympy
-    code = (
-        "import sys\n"
-        "from hecke7 import cli\n"
-        "assert cli.main(['table', '--format', 'csv']) == 0\n"
-        "assert cli.main(['central', '--n', '33', '--method', 'both']) == 0\n"
-        "print('sympy' in sys.modules)\n"
-    )
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports hecke7 from this tree;
+    fresh because pytest has already imported sympy and scipy."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -103,7 +97,38 @@ def test_exact_commands_do_not_import_sympy():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc
+
+
+def test_exact_commands_do_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from hecke7 import cli\n"
+        "assert cli.main(['table', '--format', 'csv']) == 0\n"
+        "assert cli.main(['central', '--n', '33', '--method', 'both']) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert _fresh_python(code).stdout.splitlines()[-1] == "False"
+
+
+def test_float64_commands_run_without_scipy():
+    # scipy is the tests' reference only: a None entry in sys.modules makes
+    # every scipy import raise, and the float64 routes must not need one
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hecke7 import cli\n"
+        "for argv in (\n"
+        "    ['density', '--N', '20', '--alpha', '1'],\n"
+        "    ['density', '--N', '20', '--testfn', 'gaussian', '--width', '2.0'],\n"
+        "    ['moment', '--r', '1', '--N', '100'],\n"
+        "    ['ratios', '--n', '1', '--t', '1'],\n"
+        "    ['zeros', '--n', '1', '--T', '10'],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    _fresh_python(code)
+    assert _fresh_python("import sys\nimport hecke7.cli\nprint('scipy' in sys.modules)").stdout == "False\n"
 
 
 def test_output_deterministic_across_threads(tmp_path, capsys):

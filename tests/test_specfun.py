@@ -1,10 +1,15 @@
-"""Incomplete gamma kernel, transition-region lemma, Dirichlet L, constants."""
+"""Incomplete gamma kernel, transition-region lemma, Dirichlet L, constants,
+and the float64 log Gamma, psi and Q(c, x) kernels against scipy and mpmath."""
+
+from math import log
 
 import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.special import digamma as sp_digamma, gammaincc as sp_gammaincc, loggamma as sp_loggamma
 
+from hecke7.central import BETA, T_CAP, series_truncation
 from hecke7.specfun import (
     DEFAULT_CTX,
     MAX_DIGITS,
@@ -12,16 +17,27 @@ from hecke7.specfun import (
     PrecisionError,
     constants,
     digamma,
+    digamma_f64,
     dirichlet_L_chi7,
     erfc,
     gamma_rational,
+    loggamma_f64,
     policy_digits,
     reg_gamma_Q,
+    reg_gamma_Q_f64,
     tricomi_lhs,
     tricomi_rhs,
+    _STIRLERR,
+    _stirling_sum,
 )
 
 CTX30 = PrecisionContext(30)
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
+NORMAL = np.finfo(float).tiny
+# the ranges the float64 kernels serve: c = 2n - 1 for n <= SWEEP_CAP = 2000
+ODD_C = np.arange(1, 4000, 2)
+TS = np.arange(0.0, 200.5, 0.5)
 
 
 def test_precision_context_validation():
@@ -165,3 +181,133 @@ def test_constants_catalog():
     # catalog is a copy; mutating it must not poison the cache
     vals["omega"] = 0
     assert constants(CTX30)["omega"] != 0
+
+
+# Rounding bounds for the float64 kernels.  log Gamma is the rounded sum
+# (w-1/2) log w - w + log(2pi)/2 + series - sum_{j<k} log(z+j), w = z + k:
+# each log, product and sum errs by at most an ulp of its largest part, so
+# four ulp of the scale below bound the kernel, and eight the difference
+# from scipy, which rounds the same parts.  psi likewise, with the scale
+# |log w| + 1/|2w| + sum_j 1/|z+j|.
+
+
+def _scale(c, t, main, shift_part):
+    """main(w) + sum_{j<k} |shift_part(z + j)| + 1 at z = c + it, with
+    the kernels' shift k = max(0, ceil(12 - c)) and w = z + k."""
+    z = c + 1j * t
+    k = np.maximum(0, np.ceil(12 - c))
+    scale = main(z + k) + 1.0
+    for j in range(int(np.max(k))):
+        scale += np.where(j < k, np.abs(shift_part(z + j)), 0.0)
+    return scale
+
+
+def _loggamma_scale(c, t):
+    return _scale(c, t, lambda w: np.abs(w - 0.5) * np.abs(np.log(w)) + np.abs(w), np.log)
+
+
+def _digamma_scale(c, t):
+    return _scale(c, t, lambda w: np.abs(np.log(w)) + 0.5 / np.abs(w), np.reciprocal)
+
+
+def test_loggamma_f64_against_scipy():
+    for c in ODD_C.tolist():
+        err = np.abs(loggamma_f64(c, TS) - sp_loggamma(c + 1j * TS))
+        assert np.all(err <= 8 * EPS * _loggamma_scale(c, TS)), (c, err.max())
+
+
+def test_loggamma_f64_against_mpmath():
+    cs = (1, 3, 5, 7, 9, 11, 13, 15, 61, 191, 999, 3957, 3999)
+    with mp.workdps(30):
+        for c in cs:
+            for t in (0.0, 0.5, 2.5, 10.0, T_CAP, 142.0, 200.0):
+                want = complex(mpmath.loggamma(mpmath.mpc(c, t)))
+                got = complex(loggamma_f64(c, t))
+                tol = 4 * EPS * float(_loggamma_scale(c, t))
+                assert abs(got.real - want.real) <= tol, (c, t)
+                assert abs(got.imag - want.imag) <= tol, (c, t)
+        # Im at the scan cap on mpmath's branch (continuous from t = 0),
+        # where a wrong branch would be off by a multiple of 2 pi
+        got = loggamma_f64(ODD_C.astype(float), T_CAP).imag
+        want = np.array([float(mpmath.loggamma(mpmath.mpc(int(c), T_CAP)).imag) for c in ODD_C])
+    assert np.all(np.abs(got - want) <= 4 * EPS * _loggamma_scale(ODD_C, T_CAP))
+
+
+def test_digamma_f64_against_scipy_and_mpmath():
+    for c in ODD_C.tolist():
+        err = np.abs(digamma_f64(c, TS) - sp_digamma(c + 1j * TS))
+        assert np.all(err <= 8 * EPS * _digamma_scale(c, TS)), (c, err.max())
+    with mp.workdps(30):
+        for c in (1, 3, 11, 13, 61, 999, 3999):
+            for t in (0.0, 0.5, 2.5, T_CAP, 200.0):
+                want = complex(mpmath.digamma(mpmath.mpc(c, t)))
+                assert abs(complex(digamma_f64(c, t)) - want) <= 4 * EPS * float(_digamma_scale(c, t)), (c, t)
+
+
+def test_f64_kernels_array_c_matches_scalar_c():
+    # the masked shift of an array of c against the scalar shift entry by
+    # entry; the array takes the series terms its smallest c needs, so the
+    # two round differently, each within the bound of the scipy tests
+    for t in (0.0, 0.3, 7.5, 100.0):
+        for f, scale in ((loggamma_f64, _loggamma_scale), (digamma_f64, _digamma_scale)):
+            err = np.abs(f(ODD_C, t) - [f(c, t) for c in ODD_C.tolist()])
+            assert np.all(err <= 8 * EPS * scale(ODD_C, t)), (f.__name__, t)
+    for c in (0.5, np.array([3.0, 0.9])):
+        with pytest.raises(ValueError):
+            loggamma_f64(c, 1.0)
+        with pytest.raises(ValueError):
+            digamma_f64(c, 1.0)
+
+
+def test_stirlerr_table_and_tail():
+    # stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n): the table holds the
+    # correctly rounded values, the series tail is within an ulp above it
+    with mp.workdps(30):
+        def exact(n):
+            n = mpf(n)
+            return mpmath.loggamma(n + 1) - (n + mpf(1) / 2) * mpmath.log(n) + n - mpmath.log(2 * mp.pi) / 2
+
+        assert _STIRLERR[0] == 0.0
+        assert all(_STIRLERR[n] == float(exact(n)) for n in range(1, len(_STIRLERR)))
+        for n in (16, 17, 50, 999, 3998):
+            assert abs(float(_stirling_sum(float(n))) - float(exact(n))) <= 2 * EPS * float(exact(n)), n
+
+
+def test_reg_gamma_Q_f64_on_the_sweep_grid():
+    # The N = 2000 sweep's grid, x_m = 2 pi m/7 for m <= M, and c <= 3999.
+    # Rounding bound: the addition that makes Q(i+1) rounds by at most
+    # eps/2 Q(i+1), and the Poisson mass p_j = e^(-x) x^j/j! is exp of a
+    # rounded argument, so it errs relatively by eps (4 |argument's parts|
+    # + 4): the parts are at most j |log(j/x)| + x + j in the direct form
+    # of bd0 and 1.1 (j-x)^2/(j+x) in its series, where |j-x| < 0.1 (j+x).
+    # scipy forms the prefactor e^(-x) x^c/Gamma(c) as exp(c log x - x -
+    # lgamma(c)) away from x = c, so its own value errs relatively by up to
+    # eps (4 (c |log x| + x + c log c) + 4): 7e-12 in the far tail, where
+    # 30-digit mpmath sides with the running sum (within 1.4e-13), and it
+    # flushes values below the normal range (2.2e-308) to 0.  There each
+    # operation of the running sum rounds to a multiple of 2^-1074
+    # instead, so it may also be off by c of those.
+    x = BETA * np.arange(1, series_truncation(3999, 11) + 1)
+    assert x[-1] > 5000  # far past e^(-x) underflow
+    picks = dict.fromkeys((1, 2, 15, 16, 17, 101, 999, 2001, 3999))
+    for c, q in enumerate(reg_gamma_Q_f64(3999, x), start=1):
+        if c == 1:
+            err = q * (4.0 * x + 4.0)
+        else:
+            j = c - 1
+            near = np.abs(j - x) < 0.1 * (j + x)
+            parts = np.where(near, 1.1 * (j - x) ** 2 / (j + x), j * np.abs(np.log(j / x)) + x + j)
+            err = err + (q - prev) * (4.0 * parts + 4.0) + 0.5 * q
+        tol = EPS * err + c * TINY
+        if c % 2:
+            ref = sp_gammaincc(c, x)
+            ref_tol = EPS * (4.0 * (c * np.abs(np.log(x)) + x + c * log(c)) + 4.0) * ref
+            assert np.all(np.abs(q - ref) <= tol + ref_tol + NORMAL), c
+        if c in picks:
+            picks[c] = (q, tol)
+        prev = q
+    with mp.workdps(30):
+        for c, (q, tol) in picks.items():
+            for m in {0, len(x) - 1, *np.searchsorted(x, [0.5 * c, 0.9 * c, c, 1.1 * c, 2 * c]).tolist()} - {len(x)}:
+                want = float(mpmath.gammainc(c, mpf(float(x[m])), regularized=True))
+                assert abs(q[m] - want) <= tol[m], (c, m)
