@@ -8,8 +8,7 @@ exact rational, A(n) = B(n)^2.  This script builds the B-sequence from
 its polynomial recursion and reproduces the classical table.
 """
 
-from hecke7 import vz
-from hecke7.cli import _factorint
+from hecke7 import field, vz
 from hecke7.specfun import PrecisionContext
 
 ctx = PrecisionContext(30)
@@ -27,7 +26,7 @@ for n in range(1, 34, 2):
     ec = vz.central_value_exact(n, ctx)
     B = ec.B
     if B.denominator == 1:
-        fac = _factorint(abs(int(B)))
+        fac = field.factorint(abs(int(B)))
         shown = "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in sorted(fac.items())) or "1"
     else:
         shown = str(B)

@@ -48,6 +48,7 @@ from .specfun import (
 BETA = 2.0 * fpi / 7.0  # 2pi/7, the exponential rate of the theta series
 MK_CAP = 50_000_000  # cap on truncation-length x exponent for the series route
 T_CAP = 50.0  # desk-scale search height
+LOG_Q = log(7.0 / (2.0 * fpi))  # log of the conductor scale Q = 7/(2pi)
 
 
 def _check_family_index(n: int) -> None:
@@ -236,7 +237,7 @@ def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray
         phis[b : b + _BLOCK] = np.exp(expo - tb[:, None]) @ cs
     Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
     Estar = float(Es.max())
-    return np.log(ys), phis * np.exp(Es - Estar), Estar - (a + 0.5) * log(7.0 / (2.0 * fpi))
+    return np.log(ys), phis * np.exp(Es - Estar), Estar - (a + 0.5) * LOG_Q
 
 
 def _z_values(a: float, L: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
@@ -267,8 +268,8 @@ class ZEngine:
     six of the members 101 <= n <= 200.  The probes stop at
     t_reliable(n)/2 because nearer the ceiling any two rules differ by
     float64 noise of up to about 1e-5.  Reliable while the Gamma-modulus
-    suppression stays above the float64 cancellation floor; the module
-    function t_reliable(n) reports that ceiling.
+    suppression stays above the float64 cancellation floor; the engine
+    keeps that ceiling, t_reliable(n), as its float `t_reliable`.
     """
 
     PANEL_WIDTH = 16.0 / (1.0 + T_CAP)  # in log y; 0.314 at T_CAP = 50
@@ -279,7 +280,8 @@ class ZEngine:
         _check_family_index(n)
         self.n = n
         self.a = 2.0 * n - 1.5
-        probe = np.linspace(0.0, 0.5 * t_reliable(n), 17)[1:]
+        self.t_reliable = t_reliable(n)
+        probe = np.linspace(0.0, 0.5 * self.t_reliable, 17)[1:]
         data = _assemble(n, self.DEGREES[0], self.PANEL_WIDTH)
         for degree in self.DEGREES:
             finer = _assemble(n, 2 * degree, self.PANEL_WIDTH)
@@ -424,7 +426,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     eng = get_engine(n)
-    t_rel = t_reliable(n)
+    t_rel = eng.t_reliable
     if T > t_rel:
         warnings.warn(
             f"n={n}: float64 engine unreliable past t={t_rel:.1f}; "
@@ -443,7 +445,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     order = np.argsort(np.concatenate([exact, brackets]))
     gammas = np.concatenate([ts[exact], refined])[order].tolist()
     # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
-    expected = (T * log(7.0 / (2.0 * fpi)) + loggamma_f64(2 * n - 1, T).imag) / fpi
+    expected = (T * LOG_Q + loggamma_f64(2 * n - 1, T).imag) / fpi
     if abs(len(gammas) - expected) > 5 + log(2 * n):
         warnings.warn(
             f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "

@@ -158,24 +158,6 @@ def _cmd_central(args) -> int:
     return 0
 
 
-def _factorint(n: int) -> dict[int, int]:
-    """{prime: exponent} of n >= 1 by trial division.
-
-    Enough for the table's |B(n)|, n <= 33: below 2^46, with largest
-    prime factor 1,747,169.
-    """
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = 1
-    return out
-
-
 def _cmd_table(args) -> int:
     header = ["n", "A_exact", "A_factored", "L_4dp"]
     rows = []
@@ -190,7 +172,7 @@ def _cmd_table(args) -> int:
         else:
             parts = [
                 (f"{p}^{e}" if e > 1 else f"{p}")
-                for p, e in sorted(_factorint(int(B)).items())
+                for p, e in sorted(field.factorint(int(B)).items())
             ]
             fact = "(" + "*".join(parts) + ")^2"
         # the published table truncates (not rounds) to 4 decimals

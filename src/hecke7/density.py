@@ -34,11 +34,10 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import T_CAP, _check_family_index, _panel_rule, t_reliable, zeros_up_to
+from .central import LOG_Q, T_CAP, _check_family_index, _panel_rule, get_engine, zeros_up_to
 from .moments import _local_double_sum, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
 
-LOG_Q7 = log(7.0 / (2.0 * fpi))
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
 
 
@@ -166,7 +165,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
         raise ConvergenceError(
             f"arch_term n={n}: Gauss-Legendre orders 24 and 16 differ by {abs(corr[0] - corr[1]):.1e}"
         )
-    lead = ph0 / fpi * (LOG_Q7 + float(digamma_f64(c).real))
+    lead = ph0 / fpi * (LOG_Q + float(digamma_f64(c).real))
     return lead + corr[0]
 
 
@@ -287,7 +286,7 @@ def empirical_one_level(
     ef_total = 0.0
     t_min = float("inf")
     for n in range(1, N + 1):
-        t_n = min(T, t_reliable(n))
+        t_n = min(T, get_engine(n).t_reliable)
         t_min = min(t_min, t_n)
         emp_total += zero_side_sum(n, f, t_n, scale=s)
         mass_bound += _tail_mass_bound(n, f, t_n, s)
@@ -555,9 +554,9 @@ def _ratios_integrand_direct(n, t: float, P: int, zeta_L=None):
     a_mir = ratios_A(-1j * t, 1j * t, P=P)
     c = 2 * np.asarray(n) - 1
     # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
-    e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q7))
+    e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q))
     bracket = block + ap - e_factor * xblock * a_mir
-    arch = 2.0 * LOG_Q7 + 2.0 * digamma_f64(c, t).real
+    arch = 2.0 * LOG_Q + 2.0 * digamma_f64(c, t).real
     return arch + 2.0 * bracket.real
 
 

@@ -177,9 +177,28 @@ def prime_class(p: int) -> str:
     'split' for p = 1, 2, 4 mod 7; 'inert' for p = 3, 5, 6 mod 7;
     'ramified' for p = 7.  Raises ValueError if p is not prime.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p < 2 or factorint(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     return _CLASS_NAMES[CHI7[p % 7]]
+
+
+def factorint(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division, in increasing p.
+
+    At most about sqrt(n)/2 trial divisors: enough for the table's
+    |B(n)|, n <= 33 (below 2^46, largest prime factor 1,747,169), for
+    the arguments of the delta averages and for prime_class.
+    """
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _spf_sieve(n: int) -> np.ndarray:
@@ -189,25 +208,6 @@ def _spf_sieve(n: int) -> np.ndarray:
         if spf[i] == i:
             np.minimum(spf[i * i :: i], i, out=spf[i * i :: i])
     return spf
-
-
-def factorizations(n: int) -> list[dict[int, int]]:
-    """Prime factorizations of 0..n (index 0 and 1 give {})."""
-    spf = _spf_sieve(n).tolist()
-    out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    for m in range(2, n + 1):
-        p = spf[m]
-        f = dict(out[m // p])
-        f[p] = f.get(p, 0) + 1
-        out[m] = f
-    return out
-
-
-def primes_up_to(n: int) -> list[int]:
-    """Primes <= n, increasing."""
-    if n < 2:
-        return []
-    return np.flatnonzero(_spf_sieve(n) == np.arange(n + 1))[2:].tolist()
 
 
 @dataclass(frozen=True)

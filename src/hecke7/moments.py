@@ -209,8 +209,7 @@ def delta_two(l: int, m: int) -> int:
     """<a_n(l) a_n(m)>, assembled multiplicatively from the prime-power table."""
     if l < 1 or m < 1:
         raise ValueError("arguments must be positive")
-    facs = field.factorizations(max(l, m))
-    fl, fm = facs[l], facs[m]
+    fl, fm = field.factorint(l), field.factorint(m)
     out = 1
     for p in set(fl) | set(fm):
         out *= _delta_two_local(field.prime_class(p), fl.get(p, 0), fm.get(p, 0))
@@ -242,11 +241,10 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
     if N < 1 or N > 10**4:
         raise ValueError("N must be in [1, 10^4]")
     ks = 4 * np.arange(1, N + 1) - 3
-    facs = field.factorizations(max(m, l))
 
     def coeffs(x: int) -> np.ndarray:
         a = np.ones(N)
-        for p, e in facs[x].items():
+        for p, e in field.factorint(x).items():
             # the last row of the cut to p is p's own
             a *= field.prime_table(p)[-1:].chebyshev(ks, e, 1.0)[:, 0, e]
         return a

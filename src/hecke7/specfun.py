@@ -228,27 +228,20 @@ _HALF_LOG_2PI = 0.5 * log(2.0 * fpi)
 
 
 def _stirling_setup(c, t):
-    """z = c + it, the shift k = max(0, ceil(12 - c)) (per entry when c
-    is an array), w = z + k, so that Re w >= 12, and the number of series
-    terms that Re w needs.  ValueError unless c >= 1."""
-    if isinstance(c, np.ndarray):
-        k = np.maximum(0.0, np.ceil(_STIRLING_MIN - c))
-        low = c.min()
-    else:
-        k = max(0, ceil(_STIRLING_MIN - c))
-        low = c
+    """z = c + it, the one shift k = max(0, ceil(12 - min c)) that every
+    entry of z takes, w = z + k, so that Re w >= 12, and the number of
+    series terms that Re w needs.  ValueError unless c >= 1."""
+    low = c.min() if isinstance(c, np.ndarray) else c
     if low < 1:
         raise ValueError("c must be >= 1")
+    k = max(0, ceil(_STIRLING_MIN - low))
     terms = len(_ENOUGH) + 1 - bisect(_ENOUGH, max(_STIRLING_MIN, low))  # low bounds Re w
     z = c + 1j * t
     return z, k, z + k, terms
 
 
 def _shifted(value, f, z, k):
-    """value - sum_{j < k} f(z + j), masked per entry when k is an array."""
-    if isinstance(k, np.ndarray):
-        j = np.arange(k.max())
-        return value - np.where(j < k[..., None], f(z[..., None] + j), 0.0).sum(axis=-1)
+    """value - sum_{j < k} f(z + j), with the one shift k of every entry."""
     for j in range(k):
         value = value - f(z + j)
     return value

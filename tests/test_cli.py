@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from hecke7 import cli, vz
+from hecke7 import cli, field, vz
 
 GOLDEN_TABLE = """\
 n,A_exact,A_factored,L_4dp
@@ -75,13 +75,13 @@ def test_table_matches_published_rows(capsys):
 
 
 def test_table_factoring_matches_sympy():
-    # the table's trial division against sympy on every |B(n)| it factors
+    # field.factorint against sympy on every |B(n)| the table factors
     for n in range(3, 34, 2):
         B = abs(vz.B_of(n))
         assert B.denominator == 1
-        assert cli._factorint(int(B)) == sympy.factorint(int(B)), n
+        assert field.factorint(int(B)) == sympy.factorint(int(B)), n
     for m in (1, 2, 49, 2**10, 1_000_000_007):
-        assert cli._factorint(m) == sympy.factorint(m), m
+        assert field.factorint(m) == sympy.factorint(m), m
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

@@ -214,6 +214,19 @@ def test_gauss_legendre_rule_once_per_degree(monkeypatch):
         assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+def test_t_reliable_once_per_member(monkeypatch):
+    # the ceiling depends on n alone: a run computes it once per member,
+    # when the member's engine is built
+    calls = []
+    t_reliable = central.t_reliable
+    counted = lambda n: calls.append(n) or t_reliable(n)
+    monkeypatch.setattr(central, "t_reliable", counted)
+    monkeypatch.setattr(density, "t_reliable", counted, raising=False)
+    central.get_engine.cache_clear()
+    density.empirical_one_level(10, density.fejer(1.0), ctx=CTX)
+    assert sorted(calls) == list(range(1, 11))
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_family_index_must_be_positive(n):
     phi = density.fejer(1.0)

@@ -102,6 +102,10 @@ def test_delta_two_table():
     assert moments.delta_two(6, 6) == 0  # the p=3 local kills it
     assert moments.delta_two(18, 2) == moments.delta_two(2, 2) * moments.delta_two(9, 1)
     assert moments.delta_two(4, 22) == 0  # 11 appears on one side only
+    # arguments above 10^6: split 2 at (20, 0), inert 3 at (0, 12), and
+    # the split prime 1,048,573 at (1, 1)
+    assert moments.delta_two(2**20, 3**12) == 1
+    assert moments.delta_two(1_048_573, 1_048_573) == 2
     with pytest.raises(ValueError):
         moments.delta_two(0, 1)
 

@@ -193,7 +193,8 @@ def test_constants_catalog():
 
 def _scale(c, t, main, shift_part):
     """main(w) + sum_{j<k} |shift_part(z + j)| + 1 at z = c + it, with
-    the kernels' shift k = max(0, ceil(12 - c)) and w = z + k."""
+    the shift k = max(0, ceil(12 - c)) the kernels take at a scalar c,
+    and w = z + k."""
     z = c + 1j * t
     k = np.maximum(0, np.ceil(12 - c))
     scale = main(z + k) + 1.0
@@ -245,9 +246,9 @@ def test_digamma_f64_against_scipy_and_mpmath():
 
 
 def test_f64_kernels_array_c_matches_scalar_c():
-    # the masked shift of an array of c against the scalar shift entry by
-    # entry; the array takes the series terms its smallest c needs, so the
-    # two round differently, each within the bound of the scipy tests
+    # an array of c against the scalar kernel entry by entry; the array
+    # takes the one shift and the series terms its smallest c needs, so
+    # the two round differently, each within the bound of the scipy tests
     for t in (0.0, 0.3, 7.5, 100.0):
         for f, scale in ((loggamma_f64, _loggamma_scale), (digamma_f64, _digamma_scale)):
             err = np.abs(f(ODD_C, t) - [f(c, t) for c in ODD_C.tolist()])
