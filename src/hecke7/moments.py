@@ -25,6 +25,7 @@ from math import exp, isqrt, log
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, to_fixed
 
 from . import field
 from .central import BETA, central_value_series, series_truncation
@@ -298,17 +299,42 @@ def f1_constant(ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 
 def _local_double_sum(x, y, rule, I: int, J: int) -> mpc:
-    """sum_{i<=I, j<=J} rule(i, j) x^i y^j in (i, j) order, skipping the
-    terms whose rule is 0: the brute Dirichlet series of one Euler factor."""
-    xs = [x**i for i in range(I + 1)]
-    ys = [y**j for j in range(J + 1)]
-    acc = mpc(0)
+    """sum_{i<=I, j<=J} rule(i, j) x^i y^j for an integer-valued rule: the
+    brute Dirichlet series of one Euler factor, with rule called on every
+    (i, j).
+
+    Let prec = mp.prec + 32.  The powers x^i and y^j come from repeated
+    multiplication at prec + 20 bits, so for I, J < 2^19 each is within
+    2^-prec of exact, relative.  Each y^j is then truncated to a multiple
+    of 2^-prec in both parts, so for |y| <= 1 it is within 2.5 * 2^-prec
+    of exact.  Each row sum_j rule(i, j) y^j is summed exactly in Python
+    ints, and one mpmath.fdot of the rows against the x^i rounds once, to
+    mp.prec.  Before that rounding the result is within
+
+        4 (J+1) max|rule| sum_{i<=I} |x|^i 2^-prec
+
+    of the exact sum.
+    """
+    if I < 0 or J < 0:
+        raise ValueError("cutoff must be nonnegative")
+    prec = mp.prec + 32
+    with mp.workprec(prec + 20):
+        xs, ys = [mp.one], [mpc(1)]
+        for _ in range(I):
+            xs.append(xs[-1] * x)
+        for _ in range(J):
+            ys.append(ys[-1] * y)
+    yfix = [(to_fixed(re, prec), to_fixed(im, prec)) for re, im in (v._mpc_ for v in ys)]
+    rows = []
     for i in range(I + 1):
-        for j in range(J + 1):
+        re = im = 0
+        for j, (yr, yi) in enumerate(yfix):
             d = rule(i, j)
             if d:
-                acc += d * xs[i] * ys[j]
-    return acc
+                re += d * yr
+                im += d * yi
+        rows.append(mp.make_mpc((from_man_exp(re, -prec), from_man_exp(im, -prec))))
+    return mpmath.fdot(rows, xs)
 
 
 def _closed_local(p: int, cls: str, a, b):
@@ -354,7 +380,10 @@ def local_factor(
 
 def brute_cutoff_for(p: int, min_re_shift: float, tol: float = 1e-13) -> int:
     """Smallest cutoff (floor 60) whose geometric tail in the brute double
-    sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step."""
+    sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step,
+    which the shift domain |Re| < 1/4 keeps below 1."""
+    if not abs(min_re_shift) < 0.25:  # also refuses nan
+        raise ValueError(f"min_re_shift {min_re_shift} outside |Re| < 1/4")
     rate = (0.5 + min_re_shift) * log(p)
     c = 60
     while True:

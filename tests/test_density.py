@@ -310,6 +310,8 @@ def test_ratios_local_factors_vs_brute():
     for p, fac in facs.items():
         brute = complex(density.ratios_local_brute(p, a, g, cutoff=400, ctx=CTX))
         assert abs(fac - brute) < 1e-12, p
+    with pytest.raises(ValueError):
+        density.ratios_local_brute(2, a, g, cutoff=-1, ctx=CTX)
 
 
 def test_ratios_far_prime_factor_negligible():

@@ -1,11 +1,12 @@
 """Moment sweeps, multiplicative averages, and shifted Euler factors."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from hecke7 import field, moments
 from hecke7.specfun import PrecisionContext
@@ -159,6 +160,52 @@ def test_local_double_sum_against_geometric_series():
     # only the terms with a nonzero rule value enter, each weighted by it
     got = moments._local_double_sum(x, y, lambda i, j: (i == j) * (i + 1), 5, 2)
     assert abs(got - (1 + 2 * x * y + 3 * x**2 * y**2)) < 1e-14
+
+
+def _per_term_sum(x, y, rule, I, J):
+    # reference: one mpc multiply-add per term
+    xs = [x**i for i in range(I + 1)]
+    ys = [y**j for j in range(J + 1)]
+    acc = mpc(0)
+    for i in range(I + 1):
+        for j in range(J + 1):
+            d = rule(i, j)
+            if d:
+                acc += d * xs[i] * ys[j]
+    return acc
+
+
+def test_local_double_sum_matches_per_term_sum():
+    def check(a, b, rule, I, J):
+        with mp.workdps(30):
+            x, y = mpf(2) ** -(mpf(1) / 2 + a), mpf(2) ** -(mpf(1) / 2 + b)
+            got = moments._local_double_sum(x, y, rule, I, J)
+            prec = mp.prec + 32
+            with mp.workprec(mp.prec + 64):
+                want = _per_term_sum(x, y, rule, I, J)
+                wmax = max(abs(rule(i, j)) for i in range(I + 1) for j in range(J + 1))
+                bound = 4 * (J + 1) * wmax * mpmath.fsum(abs(x) ** i for i in range(I + 1)) * mpf(2) ** -prec
+                # plus the final rounding to the caller's precision
+                bound += abs(want) * mpf(2) ** (32 - prec)
+                assert abs(got - want) <= bound, (a, b, I, J)
+
+    # |y| = 2^-0.26 near 1 at Re shift -0.24; real and complex x, y
+    shifts = ((mpf("0.05"), mpf("-0.24")), (mpc("0.05", "-2"), mpc("-0.24", "1.7")))
+    for cls in ("split", "inert", "ramified"):
+        for a, b in shifts:
+            check(a, b, partial(moments._delta_two_local, cls), 156, 156)
+    # the J = 2 shape of ratios_local_brute, weights up to 400
+    for a, b in shifts:
+        check(b, a, lambda i, j: (i + 1) * (1, -1, 1)[j], 399, 2)
+
+
+def test_brute_oracle_refuses_outside_its_domain():
+    # a tail rate <= 0 would make the cutoff bound meaningless
+    for s in (-0.6, -0.5, -0.25, 0.25, float("nan")):
+        with pytest.raises(ValueError):
+            moments.brute_cutoff_for(2, s)
+    with pytest.raises(ValueError):
+        moments.local_factor(2, 0, 0, mode="brute", cutoff=-1)
 
 
 def test_delta_oracle_agrees_with_closed_forms():
