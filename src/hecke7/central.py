@@ -421,7 +421,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     closer together than one step can still be missed (no sign change
     between grid points).
     """
-    if T <= 0:
+    if not T > 0:  # also refuses nan
         raise ValueError("T must be positive")
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")

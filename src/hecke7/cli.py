@@ -35,13 +35,7 @@ from .density import (
     ratios_integrand_abs_err,
     ratios_one_level_integrand,
 )
-from .moments import (
-    SWEEP_CAP,
-    empirical_moment,
-    f0_constant,
-    f1_constant,
-    m2_conjecture_main,
-)
+from .moments import empirical_moment, f0_constant, f1_constant, m2_conjecture_main
 from .specfun import (
     ComputeCapError,
     ConvergenceError,
@@ -421,9 +415,6 @@ def main(argv=None) -> int:
         return 2
     if args.subcommand == "ratios" and args.t is None and args.t_max is None:
         print("ratios: provide --t or --t-max", file=sys.stderr)
-        return 2
-    if args.subcommand == "moment" and not (1 <= args.N <= SWEEP_CAP):
-        print(f"moment: N must be in [1, {SWEEP_CAP}]", file=sys.stderr)
         return 2
     try:
         return args.func(args)

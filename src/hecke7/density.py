@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil, exp, factorial, log, pi as fpi, sqrt as fsqrt
+from math import ceil, exp, factorial, isnan, log, pi as fpi, sqrt as fsqrt
 
 import numpy as np
 import mpmath
@@ -35,7 +35,7 @@ from mpmath import mp, mpf, mpc
 
 from . import field
 from .central import LOG_Q, T_CAP, _check_family_index, _panel_rule, get_engine, zeros_up_to
-from .moments import _local_double_sum, delta_mu
+from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
 
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
@@ -60,7 +60,7 @@ def fejer(alpha: float = 1.0) -> TestFunction:
     """f(y) = (sin(pi alpha y)/(pi alpha y))^2 >= 0 with triangular
     fhat(x) = (1 - |x|/alpha)/alpha on [-alpha, alpha]; both take scalars
     or arrays."""
-    if alpha <= 0:
+    if not alpha > 0:  # also refuses nan
         raise ValueError("support alpha must be positive")
     a = float(alpha)
 
@@ -77,7 +77,7 @@ def fejer(alpha: float = 1.0) -> TestFunction:
 def gaussian(width: float = 2.0) -> TestFunction:
     """f(y) = exp(-(y/w)^2), fhat(x) = w sqrt(pi) exp(-(pi w x)^2); both
     take scalars or arrays."""
-    if width <= 0:
+    if not width > 0:  # also refuses nan
         raise ValueError("width must be positive")
     w = float(width)
 
@@ -276,7 +276,7 @@ def empirical_one_level(
     """
     if N < 2 or N > 200:
         raise ValueError("N must be in [2, 200] (desk scale)")
-    if T <= 0:
+    if not T > 0:  # also refuses nan
         raise ValueError("T must be positive")
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
@@ -338,10 +338,9 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
       p = 7: (1-y)/(1-w),
     with y = p^(-1-2 gamma), w = p^(-1-alpha-gamma).
     """
+    _check_shift(alpha, gamma)
     a = complex(alpha)
     g = complex(gamma)
-    if abs(a.real) >= 0.25 or abs(g.real) >= 0.25:
-        raise ValueError("shifts outside the conjecture domain")
     table = field.prime_table(P)
     lp, cls = np.log(table.primes), table.classes
     tail_est = _ratios_A_tail(a, g, P)
@@ -364,26 +363,31 @@ def _ratios_A_tail(a: complex, g: complex, P: int) -> float:
     return 6.0 * P ** (1.0 - 2.0 * sigma) / (max(2.0 * sigma - 1.0, 0.05) * log(P))
 
 
-def ratios_local_brute(p: int, alpha, gamma, cutoff: int = 120, ctx: PrecisionContext = DEFAULT_CTX):
-    """Local factor of A at p assembled from the delta_mu double sum
-    (independent oracle for the simplified closed forms)."""
+def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: PrecisionContext = DEFAULT_CTX):
+    """Local factor of A at p assembled from the delta_mu double sum over
+    i <= cutoff (default brute_cutoff_for(p, min Re shift)), j <= 2: the
+    independent oracle for ratios_A, on its domain |Re| < 1/4 (the series
+    converges for Re alpha > -1/2)."""
+    _check_shift(alpha, gamma)
+    cls = field.prime_class(p)
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         g = mpmath.mpmathify(gamma)
+        if cutoff is None:
+            cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(g))))
         xa = mpf(p) ** (-(mpf(1) / 2 + a))
         xg = mpf(p) ** (-(mpf(1) / 2 + g))
         bracket = _local_double_sum(xa, xg, partial(delta_mu, p), cutoff, 2)
         u = mpf(p) ** (-1 - 2 * a)
         y = mpf(p) ** (-1 - 2 * g)
         w = mpf(p) ** (-1 - a - g)
-        line1 = (1 - y) / (1 - w)
-        if p == 7:
-            return mpc(line1)  # bracket is 1 by the p=7 vanishing
-        if field.prime_class(p) == "split":
+        if cls == "ramified":
+            norm = 1  # delta_mu vanishes off (0, 0) at p = 7, so the bracket is 1
+        elif cls == "split":
             norm = (1 - u) / (1 - w)
         else:
             norm = (1 + u) / (1 + w)
-        return mpc(line1 * norm * bracket)
+        return mpc((1 - y) / (1 - w) * norm * bracket)
 
 
 def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000) -> complex:
@@ -520,6 +524,8 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
     compatibility; the result is float64."""
     _check_family_index(n)
     t = float(t)
+    if isnan(t):
+        raise ValueError("height t must be a number, got nan")
     if abs(t) < 1e-4:
         t0 = 2e-4
         i1 = _ratios_integrand_direct(n, t0, P)

@@ -79,14 +79,11 @@ def representations(m: int) -> list[tuple[int, int]]:
     out = []
     bmax = isqrt(4 * m // 7)
     for b in range(-bmax, bmax + 1):
-        disc = 4 * m - 7 * b * b
-        if disc < 0:
-            continue
+        disc = 4 * m - 7 * b * b  # >= 0 by the choice of bmax
         d = isqrt(disc)
         if d * d != disc:
             continue
-        if (d - b) & 1:
-            continue
+        # d^2 = 4m - 7b^2 = b^2 mod 4, so d = b mod 2 and the roots are integers
         roots = {(-b - d) // 2, (-b + d) // 2}
         for a in sorted(roots):
             out.append((a, b))

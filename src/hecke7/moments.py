@@ -135,8 +135,8 @@ def empirical_moment(r: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> Mom
 def m2_conjecture_main(N: int, ctx: PrecisionContext = DEFAULT_CTX):
     """Second-moment main term, both shapes.
 
-    displayed: (3pi/sqrt7)(gamma + 3L'/L(1) - 2 zeta'/zeta(2) + log7/8
-               - log(2pi/7) + (1/N) sum_{n<=N} psi(2n-1)),
+    displayed: (3pi/sqrt7)(gamma + f1/f0 - log(2pi/7) + (1/N) sum_{n<=N}
+               psi(2n-1)), f1/f0 = 3L'/L(1) - 2 zeta'/zeta(2) + log7/8,
     reduced:   (3pi/sqrt7)(log N + C),
     C = 4 gamma - 3 log(Gamma(1/7)Gamma(2/7)Gamma(4/7) /
         (Gamma(3/7)Gamma(5/7)Gamma(6/7))) - 2 zeta'/zeta(2) + log7/8
@@ -150,14 +150,10 @@ def m2_conjecture_main(N: int, ctx: PrecisionContext = DEFAULT_CTX):
     with mp.workdps(ctx.working_dps):
         cs = constants(ctx)
         g = mp.euler
-        L1 = dirichlet_L_chi7(1, 0, ctx)
-        L1p = dirichlet_L_chi7(1, 1, ctx)
         zpz2 = cs["zeta_prime_at_2"] / mp.zeta(2)
         lead = cs["three_pi_over_sqrt7"]
         psi_avg = mpmath.fsum(digamma(2 * n - 1, ctx) for n in range(1, N + 1)) / N
-        displayed = lead * (
-            g + 3 * L1p / L1 - 2 * zpz2 + mp.log(7) / 8 - mp.log(2 * mp.pi / 7) + psi_avg
-        )
+        displayed = lead * (g + f1_constant(ctx) / f0_constant(ctx) - mp.log(2 * mp.pi / 7) + psi_avg)
         gprod = (
             mp.gamma(mpf(1) / 7) * mp.gamma(mpf(2) / 7) * mp.gamma(mpf(4) / 7)
         ) / (mp.gamma(mpf(3) / 7) * mp.gamma(mpf(5) / 7) * mp.gamma(mpf(6) / 7))
@@ -261,8 +257,10 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
 
 
 def _check_shift(*shifts) -> None:
+    """ValueError unless |Re s| < 1/4 for every shift s (nan fails): the
+    one domain test of F, A and their brute oracles, called at each entry."""
     for s in shifts:
-        if abs(mpmath.re(mpmath.mpmathify(s))) >= 0.25:
+        if not abs(mpmath.re(mpmath.mpmathify(s))) < 0.25:
             raise ValueError(f"shift {s} outside |Re| < 1/4")
 
 
@@ -353,14 +351,16 @@ def local_factor(
     alpha,
     beta,
     mode: str = "closed",
-    cutoff: int = 60,
+    cutoff: int | None = None,
     ctx: PrecisionContext = DEFAULT_CTX,
 ) -> EulerFactorValue:
-    """Local factor of sum delta(l,m) l^(-1/2-a) m^(-1/2-b) at p.
+    """Local factor of sum delta(l,m) l^(-1/2-a) m^(-1/2-b) at p, for
+    shifts with |Re| < 1/4.
 
     closed: split (1+w)/((1-u)(1-w)(1-y)) with u,y,w = p^(-1-2a),
     p^(-1-2b), p^(-1-a-b); inert ((1+u)(1+y))^(-1); p=7 gives 1.
-    brute: the truncated double sum over delta(p^i, p^j), i,j <= cutoff.
+    brute: the truncated double sum over delta(p^i, p^j), i,j <= cutoff,
+    by default brute_cutoff_for(p, min Re shift).
     """
     if mode not in ("closed", "brute"):
         raise ValueError("mode must be 'closed' or 'brute'")
@@ -370,20 +370,22 @@ def local_factor(
         b = mpmath.mpmathify(beta)
         cls = field.prime_class(p)
         closed = mpc(_closed_local(p, cls, a, b))
-        brute = None
-        if mode == "brute":
-            xa = mpf(p) ** (-(mpf(1) / 2 + a))
-            xb = mpf(p) ** (-(mpf(1) / 2 + b))
-            brute = _local_double_sum(xa, xb, partial(_delta_two_local, cls), cutoff, cutoff)
-        return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff if mode == "brute" else None)
+        if mode == "closed":
+            return EulerFactorValue(p=p, closed=closed, brute=None, cutoff=None)
+        if cutoff is None:
+            cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(b))))
+        xa = mpf(p) ** (-(mpf(1) / 2 + a))
+        xb = mpf(p) ** (-(mpf(1) / 2 + b))
+        brute = _local_double_sum(xa, xb, partial(_delta_two_local, cls), cutoff, cutoff)
+        return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff)
 
 
 def brute_cutoff_for(p: int, min_re_shift: float, tol: float = 1e-13) -> int:
     """Smallest cutoff (floor 60) whose geometric tail in the brute double
     sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step,
-    which the shift domain |Re| < 1/4 keeps below 1."""
-    if not abs(min_re_shift) < 0.25:  # also refuses nan
-        raise ValueError(f"min_re_shift {min_re_shift} outside |Re| < 1/4")
+    which the shift domain |Re| < 1/4 keeps below 1.  Both brute oracles
+    take it as their default cutoff."""
+    _check_shift(min_re_shift)
     rate = (0.5 + min_re_shift) * log(p)
     c = 60
     while True:

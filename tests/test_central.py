@@ -254,8 +254,9 @@ def test_family_index_must_be_positive(n):
 
 
 def test_zeros_validation_and_truncation():
-    with pytest.raises(ValueError):
-        central.zeros_up_to(1, 0.0)
+    for T in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="T must be positive"):
+            central.zeros_up_to(1, T)
     with pytest.raises(ValueError):
         central.zeros_up_to(1, central.T_CAP + 1)
     with warnings.catch_warnings(record=True) as caught:

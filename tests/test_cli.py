@@ -122,6 +122,7 @@ def test_float64_commands_run_without_scipy():
         "    ['density', '--N', '20', '--alpha', '1'],\n"
         "    ['density', '--N', '20', '--testfn', 'gaussian', '--width', '2.0'],\n"
         "    ['moment', '--r', '1', '--N', '100'],\n"
+        "    ['moment', '--r', '2', '--N', '100'],\n"
         "    ['ratios', '--n', '1', '--t', '1'],\n"
         "    ['zeros', '--n', '1', '--T', '10'],\n"
         "):\n"
@@ -252,7 +253,9 @@ def test_density_fejer_report(capsys):
 def test_exit_codes(capsys):
     assert cli.main(["bogus"]) == 2
     assert cli.main(["central", "--n", "3", "--digits", "5"]) == 3
+    capsys.readouterr()
     assert cli.main(["moment", "--r", "1", "--N", "2001"]) == 2
+    assert capsys.readouterr().err == "usage error: N must be in [1, 2000]\n"
     assert cli.main(["zeros", "--n", "1", "--T", "100"]) == 2
     assert cli.main(["central", "--n", "5001"]) == 4
     assert cli.main(["ratios", "--n", "1"]) == 2
@@ -267,7 +270,18 @@ def test_exit_codes(capsys):
     assert cli.main(["density", "--N", "24", "--T", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "-1"]) == 2
-    capsys.readouterr()
+    # nan is a usage error
+    for argv in (
+        ["density", "--N", "10", "--alpha", "nan"],
+        ["density", "--N", "10", "--testfn", "gaussian", "--width", "nan"],
+        ["density", "--N", "10", "--T", "nan"],
+        ["zeros", "--n", "1", "--T", "nan"],
+        ["ratios", "--n", "1", "--t", "nan"],
+        ["ratios", "--n", "1", "--t-max", "nan", "--steps", "3"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage error:"), argv
 
 
 def test_env_digits_default(capsys, monkeypatch):

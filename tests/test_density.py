@@ -48,10 +48,11 @@ def test_testfn_construction():
     assert abs(density.fejer(1.0).f(1e-10) - 1.0) < 1e-12
     arr = density.fejer(1.0).f(np.array([0.0, 0.5, 1.0]))
     assert arr.shape == (3,) and arr[0] == 1.0 and abs(arr[2]) < 1e-30
-    with pytest.raises(ValueError):
-        density.fejer(0.0)
-    with pytest.raises(ValueError):
-        density.gaussian(-1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="support alpha must be positive"):
+            density.fejer(bad)
+        with pytest.raises(ValueError, match="width must be positive"):
+            density.gaussian(bad)
 
 
 def test_rmt_prediction_closed_forms():
@@ -250,7 +251,7 @@ def test_empirical_T_checked_before_scanning(monkeypatch):
     monkeypatch.setattr(density, "zero_side_sum", no_scan)
     with pytest.raises(ValueError, match="T=60.0 beyond desk-scale cap 50.0"):
         density.empirical_one_level(25, density.fejer(1.0), T=60.0)
-    for T in (0.0, -1.0):
+    for T in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="T must be positive"):
             density.empirical_one_level(24, density.fejer(1.0), T=T)
 
@@ -310,6 +311,9 @@ def test_ratios_local_factors_vs_brute():
     for p, fac in facs.items():
         brute = complex(density.ratios_local_brute(p, a, g, cutoff=400, ctx=CTX))
         assert abs(fac - brute) < 1e-12, p
+    # the default cutoff, brute_cutoff_for(2, -0.24), at the edge of the domain
+    fac = density.ratios_A(-0.24, 0.1, CTX, P=2, tol=float("inf"))
+    assert abs(fac - complex(density.ratios_local_brute(2, -0.24, 0.1, ctx=CTX))) < 1e-12
     with pytest.raises(ValueError):
         density.ratios_local_brute(2, a, g, cutoff=-1, ctx=CTX)
 
@@ -365,6 +369,8 @@ def test_ratios_integrand_even_and_regular():
     assert density.ratios_one_level_integrand(1, 1.0, CTX) == pytest.approx(
         -3.356840630836404, rel=1e-9
     )
+    with pytest.raises(ValueError, match="nan"):
+        density.ratios_one_level_integrand(1, float("nan"), CTX)
 
 
 def _zeta_L_block_mp(t):

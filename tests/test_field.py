@@ -46,10 +46,15 @@ def test_epsilon_values():
 
 def test_representations_structure():
     # each solution of a^2+ab+2b^2=m appears with both signs; the half
-    # set keeps one of each +-pair
-    for m in (2, 4, 8, 11, 23, 28):
+    # set keeps one of each +-pair.  Against a box enumeration: the form
+    # is at least 7a^2/8 and 7b^2/4, so |a|, |b| <= 23 for m <= 500
+    box = {}
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            box.setdefault(field.norm(a, b), []).append((a, b))
+    for m in range(1, 501):
         reps = field.representations(m)
-        assert all(field.norm(a, b) == m for a, b in reps)
+        assert reps == sorted(box.get(m, []), key=lambda ab: (ab[1], ab[0])), m
         assert len(reps) == 2 * len(field.half_representations(m))
         assert set(reps) == {(-a, -b) for a, b in reps}
     assert field.half_representations(2) == [(-1, 1), (0, 1)]

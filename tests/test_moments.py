@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from hecke7 import field, moments
+from hecke7 import density, field, moments
 from hecke7.specfun import PrecisionContext
 
 CTX = PrecisionContext(30)
@@ -200,10 +200,22 @@ def test_local_double_sum_matches_per_term_sum():
 
 
 def test_brute_oracle_refuses_outside_its_domain():
-    # a tail rate <= 0 would make the cutoff bound meaningless
-    for s in (-0.6, -0.5, -0.25, 0.25, float("nan")):
-        with pytest.raises(ValueError):
-            moments.brute_cutoff_for(2, s)
+    # a tail rate <= 0 would make the cutoff bound meaningless; F, A and
+    # both brute oracles share the one shift domain |Re| < 1/4
+    entries = (
+        lambda s: moments.brute_cutoff_for(2, s),
+        lambda s: moments.F_shift(s, 0),
+        lambda s: moments.local_factor(2, 0, s),
+        lambda s: moments.local_factor(2, s, 0, mode="brute", cutoff=60),
+        lambda s: moments.delta_series_product(0, s, 10),
+        lambda s: density.ratios_A(s, 0),
+        lambda s: density.ratios_local_brute(2, s, 0.0),  # diverges at -0.6
+        lambda s: density.ratios_local_brute(2, 0.0, s, cutoff=60),
+    )
+    for s in (-0.6, -0.5, -0.25, 0.25, float("nan"), complex(float("nan"), 0.0)):
+        for entry in entries:
+            with pytest.raises(ValueError, match=r"outside \|Re\| < 1/4"):
+                entry(s)
     with pytest.raises(ValueError):
         moments.local_factor(2, 0, 0, mode="brute", cutoff=-1)
 
@@ -276,6 +288,10 @@ def test_local_factor_brute_matches_closed():
             v = moments.local_factor(p, a, b, mode="brute", cutoff=cut, ctx=CTX)
             assert v.cutoff == cut
             assert abs(v.brute - v.closed) < 1e-12, (p, a, b)
+    # the default cutoff is the rule's, 244 at the edge of the domain
+    v = moments.local_factor(2, -0.24, 0, mode="brute", ctx=CTX)
+    assert v.cutoff == moments.brute_cutoff_for(2, -0.24) == 244
+    assert abs(v.brute - v.closed) < 1e-12
 
 
 def test_brute_cutoff_policy():
