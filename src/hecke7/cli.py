@@ -7,11 +7,13 @@ integrand, and the shared constants.  `selftest` runs the acceptance
 suite (requires the repository checkout with its tests/ directory).
 
 Exit codes: 0 success, 2 usage, 3 precision/convergence, 4 compute cap,
-5 acceptance failure.  Outputs are deterministic: fixed significant
-figures, insertion-ordered JSON keys, UNIX newlines, UTF-8.  The
-default precision comes from the HECKE7_DIGITS environment variable
-when set.  --threads is validated (it must be >= 1) but otherwise
-unused: evaluation is single-process, and results never depend on it.
+5 acceptance failure; a non-finite test-function parameter or a Fejer
+support below 1e-6 is a usage error.  `ratios` takes one of --t and
+--t-max.  Outputs are deterministic: fixed significant figures,
+insertion-ordered JSON keys, UNIX newlines, UTF-8.  The default
+precision comes from the HECKE7_DIGITS environment variable when set.
+--threads is validated (it must be >= 1) but otherwise unused:
+evaluation is single-process, and results never depend on it.
 """
 
 from __future__ import annotations
@@ -385,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratios", help="ratios-conjecture density integrand")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--t", type=float)
+    at.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--steps", type=int, default=33)
     _add_common(p, default_digits)
     p.set_defaults(func=_cmd_ratios)
@@ -412,9 +415,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.subcommand == "ratios" and args.t is None and args.t_max is None:
-        print("ratios: provide --t or --t-max", file=sys.stderr)
         return 2
     try:
         return args.func(args)

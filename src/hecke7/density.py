@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil, exp, factorial, isnan, log, pi as fpi, sqrt as fsqrt
+from math import ceil, exp, factorial, inf, isnan, log, pi as fpi, sqrt as fsqrt
 
 import numpy as np
 import mpmath
@@ -59,9 +59,10 @@ class TestFunction:
 def fejer(alpha: float = 1.0) -> TestFunction:
     """f(y) = (sin(pi alpha y)/(pi alpha y))^2 >= 0 with triangular
     fhat(x) = (1 - |x|/alpha)/alpha on [-alpha, alpha]; both take scalars
-    or arrays."""
-    if not alpha > 0:  # also refuses nan
-        raise ValueError("support alpha must be positive")
+    or arrays.  Needs 1e-6 <= alpha < inf: rmt_prediction's rational alpha
+    (denominator <= 10^6) is 0 below 5e-7, the first arithmetic to fail."""
+    if not 1e-6 <= alpha < inf:  # also refuses nan
+        raise ValueError(f"support alpha must be positive, finite and at least 1e-6, got {alpha}")
     a = float(alpha)
 
     def f(y):
@@ -76,9 +77,10 @@ def fejer(alpha: float = 1.0) -> TestFunction:
 
 def gaussian(width: float = 2.0) -> TestFunction:
     """f(y) = exp(-(y/w)^2), fhat(x) = w sqrt(pi) exp(-(pi w x)^2); both
-    take scalars or arrays."""
-    if not width > 0:  # also refuses nan
-        raise ValueError("width must be positive")
+    take scalars or arrays.  A narrow width has a wide fhat, refused once
+    its prime-sum cutoff passes field.PRIME_TABLE_CAP (see _scaled)."""
+    if not 0 < width < inf:  # also refuses nan
+        raise ValueError("width must be positive and finite")
     w = float(width)
 
     def f(y):
@@ -131,13 +133,13 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     The correction integral is a float64 Gauss-Legendre sum on panels
     graded to resolve e^(-2pi c x): edges 0, 1/(2pi c), doubling below
     x_end/2, then x_end/2 and x_end (the edge of supp phihat, where it
-    may kink), then x_end plus 1/(2pi c), doubling below 45/(2pi c), and
-    x_end + 45/(2pi c), where e^(-2pi c (x - x_end)) has fallen to e^-45.
-    Grading the tail keeps the pole of 1/(1 - e^(-2pi x)) at x = 0 far
-    from each panel relative to its width, which a single tail panel is
-    not when x_end is small.  Orders 24 and 16 must agree within 1e-12,
-    or ConvergenceError.  `ctx` is accepted for API compatibility; the
-    result is float64.
+    may kink), then x_end plus min(1/(2pi c), x_end), doubling below
+    45/(2pi c), and x_end + 45/(2pi c), where e^(-2pi c (x - x_end)) has
+    fallen to e^-45.  Grading the tail keeps each panel no wider than its
+    distance from the pole of 1/(1 - e^(-2pi x)) at x = 0.  Orders 24 and
+    16 must agree within 1e-12, or ConvergenceError; near 1e4 that is one
+    float64 spacing, so Fejer alpha = 0.001 at N = 2 still raises.  `ctx`
+    is accepted for API compatibility; the result is float64.
     """
     _check_family_index(n)
     c = 2 * n - 1
@@ -150,7 +152,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
         e *= 2.0
     edges += [x_end / 2, x_end]
     tail = 45.0 * w  # e^(-2pi c (x - x_end)) = e^-45 ~ 3e-20 at the end
-    e = w
+    e = min(w, x_end)
     while e < tail:
         edges.append(x_end + e)
         e *= 2.0
@@ -178,17 +180,23 @@ def prime_sum(n: int, phihat, k_max: int) -> float:
     return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
 
 
-def _phihat_cutoff(phi: TestFunction, scale: float, tol: float = 1e-14) -> int:
-    """Largest integer k with |phihat(log k / 2pi)| above tol, where
-    phihat(x) = (pi/scale) fhat(pi x/scale) and scale > 0."""
+def _scaled(phi: TestFunction, s: float):
+    """(phihat, x_end, k_max) for phi(t) = f(t s/pi): phihat(x) =
+    (pi/s) fhat(pi x/s), arch_term's edge x_end and the prime cutoff
+    k_max = floor(e^(2pi x_max)), with x_max the support edge or where the
+    gaussian falls to 1e-14.  ConvergenceError, tested on the exponent
+    before exp, when k_max would pass field.PRIME_TABLE_CAP."""
+    phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
     if phi.support is not None:
-        x_max = phi.support * scale / fpi
-        return int(np.floor(exp(2.0 * fpi * x_max))) if x_max * 2 * fpi < 60 else 10**9
-    # gaussian: phihat(x) ~ exp(-(pi W x)^2) with W = pi w/scale
-    w = phi.param
-    W = fpi * w / scale
-    x_max = fsqrt(max(0.0, -log(tol / (w * fsqrt(fpi))))) / (fpi * W)
-    return int(np.floor(exp(2.0 * fpi * x_max)))
+        x_max = phi.support * (s / fpi)
+    else:  # gaussian: phihat(x) ~ exp(-(pi W x)^2) with W = pi w/s
+        w = phi.param
+        x_max = fsqrt(max(0.0, -log(1e-14 / (w * fsqrt(fpi))))) / (fpi * (fpi * w / s))
+    if not 2.0 * fpi * x_max < log(field.PRIME_TABLE_CAP + 1):
+        raise ConvergenceError(f"prime sum cutoff e^{2 * fpi * x_max:.4g} too large for test function {phi.describe()}")
+    k_max = int(exp(2.0 * fpi * x_max))
+    x_end = x_max if phi.support is not None else log(max(k_max, 3)) / (2.0 * fpi) * 1.5 + 0.5
+    return phihat, x_end, k_max
 
 
 def explicit_formula_sum(
@@ -201,19 +209,10 @@ def explicit_formula_sum(
     phi(t) = f(t s/pi): s = log N matches the scaled zero statistic, and
     scale = 0 means s = pi, the test function itself (phi = f).
 
-    Equals arch_term - prime_sum with phihat(x) = (pi/s) fhat(pi x/s).
+    Equals arch_term - prime_sum with phihat(x) = (pi/s) fhat(pi x/s),
+    summed over p^r with |phihat(log p^r/2pi)| > 1e-14 (see _scaled).
     """
-    s = float(scale) or fpi
-    phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
-    k_max = _phihat_cutoff(phi, s)
-    if k_max > field.PRIME_TABLE_CAP:
-        raise ConvergenceError(
-            f"prime sum cutoff {k_max} too large for test function {phi.describe()}"
-        )
-    if phi.support is not None:
-        x_end = phi.support * (s / fpi)
-    else:
-        x_end = log(max(k_max, 3)) / (2.0 * fpi) * 1.5 + 0.5
+    phihat, x_end, k_max = _scaled(phi, float(scale) or fpi)
     return arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
 
 
@@ -233,15 +232,13 @@ def zero_side_sum(n: int, phi: TestFunction, T: float, scale: float = 0.0) -> fl
 def rmt_prediction(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX):
     """int f(y)(1 + sin(2pi y)/(2pi y)) dy = fhat(0) + (1/2)int_{-1}^{1} fhat.
 
-    Exact rational for the Fejer kernel (1/alpha + 1/2 when alpha <= 1),
+    Exact rational 1/a + (m/a)(1 - m/(2a)), m = min(a, 1), for Fejer(a),
     closed form w sqrt(pi) + erf(pi w)/2 for the gaussian.
     """
     if f.kind == "fejer":
         a = Fraction(f.param).limit_denominator(10**6)
-        if a <= 1:
-            return Fraction(1, 1) / a + Fraction(1, 2)
-        # (1/2) int_{-1}^{1} (1-|x|/a)/a dx = (1/a)(1 - 1/(2a))
-        return 1 / a + (1 / a) * (1 - 1 / (2 * a))
+        m = min(a, 1)  # (1/2) int_{-m}^{m} (1-|x|/a)/a dx = (m/a)(1 - m/(2a))
+        return 1 / a + (m / a) * (1 - m / (2 * a))
     if f.kind != "gaussian":
         raise ValueError(f"no closed form for the {f.kind} test function")
     with mp.workdps(ctx.working_dps):
@@ -281,6 +278,7 @@ def empirical_one_level(
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     s = log(N)
+    phihat, x_end, k_max = _scaled(f, s)
     emp_total = 0.0
     mass_bound = 0.0
     ef_total = 0.0
@@ -290,7 +288,7 @@ def empirical_one_level(
         t_min = min(t_min, t_n)
         emp_total += zero_side_sum(n, f, t_n, scale=s)
         mass_bound += _tail_mass_bound(n, f, t_n, s)
-        ef_total += explicit_formula_sum(n, f, ctx, scale=s)
+        ef_total += arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
     empirical = emp_total / N
     mass_bound /= N
     explicit = ef_total / N
@@ -317,7 +315,7 @@ def _tail_mass_bound(n: int, f: TestFunction, T: float, s: float) -> float:
         # envelope exp(-(Ts/(pi w))^2) decays fast; crude integral bound
         u = T * s / (fpi * w)
         return 2.0 * dens * fpi * w / s * fsqrt(fpi) / 2 * exp(-u * u)
-    a = f.support or 1.0
+    a = f.support
     # f(t s/pi) <= 1/(a s t)^2, so the tail is <= 2 int_T dens/(a s t)^2 dt
     return 2.0 * dens / ((a * s) ** 2 * T)
 

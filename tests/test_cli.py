@@ -259,6 +259,7 @@ def test_exit_codes(capsys):
     assert cli.main(["zeros", "--n", "1", "--T", "100"]) == 2
     assert cli.main(["central", "--n", "5001"]) == 4
     assert cli.main(["ratios", "--n", "1"]) == 2
+    assert cli.main(["ratios", "--n", "1", "--t", "0.5", "--t-max", "0.4", "--steps", "2"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t", "2e5"]) == 3  # ConvergenceError
     assert cli.main(["central", "--n", "3", "--threads", "0"]) == 2
     assert cli.main(["density", "--N", "1"]) == 2
@@ -270,10 +271,16 @@ def test_exit_codes(capsys):
     assert cli.main(["density", "--N", "24", "--T", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "-1"]) == 2
-    # nan is a usage error
+    capsys.readouterr()
+    assert cli.main(["density", "--N", "10", "--testfn", "gaussian", "--width", "1e-5"]) == 3
+    assert capsys.readouterr().err.startswith("convergence error: prime sum cutoff")
+    # nan, inf and a Fejer support below 1e-6 are usage errors
     for argv in (
         ["density", "--N", "10", "--alpha", "nan"],
         ["density", "--N", "10", "--testfn", "gaussian", "--width", "nan"],
+        ["density", "--N", "10", "--alpha", "inf"],
+        ["density", "--N", "10", "--testfn", "gaussian", "--width", "inf"],
+        ["density", "--N", "10", "--alpha", "1e-300"],
         ["density", "--N", "10", "--T", "nan"],
         ["zeros", "--n", "1", "--T", "nan"],
         ["ratios", "--n", "1", "--t", "nan"],

@@ -48,11 +48,16 @@ def test_testfn_construction():
     assert abs(density.fejer(1.0).f(1e-10) - 1.0) < 1e-12
     arr = density.fejer(1.0).f(np.array([0.0, 0.5, 1.0]))
     assert arr.shape == (3,) and arr[0] == 1.0 and abs(arr[2]) < 1e-30
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="support alpha must be positive"):
             density.fejer(bad)
         with pytest.raises(ValueError, match="width must be positive"):
             density.gaussian(bad)
+    # below 5e-7 rmt_prediction's rational alpha rounds to 0
+    for tiny in (9.9e-7, 4e-7, 1e-200, 1e-300):
+        with pytest.raises(ValueError, match="support alpha must be positive, finite and at least 1e-6"):
+            density.fejer(tiny)
+    assert density.rmt_prediction(density.fejer(1e-6)) == 10**6 + Fraction(1, 2)
 
 
 def test_rmt_prediction_closed_forms():
@@ -164,8 +169,11 @@ def test_arch_term_fejer_against_tanh_sinh():
     # the float64 Gauss-Legendre sum against the mpmath route to infinity
     # at the one-level density's own scaling, log N, across the family;
     # Fejer(1/2) at N = 10 has the shortest support, so n = 1's tail past
-    # x_end is heaviest there (5.7e-10 beyond x_end + 3)
-    for alpha, N in ((1.0, 96), (0.5, 10)):
+    # x_end is heaviest there (5.7e-10 beyond x_end + 3).  Below
+    # x_end = 1/(2pi) the first tail panel is graded to x_end, its distance
+    # from the pole; values there reach 830, so the bound allows 1e-15
+    # relative where that exceeds 1e-13
+    for alpha, N in ((1.0, 96), (0.5, 10), (0.2, 2), (0.1, 2), (0.05, 2), (0.01, 2), (0.1, 10)):
         f = density.fejer(alpha)
         s = math.log(N)
         phihat = lambda x: (math.pi / s) * f.fhat(math.pi * x / s)
@@ -173,7 +181,7 @@ def test_arch_term_fejer_against_tanh_sinh():
         for n in (1, 48, 96):
             got = density.arch_term(n, phihat, x_end, CTX)
             want = _arch_term_tanh_sinh(n, phihat, x_end, CTX)
-            assert abs(got - want) < 1e-13, (alpha, N, n, got - want)
+            assert abs(got - want) < max(1e-13, 1e-15 * abs(want)), (alpha, N, n, got - want)
 
 
 @pytest.mark.parametrize("N", [10, 20, 30])
@@ -249,16 +257,25 @@ def test_empirical_T_checked_before_scanning(monkeypatch):
         raise AssertionError("a member was scanned")
 
     monkeypatch.setattr(density, "zero_side_sum", no_scan)
+    monkeypatch.setattr(density, "get_engine", no_scan)
     with pytest.raises(ValueError, match="T=60.0 beyond desk-scale cap 50.0"):
         density.empirical_one_level(25, density.fejer(1.0), T=60.0)
     for T in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="T must be positive"):
             density.empirical_one_level(24, density.fejer(1.0), T=T)
+    # a prime-sum cutoff past the prime table's cap is refused before any
+    # member's engine is built
+    for f in (density.fejer(6.0), density.gaussian(1e-5)):
+        with pytest.raises(ConvergenceError, match="prime sum cutoff"):
+            density.empirical_one_level(100, f)
 
 
 def test_explicit_formula_cutoff_guard():
-    with pytest.raises(ConvergenceError):
-        density.explicit_formula_sum(1, density.fejer(6.0), CTX)
+    # one guard on the exponent for both kinds: the gaussian's cutoff
+    # e^(9.2e5) must be refused before exp overflows
+    for f in (density.fejer(6.0), density.gaussian(1e-5)):
+        with pytest.raises(ConvergenceError, match="prime sum cutoff"):
+            density.explicit_formula_sum(1, f, CTX)
 
 
 def test_empirical_report_fejer_n20():
