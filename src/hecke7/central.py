@@ -20,8 +20,11 @@ c = 2n - 1 and Q = 7/(2pi), it is the smoothed approximate functional
 equation (Rubinstein 2005): Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t).
 Zero scans run on a float64 engine that factorizes the t-dependence of
 the theta integral into one cosine dot product over precomputed,
-log-rescaled quadrature data; the mpmath route shares no quadrature
-code with it.
+log-rescaled quadrature data.  Its nodes sit on geometric panels with
+one rule per panel, so each phase t log y splits into a panel phase and
+an in-panel phase, and a Z value costs 2 (P + d) sines and cosines for
+P panels of degree d, not P d cosines.  The mpmath route shares no
+quadrature code with it.
 """
 
 from __future__ import annotations
@@ -210,10 +213,10 @@ def _panel_rule(edges, degree: int):
 _BLOCK = 256  # nodes per (node x coefficient) block of the build
 
 
-def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadrature data (L, G, lgnorm) of member n's engine (see ZEngine)
-    under the degree-point Gauss-Legendre rule on panels of the given
-    width in log y."""
+def _assembler(n: int, width: float):
+    """Member n's theta coefficients, truncation M, endpoint Y and panel
+    edges 1, e^width, e^(2 width), ..., computed once; returns the map
+    degree -> (u, l, G, lgnorm) of _assemble on those panels."""
     a = 2.0 * n - 1.5
     drop = 44.0  # ~19 digits of headroom in the truncations
     M = _theta_m_cutoff(a, 1.0, drop)
@@ -222,54 +225,82 @@ def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray
     cs = coeff[ms]
     lm = np.log(ms.astype(float))
     Y = _integral_Y(a, drop)
-    edges = [1.0]  # 1, e^width, e^(2 width), ..., up to the first one >= Y
+    edges = [1.0]  # up to the first one >= Y
     while edges[-1] < Y:
         edges.append(edges[-1] * exp(width))
-    ys, ws = _panel_rule(edges, degree)
-    # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
-    # factored out, in blocks of nodes to bound the (node x m) matrix
-    tj = np.empty_like(ys)
-    phis = np.empty_like(ys)
-    for b in range(0, len(ys), _BLOCK):
-        yb = ys[b : b + _BLOCK]
-        expo = a * lm - (BETA * yb)[:, None] * ms
-        tj[b : b + _BLOCK] = tb = expo.max(axis=1)
-        phis[b : b + _BLOCK] = np.exp(expo - tb[:, None]) @ cs
-    Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
-    Estar = float(Es.max())
-    return np.log(ys), phis * np.exp(Es - Estar), Estar - (a + 0.5) * LOG_Q
+    u = np.log(edges[:-1])
+
+    def assemble(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        ys, ws = _panel_rule(edges, degree)
+        # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
+        # factored out, in blocks of nodes to bound the (node x m) matrix
+        tj = np.empty_like(ys)
+        phis = np.empty_like(ys)
+        for b in range(0, len(ys), _BLOCK):
+            yb = ys[b : b + _BLOCK]
+            expo = a * lm - (BETA * yb)[:, None] * ms
+            tj[b : b + _BLOCK] = tb = expo.max(axis=1)
+            phis[b : b + _BLOCK] = np.exp(expo - tb[:, None]) @ cs
+        Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
+        Estar = float(Es.max())
+        G = (phis * np.exp(Es - Estar)).reshape(len(u), degree)
+        return u, np.log(ys[:degree]), G, Estar - (a + 0.5) * LOG_Q
+
+    return assemble
 
 
-def _z_values(a: float, L: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
-    """Z at the points ts from the quadrature data (L, G, lgnorm)."""
-    dots = 2.0 * (np.cos(np.outer(ts, L)) @ G)
+def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Quadrature data (u, l, G, lgnorm) of member n's engine (see ZEngine)
+    under the degree-point Gauss-Legendre rule on panels of the given
+    width in log y.  Node k of panel p is y = e^(u_p) c_k to a few ulps,
+    with u_p the log of the panel's left edge and c_k the nodes of the
+    first panel [1, e^width]: l_k = log c_k, and G[p, k] is the node's
+    rescaled weight, bit for bit the value at _panel_rule's node."""
+    return _assembler(n, width)(degree)
+
+
+def _z_values(a: float, u: np.ndarray, l: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
+    """Z at the points ts from the quadrature data (u, l, G, lgnorm), with
+    cos(t (u_p + l_k)) split into panel phase x in-panel phase (see ZEngine)."""
+    tu, tl = np.outer(ts, u), np.outer(ts, l)
+    dots = (np.cos(tl) * (np.cos(tu) @ G)).sum(axis=1) - (np.sin(tl) * (np.sin(tu) @ G)).sum(axis=1)
     lg = loggamma_f64(a + 0.5, ts).real
-    return dots * np.exp(lgnorm - lg)
+    return 2.0 * dots * np.exp(lgnorm - lg)
 
 
 class ZEngine:
     """Fast Hardy-Z evaluator for the family member chi^(4n-3).
 
     Precomputes log-rescaled Gauss-Legendre data on [1, Y] so each
-    evaluation is a cosine dot product:
+    evaluation is a cosine dot product over the nodes y_j:
 
-        Z(t) = 2 [sum_j G_j cos(t L_j)] * exp(E* - (a+1/2) ln Q
-                                              - Re log Gamma(a+1/2+it)).
+        Z(t) = 2 [sum_j G_j cos(t log y_j)] * exp(E* - (a+1/2) ln Q
+                                                  - Re log Gamma(a+1/2+it)).
 
     The panels have one width in log y, PANEL_WIDTH = 16/(1 + T_CAP),
     about 2.5 periods of cos(T_CAP ln y), so one engine serves every scan
-    height of its member.  The rule's degree per panel is chosen when the
-    engine is built: the data at degree d and at 2d are assembled on the
-    same panels and evaluated at 16 probe points of (0, t_reliable(n)/2];
-    the first d of 24, 48, 96 whose two rules agree within PROBE_TOL
-    relative to max(1, |Z|) is kept (`degree`), otherwise
-    ConvergenceError.  Degree 24 passes for every member n <= 100 (43,008
-    nodes over them, about 10 per period of cos(T_CAP ln y)), and degree 48 for
-    six of the members 101 <= n <= 200.  The probes stop at
-    t_reliable(n)/2 because nearer the ceiling any two rules differ by
-    float64 noise of up to about 1e-5.  Reliable while the Gamma-modulus
-    suppression stays above the float64 cancellation floor; the engine
-    keeps that ceiling, t_reliable(n), as its float `t_reliable`.
+    height of its member.  They are geometric and carry the same rule, so
+    node k of panel p has log y = u_p + l_k (see _assemble), and with G
+    as a (panels x degree) array
+
+        sum_j G_j cos(t log y_j) = sum_k [cos(t l_k) (cos(t u) @ G)_k
+                                          - sin(t l_k) (sin(t u) @ G)_k]:
+
+    2 (P + d) sines and cosines per Z value for P panels of degree d, in
+    place of P d cosines (8,032 against 41,088 nodes over n <= 96).
+
+    The rule's degree per panel is chosen when the engine is built: the
+    data at degree d and at 2d are assembled on the same panels and
+    evaluated at 16 probe points of (0, t_reliable(n)/2]; the first d of
+    24, 48, 96 whose two rules agree within PROBE_TOL relative to
+    max(1, |Z|) is kept (`degree`), otherwise ConvergenceError.  Degree
+    24 passes for every member n <= 100 (43,008 nodes over them, about
+    10 per period of cos(T_CAP ln y)), and degree 48 for six of the
+    members 101 <= n <= 200.  The probes stop at t_reliable(n)/2 because
+    nearer the ceiling any two rules differ by float64 noise of up to
+    about 1e-5.  Reliable while the Gamma-modulus suppression stays above
+    the float64 cancellation floor; the engine keeps that ceiling,
+    t_reliable(n), as its float `t_reliable`.
     """
 
     PANEL_WIDTH = 16.0 / (1.0 + T_CAP)  # in log y; 0.314 at T_CAP = 50
@@ -282,9 +313,10 @@ class ZEngine:
         self.a = 2.0 * n - 1.5
         self.t_reliable = t_reliable(n)
         probe = np.linspace(0.0, 0.5 * self.t_reliable, 17)[1:]
-        data = _assemble(n, self.DEGREES[0], self.PANEL_WIDTH)
+        assemble = _assembler(n, self.PANEL_WIDTH)
+        data = assemble(self.DEGREES[0])
         for degree in self.DEGREES:
-            finer = _assemble(n, 2 * degree, self.PANEL_WIDTH)
+            finer = assemble(2 * degree)
             z, zf = (_z_values(self.a, *rule, probe) for rule in (data, finer))
             gap = float(np.max(np.abs(z - zf) / np.maximum(1.0, np.abs(zf))))
             if gap <= self.PROBE_TOL:
@@ -295,12 +327,12 @@ class ZEngine:
                 f"ZEngine n={n}: Gauss-Legendre degrees {degree} and {2 * degree} differ by {gap:.1e}"
             )
         self.degree = degree
-        self.L, self.G, self.lgnorm = data
-        for arr in (self.L, self.G):
+        self.u, self.l, self.G, self.lgnorm = data
+        for arr in (self.u, self.l, self.G):
             arr.setflags(write=False)  # get_engine shares one engine per member
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
-        return _z_values(self.a, self.L, self.G, self.lgnorm, ts)
+        return _z_values(self.a, self.u, self.l, self.G, self.lgnorm, ts)
 
 
 def t_reliable(n: int) -> float:

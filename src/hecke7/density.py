@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import ceil, exp, factorial, inf, isnan, log, pi as fpi, sqrt as fsqrt
+from sys import float_info
 
 import numpy as np
 import mpmath
@@ -59,8 +60,11 @@ class TestFunction:
 def fejer(alpha: float = 1.0) -> TestFunction:
     """f(y) = (sin(pi alpha y)/(pi alpha y))^2 >= 0 with triangular
     fhat(x) = (1 - |x|/alpha)/alpha on [-alpha, alpha]; both take scalars
-    or arrays.  Needs 1e-6 <= alpha < inf: rmt_prediction's rational alpha
-    (denominator <= 10^6) is 0 below 5e-7, the first arithmetic to fail."""
+    or arrays.  Needs 1e-6 <= alpha < inf.  rmt_prediction is exact for
+    every positive float, so the floor is an entry bound far above the
+    first float64 failure (arch_term overflows near alpha = 1e-154 at
+    N = 2); arch_term's absolute order check already refuses alpha = 1e-4
+    at N = 2 and 1e-5 at N = 200."""
     if not 1e-6 <= alpha < inf:  # also refuses nan
         raise ValueError(f"support alpha must be positive, finite and at least 1e-6, got {alpha}")
     a = float(alpha)
@@ -75,12 +79,21 @@ def fejer(alpha: float = 1.0) -> TestFunction:
     return TestFunction(kind="fejer", f=f, fhat=fhat, support=a, param=a)
 
 
+# The widest gaussian whose float64 arithmetic stays finite in every run
+# empirical_one_level accepts: fhat(0) = w sqrt(pi), and _tail_mass_bound's
+# largest intermediate 2 log(1.1141 (2n + T + 5)) w sqrt(pi)/log N, which
+# peaks at N = n = 2 and T = T_CAP.
+GAUSSIAN_W_MAX = float_info.max / (fsqrt(fpi) * max(1.0, 2.0 * log(1.1141 * (4 + T_CAP + 5)) / log(2.0)))
+
+
 def gaussian(width: float = 2.0) -> TestFunction:
     """f(y) = exp(-(y/w)^2), fhat(x) = w sqrt(pi) exp(-(pi w x)^2); both
-    take scalars or arrays.  A narrow width has a wide fhat, refused once
-    its prime-sum cutoff passes field.PRIME_TABLE_CAP (see _scaled)."""
-    if not 0 < width < inf:  # also refuses nan
-        raise ValueError("width must be positive and finite")
+    take scalars or arrays.  Needs 0 < width <= GAUSSIAN_W_MAX (8.4e306),
+    past which fhat(0) or the tail-mass bound overflows.  A narrow width
+    has a wide fhat, refused once its prime-sum cutoff passes
+    field.PRIME_TABLE_CAP (see _scaled)."""
+    if not 0 < width <= GAUSSIAN_W_MAX:  # also refuses nan
+        raise ValueError(f"width must be positive and at most {GAUSSIAN_W_MAX:.3g}, got {width}")
     w = float(width)
 
     def f(y):
@@ -232,11 +245,12 @@ def zero_side_sum(n: int, phi: TestFunction, T: float, scale: float = 0.0) -> fl
 def rmt_prediction(f: TestFunction, ctx: PrecisionContext = DEFAULT_CTX):
     """int f(y)(1 + sin(2pi y)/(2pi y)) dy = fhat(0) + (1/2)int_{-1}^{1} fhat.
 
-    Exact rational 1/a + (m/a)(1 - m/(2a)), m = min(a, 1), for Fejer(a),
+    Exact rational 1/a + (m/a)(1 - m/(2a)), m = min(a, 1), for Fejer(a)
+    with a the exact value of its float support,
     closed form w sqrt(pi) + erf(pi w)/2 for the gaussian.
     """
     if f.kind == "fejer":
-        a = Fraction(f.param).limit_denominator(10**6)
+        a = Fraction(f.param)
         m = min(a, 1)  # (1/2) int_{-m}^{m} (1-|x|/a)/a dx = (m/a)(1 - m/(2a))
         return 1 / a + (m / a) * (1 - m / (2 * a))
     if f.kind != "gaussian":

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from scipy.special import loggamma as c_loggamma
 
 from hecke7 import central, moments, vz
-from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, loggamma_f64
 
 CTX20 = PrecisionContext(20)
 CTX25 = PrecisionContext(25)
@@ -122,10 +122,55 @@ def test_one_engine_per_member(monkeypatch):
 
 def test_shared_engine_read_only():
     engine = central.get_engine(1)
-    with pytest.raises(ValueError):
-        engine.G[0] = 0.0
-    with pytest.raises(ValueError):
-        engine.L[0] = 0.0
+    for arr in (engine.u, engine.l, engine.G):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _engine_edges(n):
+    """Panel edges 1, e^w, e^(2w), ... of member n's engine, up to the
+    first one past the theta integral's endpoint Y."""
+    Y = central._integral_Y(2.0 * n - 1.5, 44.0)
+    edges = [1.0]
+    while edges[-1] < Y:
+        edges.append(edges[-1] * math.exp(central.ZEngine.PANEL_WIDTH))
+    return edges
+
+
+@pytest.mark.parametrize("n", [1, 24, 96, 200])
+def test_engine_nodes_factor_by_panel(n):
+    # node k of panel p is e^(u_p) c_k: the identity that lets the engine
+    # split each phase t log y into t u_p + t l_k
+    edges = _engine_edges(n)
+    for d in central.ZEngine.DEGREES:
+        u, l, G, _ = central._assemble(n, d, central.ZEngine.PANEL_WIDTH)
+        ys = central._panel_rule(edges, d)[0].reshape(len(edges) - 1, d)
+        assert G.shape == ys.shape
+        assert np.all(np.abs(np.exp(u)[:, None] * np.exp(l) - ys) <= 8 * np.spacing(ys)), d
+
+
+@pytest.mark.parametrize("n", [1, 10, 24, 45, 96, 150, 200])
+def test_engine_matches_direct_cosine_sum(n):
+    # z_many against Z = 2 sum_j G_j cos(t log y_j) exp(lgnorm - Re log
+    # Gamma(a + 1/2 + it)) summed node by node over _panel_rule's nodes.
+    # Float64 bound, with S = 2 sum |G_j| and amp the exp factor: per term
+    # at most 20 roundings of size eps max(1, t max log y) (the logs of the
+    # node, the edge and the first-panel node, up to 8 ulps between
+    # e^(u_p) c_k and y as above, the three products with t, four sines
+    # and cosines and their product), and the summations at most
+    # P d + P + d roundings of size eps S (the direct sum, the panel matmul
+    # and the in-panel sum).  Worst measured: 2.1 eps S amp max(1, t max
+    # log y), 0.6% of the bound.
+    engine = central.get_engine(n)
+    ts = np.linspace(0.0, min(central.T_CAP, engine.t_reliable), 2001)
+    ys = central._panel_rule(_engine_edges(n), engine.degree)[0]
+    logy, G = np.log(ys), engine.G.ravel()
+    amp = np.exp(engine.lgnorm - loggamma_f64(engine.a + 0.5, ts).real)
+    direct = 2.0 * (np.cos(np.outer(ts, logy)) @ G) * amp
+    P, d = engine.G.shape
+    eps = np.finfo(float).eps
+    bound = eps * 2.0 * np.sum(np.abs(G)) * amp * (20 * np.maximum(1.0, ts * logy.max()) + P * d + P + d)
+    assert np.all(np.abs(engine.z_many(ts) - direct) <= bound)
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 45, 96])
@@ -151,7 +196,7 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
         t_rel = central.t_reliable(n)
         T = min(central.T_CAP, t_rel)
         ref = copy.copy(central.get_engine(n))
-        ref.L, ref.G, ref.lgnorm = central._assemble(n, 32, 2.0 / (1.0 + central.T_CAP))
+        ref.u, ref.l, ref.G, ref.lgnorm = central._assemble(n, 32, 2.0 / (1.0 + central.T_CAP))
         got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
         monkeypatch.setattr(central, "get_engine", lambda m: ref)
         want = np.array(central.zeros_up_to(n, T).gammas)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -274,12 +275,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["density", "--N", "10", "--testfn", "gaussian", "--width", "1e-5"]) == 3
     assert capsys.readouterr().err.startswith("convergence error: prime sum cutoff")
-    # nan, inf and a Fejer support below 1e-6 are usage errors
+    # nan, inf, a Fejer support below 1e-6 and a gaussian width past
+    # density.GAUSSIAN_W_MAX are usage errors
     for argv in (
         ["density", "--N", "10", "--alpha", "nan"],
         ["density", "--N", "10", "--testfn", "gaussian", "--width", "nan"],
         ["density", "--N", "10", "--alpha", "inf"],
         ["density", "--N", "10", "--testfn", "gaussian", "--width", "inf"],
+        ["density", "--N", "10", "--testfn", "gaussian", "--width", "1e308"],
         ["density", "--N", "10", "--alpha", "1e-300"],
         ["density", "--N", "10", "--T", "nan"],
         ["zeros", "--n", "1", "--T", "nan"],
@@ -287,7 +290,9 @@ def test_exit_codes(capsys):
         ["ratios", "--n", "1", "--t-max", "nan", "--steps", "3"],
     ):
         capsys.readouterr()
-        assert cli.main(argv) == 2, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any float64 overflow
+            assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage error:"), argv
 
 

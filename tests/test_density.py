@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from sys import float_info
 
 import mpmath
 import numpy as np
@@ -53,17 +54,27 @@ def test_testfn_construction():
             density.fejer(bad)
         with pytest.raises(ValueError, match="width must be positive"):
             density.gaussian(bad)
-    # below 5e-7 rmt_prediction's rational alpha rounds to 0
     for tiny in (9.9e-7, 4e-7, 1e-200, 1e-300):
         with pytest.raises(ValueError, match="support alpha must be positive, finite and at least 1e-6"):
             density.fejer(tiny)
-    assert density.rmt_prediction(density.fejer(1e-6)) == 10**6 + Fraction(1, 2)
+    assert density.rmt_prediction(density.fejer(1e-6)) == 1 / Fraction(1e-6) + Fraction(1, 2)
+    # past GAUSSIAN_W_MAX fhat(0) = w sqrt(pi) or the tail-mass bound overflows
+    for wide in (1e307, 1e308, float_info.max):
+        with pytest.raises(ValueError, match="width must be positive"):
+            density.gaussian(wide)
+    g = density.gaussian(density.GAUSSIAN_W_MAX)
+    assert math.isfinite(g.fhat(0.0))
+    for N in range(2, 201):
+        for n in (1, 2, N):
+            assert math.isfinite(density._tail_mass_bound(n, g, density.T_CAP, math.log(N))), (N, n)
 
 
 def test_rmt_prediction_closed_forms():
     assert density.rmt_prediction(density.fejer(1.0)) == Fraction(3, 2)
     assert density.rmt_prediction(density.fejer(0.5)) == Fraction(5, 2)
     assert density.rmt_prediction(density.fejer(2.0)) == Fraction(7, 8)
+    # exact for the float support: 1/alpha + 1/2 at alpha = 1/sqrt(2)
+    assert float(density.rmt_prediction(density.fejer(1 / math.sqrt(2)))) == 1.9142135623730951
     with mp.workdps(30):
         want = 2 * mp.sqrt(mp.pi) + mpmath.erf(2 * mp.pi) / 2
         assert abs(density.rmt_prediction(density.gaussian(2.0), CTX) - want) < 1e-20
