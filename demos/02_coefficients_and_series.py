@@ -40,6 +40,7 @@ for n in (1, 5, 9):
     ec = vz.central_value_exact(n, ctx)
     print(f"n={n}: |series - exact| =", mp.nstr(abs(cv.value - ec.L), 3))
 
-# Q(n, x) itself: mpmath's regularized gammainc at the context precision.
+# Q(n, x) itself: the finite Poisson sum e^(-x) sum_{k<n} x^k/k!, summed
+# in fixed point at the context precision.
 print("\nQ(5, 2.5) =", mp.nstr(reg_gamma_Q(5, 2.5, ctx), 25))
 print("Q(5, 0)   =", reg_gamma_Q(5, 0, ctx), "(exactly 1 at x = 0)")

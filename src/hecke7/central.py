@@ -18,7 +18,9 @@ At t = 0 it is the central-value series
 a(m) the normalized coefficients.  On the critical line, with
 c = 2n - 1 and Q = 7/(2pi), it is the smoothed approximate functional
 equation (Rubinstein 2005): Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t).
-Zero scans run on a float64 engine that factorizes the t-dependence of
+Its terms x^(-s) Gamma(s, x) come from specfun's fixed-point kernel:
+the finite Poisson sum at t = 0, the lower series or Legendre's
+continued fraction on the critical line.  Zero scans run on a float64 engine that factorizes the t-dependence of
 the theta integral into one cosine dot product over precomputed,
 log-rescaled quadrature data.  Its nodes sit on geometric panels with
 one rule per panel, so each phase t log y splits into a panel phase and
@@ -37,7 +39,6 @@ from math import ceil, lgamma, log, exp, pi as fpi
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import NoConvergence
 
 from . import field
 from .specfun import (
@@ -46,6 +47,7 @@ from .specfun import (
     ComputeCapError,
     ConvergenceError,
     loggamma_f64,
+    _upper_gamma_scaled,
 )
 
 BETA = 2.0 * fpi / 7.0  # 2pi/7, the exponential rate of the theta series
@@ -128,22 +130,15 @@ def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> Central
 
 def _gamma_sum(c: int, t, M: int, wp: int):
     """S(c, t) = sum_{m<=M} chi^(2c-1)(m) x_m^(-s) Gamma(s, x_m) with
-    s = c + it and x_m = 2pi m/7, by mpmath's gammainc at wp digits;
-    real (an mpf) at t = 0."""
+    s = c + it and x_m = 2pi m/7, at wp digits, by specfun's fixed-point
+    kernel for x^(-s) Gamma(s, x); real (an mpf) at t = 0, where that is
+    the finite Poisson sum."""
     table = field.coeff_table(2 * c - 1, M)
     with mp.workdps(wp):
-        s = mpc(c, t) if t else mpf(c)
         beta = 2 * mp.pi / 7
-        acc = mpf(0)
-        try:
-            for m in range(1, M + 1):
-                e = table.exact[m]
-                if e:
-                    x = beta * m
-                    acc += e * x ** (-s) * mpmath.gammainc(s, x)
-        except NoConvergence as exc:  # pragma: no cover
-            raise ConvergenceError(f"incomplete gamma at order {s} failed: {exc}") from exc
-        return acc
+        ms = [m for m in range(1, M + 1) if table.exact[m]]
+        terms = _upper_gamma_scaled(c, t, [beta * m for m in ms])
+        return mpmath.fsum(table.exact[m] * w for m, w in zip(ms, terms))
 
 
 def gamma_factor_X(k: int, s, ctx: PrecisionContext = DEFAULT_CTX):

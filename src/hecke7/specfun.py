@@ -2,10 +2,17 @@
 
 Arbitrary precision: these take a PrecisionContext (decimal digits +
 guard digits) and return mpmath values rounded at the requested
-precision.  The pieces are mpmath's: the regularized incomplete gamma
-Q(n,x) is its gammainc, and erfc, digamma, Hurwitz zeta and Gamma use
-its Euler-Maclaurin / asymptotic-series methods.  This module fixes
-their working precision and the lab's conventions around them.
+precision.  erfc, digamma, Hurwitz zeta and Gamma are mpmath's
+Euler-Maclaurin / asymptotic-series methods; this module fixes their
+working precision and the lab's conventions around them.  The incomplete
+gamma is one fixed-point kernel, _upper_gamma_scaled(c, t, xs) =
+x^(-s) Gamma(s, x) for s = c + it, which sums Python ints at the working
+precision plus guard bits:
+  * at integer order (t = 0), the finite Poisson sum
+    e^(-x) sum_{k<c} x^k/k!, summed outward from its largest term;
+    reg_gamma_Q(n, x) rescales it to Q(n, x);
+  * at complex order, the terms of the Hardy-Z series: Gamma(s) less the
+    lower series below a switch, Legendre's continued fraction above it.
 
 Float64, in plain numpy, for the float64 stages (zero engine, one-level
 density, ratios integrand, central-value sweep):
@@ -27,7 +34,8 @@ from math import ceil, log, pi as fpi, sqrt as fsqrt
 
 import mpmath
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 MAX_DIGITS = 100_000
 
@@ -82,15 +90,188 @@ def policy_digits(k: int, base: int = 64) -> int:
 
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n)
-    for a positive integer n and x >= 0, by mpmath's gammainc at
-    working precision plus 10 guard digits."""
+    for a positive integer n and x >= 0: the finite Poisson sum
+    e^(-x) sum_{k<n} x^k/k!, as x^n/(n-1)! times _upper_gamma_scaled at
+    t = 0, at working precision plus 10 guard digits."""
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
+    n = int(n)
     with mp.workdps(ctx.working_dps + 10):
         x = mpf(x)
         if x < 0:
             raise ValueError("x must be nonnegative")
-        return mpmath.gammainc(int(n), x, regularized=True)
+        if not x:
+            return mpf(1)
+        return x**n / mpmath.factorial(n - 1) * _upper_gamma_scaled(n, 0, [x])[0]
+
+
+# The incomplete-gamma kernel sums Python ints scaled by 2^p, p the
+# current mpmath precision plus guard bits.  Every loop stops on a bound
+# for what it leaves out and rounds by a few units of 2^-p per step; the
+# open-ended ones raise ConvergenceError after _KERNEL_STEPS steps, and
+# the finite Poisson sum has fewer than c.  So _GUARD_BITS + bit_length(c)
+# guard bits cover the rounding of every run.
+_KERNEL_STEPS = 1 << 16
+_GUARD_BITS = _KERNEL_STEPS.bit_length() + 3
+
+
+def _upper_gamma_scaled(c: int, t, xs) -> list:
+    """x^(-s) Gamma(s, x) for s = c + it (an integer c >= 1, real t) at
+    each mpf x > 0 of xs, at the current precision prec: to a few ulps at
+    t = 0, else within a few units of Gamma(c) x^(-c) 2^(-prec).
+
+    That absolute error is what a sum of such terms needs: |gamma(s, x)|
+    <= gamma(c, x) <= Gamma(c), and the cancellation down to |Gamma(s)|
+    is the caller's to pay for in prec.  Each regime is one loop over
+    fixed-point ints, outward from the largest term:
+
+      * t = 0, x >= c - 1: the finite Poisson sum e^(-x)/x
+        sum_{j<c} (c-1)!/(c-1-j)! x^(-j) (_poisson_down);
+      * t = 0, x < c - 1: (c-1)! x^(-c) less the upper Poisson tail
+        e^(-x)/c sum_j x^j c!/(c+j)! (_poisson_up);
+      * t != 0, x < |s + 1|: Gamma(s) x^(-s) - e^(-x) sum_k x^k/(s)_(k+1)
+        (DLMF 8.7.1, _lower_series), with Gamma(s) computed once per call;
+      * t != 0, x >= |s + 1|: e^(-x) times Legendre's continued fraction
+        (DLMF 8.9.2, _legendre_cf).
+
+    The switch |s + 1| is where every ratio x/|s + k| of the lower series
+    has modulus below 1.  Above it the continued fraction converges within
+    a few hundred steps at 200 bits; well below it its stopping test can
+    pass while it is still off by O(1) (at c = 191, x = 30 and 60).
+    """
+    guard = _GUARD_BITS + c.bit_length()
+    prec = mp.prec + guard
+    tol = 1 << (guard - 2)  # truncation: 2^(-2) ulp of the caller's precision
+    T = to_fixed(mpf(t)._mpf_, prec)
+    invs = []  # fixed-point 1/(s + k), k = 1, 2, ..., shared by every lower series
+    out = []
+    with mp.workprec(prec):
+        s = mpc(c, t)
+        gamma_c = mpmath.factorial(c - 1)
+        gamma_s = mpmath.gamma(s) if t else gamma_c
+        for x in xs:
+            X = to_fixed(x._mpf_, prec)
+            if not t:
+                if X >= (c - 1) << prec:
+                    out.append(mpmath.exp(-x) / x * mpf((_poisson_down(c, X, prec, tol), -prec)))
+                else:
+                    tail = mpf((_poisson_up(c, X, prec, tol), -prec))
+                    out.append(gamma_c / x**c - mpmath.exp(-x) / c * tail)
+            elif x < abs(s + 1):
+                xc = x**c
+                lead = xc * mpmath.exp(-x) / (gamma_c * s)  # e^(-x)/s in units of Gamma(c) x^(-c)
+                sr, si = _lower_series(T, X, lead, invs, c, prec, tol)
+                lower = gamma_c * mpc(mpf((sr, -prec)), mpf((si, -prec)))
+                out.append((x ** mpc(0, -t) * gamma_s - lower) / xc)
+            else:
+                hr, hi = _legendre_cf(c, T, X, prec, tol)
+                out.append(mpmath.exp(-x) * mpc(mpf((hr, -prec)), mpf((hi, -prec))))
+    return out
+
+
+def _poisson_down(c: int, X: int, prec: int, tol: int) -> int:
+    """sum_{j<c} (c-1)!/(c-1-j)! x^(-j) scaled by 2^prec, for x = X 2^-prec
+    >= c - 1: terms t_0 = 1 and t_(j+1) = t_j k/x with k = c-1-j, which
+    do not grow.  The terms left after t_j sum to at most t_j k/(x - k),
+    so the loop stops once k (t_j + tol) < tol floor(x), that bound below
+    tol units.  1/x is one division, to prec bits relative."""
+    xl = X >> prec
+    shift = prec + xl.bit_length() + 1
+    inv = (1 << (prec + shift)) // X  # 2^shift/x
+    term = total = 1 << prec
+    limit = tol * xl
+    for k in range(c - 1, 0, -1):
+        if term < limit and k * (term + tol) < limit:
+            break
+        term = term * k * inv >> shift
+        total += term
+    return total
+
+
+def _poisson_up(c: int, X: int, prec: int, tol: int) -> int:
+    """sum_{j>=0} x^j c!/(c+j)! scaled by 2^prec, for x = X 2^-prec
+    < c - 1: terms t_0 = 1 and t_j = t_(j-1) x/a with a = c + j, falling.
+    The terms left after t_j sum to at most t_j x/(a + 1 - x), so the
+    loop stops once ceil(x) (t_j + tol) < tol a, that bound below tol
+    units, with a = c + j + 1 the next divisor."""
+    xu = -(-X >> prec)
+    term = total = 1 << prec
+    for a in range(c + 1, c + _KERNEL_STEPS):
+        if term < tol * a and xu * (term + tol) < tol * a:
+            return total
+        term = (term * X >> prec) // a
+        total += term
+    raise ConvergenceError(f"Poisson tail at c = {c} exceeds {_KERNEL_STEPS} terms")
+
+
+def _lower_series(T: int, X: int, lead, invs: list, c: int, prec: int, tol: int) -> tuple[int, int]:
+    """sum_k v_k, v_0 = lead and v_k = v_(k-1) x/(s+k), in fixed point
+    at prec bits (x = X 2^-prec, t = T 2^-prec), with invs[k-1] = 1/(s+k)
+    kept and extended across calls.  The ratios have modulus x/|s+k| < 1,
+    falling in k, so the terms left after v_k sum to at most
+    |v_k| r/(1 - r) for the next ratio's modulus r; the loop stops once
+    that is below tol units, tested as (|v_k| + tol) r < tol with r at
+    most ceil(x)/|c + k + 1 + i floor(|t|)|.  A floored negative term
+    stays at -1, never 0, so the bound, not a zero term, ends the loop."""
+    vr, vi = to_fixed(mpmath.re(lead)._mpf_, prec), to_fixed(mpmath.im(lead)._mpf_, prec)
+    sr, si = vr, vi
+    xu = -(-X >> prec)  # ceil(x)
+    tl2 = (abs(T) >> prec) ** 2  # floor(|t|)^2
+    for k in range(_KERNEL_STEPS):
+        a = c + k + 1
+        bound = (abs(vr) + abs(vi) + tol) * xu
+        if bound * bound < tol * tol * (a * a + tl2):
+            return sr, si
+        if k == len(invs):
+            A = a << prec
+            den = A * A + T * T
+            invs.append(((A << 2 * prec) // den, -(T << 2 * prec) // den))
+        ir, ii = invs[k]
+        qr, qi = X * ir >> prec, X * ii >> prec  # x/(s + k + 1)
+        vr, vi = (vr * qr - vi * qi) >> prec, (vr * qi + vi * qr) >> prec
+        sr += vr
+        si += vi
+    raise ConvergenceError(f"lower incomplete gamma series at c = {c} exceeds {_KERNEL_STEPS} terms")
+
+
+def _cdiv(ar: int, ai: int, br: int, bi: int, prec: int) -> tuple[int, int]:
+    """a/b for complex fixed-point numbers scaled by 2^prec (floored)."""
+    den = br * br + bi * bi
+    return ((ar * br + ai * bi) << prec) // den, ((ai * br - ar * bi) << prec) // den
+
+
+def _legendre_cf(c: int, T: int, X: int, prec: int, tol: int) -> tuple[int, int]:
+    """1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) = e^x x^(-s) Gamma(s, x) with
+    b_i = x + 2i + 1 - s and a_i = -i(i - s), the even part of Legendre's
+    continued fraction, in fixed point at prec bits, by modified Lentz
+    from C_0 = inf.  D_i is kept as its reciprocal E_i = b_i + a_i/E_(i-1),
+    which like C_i = b_i + a_i/C_(i-1) stays of the size of b_i, so each
+    step rounds by a few units relative.  The value is h_0 = 1/b_0 times
+    the step factors d_i = C_i/E_i; the loop stops once the estimate
+    |d_i - 1| r/(1 - r) of the factors left, r the ratio of the last two
+    |d - 1|, is below tol units."""
+    one = 1 << prec
+    br, bi = X + (1 - c) * one, -T
+    er, ei = br, bi
+    hr, hi = _cdiv(one, 0, br, bi, prec)
+    cr = ci = prev = None
+    for i in range(1, _KERNEL_STEPS):
+        ar, ai = i * (c - i) * one, i * T
+        br += 2 * one
+        qr, qi = _cdiv(ar, ai, er, ei, prec)
+        er, ei = br + qr, bi + qi
+        if cr is None:  # C_1 = b_1 + a_1/C_0 with C_0 = inf
+            cr, ci = br, bi
+        else:
+            qr, qi = _cdiv(ar, ai, cr, ci, prec)
+            cr, ci = br + qr, bi + qi
+        dr, di = _cdiv(cr, ci, er, ei, prec)
+        hr, hi = (hr * dr - hi * di) >> prec, (hr * di + hi * dr) >> prec
+        eps = abs(dr - one) + abs(di)
+        if prev is not None and eps * eps <= tol * (prev - eps):
+            return hr, hi
+        prev = eps
+    raise ConvergenceError(f"Legendre continued fraction at c = {c} exceeds {_KERNEL_STEPS} steps")
 
 
 def erfc(y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:

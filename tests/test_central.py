@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 from scipy.special import loggamma as c_loggamma
 
-from hecke7 import central, moments, vz
+from hecke7 import central, field, moments, vz
 from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, loggamma_f64
 
 CTX20 = PrecisionContext(20)
@@ -79,6 +79,45 @@ def test_completed_lambda_ties_to_series_route():
             assert abs(mpmath.re(lam) - want) < mpf(10) ** -22, n_fam
     with pytest.raises(ValueError):
         central.completed_lambda(0, 1.0)
+
+
+def _hardy_Z_gammainc(n, t, dps):
+    """Z(t) = 2 Q^(-c) Re S(c, t)/|Gamma(c + it)|, c = 2n - 1, with the
+    terms of S by mpmath's gammainc, at dps digits plus the cancellation."""
+    c = 2 * n - 1
+    with mp.workdps(dps):
+        loss = int(mpmath.ceil((mpmath.loggamma(c) - mpmath.re(mpmath.loggamma(mpmath.mpc(c, t)))) / mpmath.log(10)))
+    wp = dps + loss + 12
+    M = central.series_truncation(c, wp)
+    table = field.coeff_table(2 * c - 1, M)
+    with mp.workdps(wp):
+        s, beta = mpmath.mpc(c, t), 2 * mp.pi / 7
+        S = mpmath.fsum(e * (beta * m) ** -s * mpmath.gammainc(s, beta * m) for m, e in table.exact.items() if e)
+        return 2 * (7 / (2 * mp.pi)) ** -c * mpmath.re(S) / abs(mpmath.gamma(s))
+
+
+@pytest.mark.parametrize("n, t", [(1, 0.3), (2, 49.9), (96, 17.7)])
+def test_hardy_Z_against_gammainc_series(n, t):
+    # the fixed-point kernel against the same series summed with mpmath's
+    # gammainc at 60 digits; n = 96 (c = 191) sums x up to 190 by the lower
+    # series, and at x = 30 and 60 the continued fraction is off by O(1)
+    ctx = PrecisionContext(15)
+    assert abs(central.hardy_Z(n, t, ctx) - _hardy_Z_gammainc(n, t, 60)) < mpf(10) ** -ctx.working_dps
+
+
+def test_runtime_never_calls_gammainc(monkeypatch):
+    # mpmath's gammainc is a test reference only: the series route, the
+    # mp Hardy Z and a fresh sweep's validation run specfun's kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.gammainc called")
+
+    monkeypatch.setattr(mpmath, "gammainc", refuse)
+    monkeypatch.setattr(mpmath.mp, "gammainc", refuse)
+    monkeypatch.setattr(moments, "_SWEEP", np.zeros(0))
+    central.central_value_series(101, PrecisionContext(30))
+    central.hardy_Z(2, 2.39)
+    central.completed_lambda(3, 0.67)
+    moments.sweep_central_values(50)
 
 
 @pytest.mark.parametrize("n", [1, 3, 24, 45, 96])

@@ -275,6 +275,12 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["density", "--N", "10", "--testfn", "gaussian", "--width", "1e-5"]) == 3
     assert capsys.readouterr().err.startswith("convergence error: prime sum cutoff")
+    # accepted, but its phihat overflows float64: arch_term's order check
+    # refuses the nan it gives, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["density", "--N", "10", "--testfn", "gaussian", "--width", "1e306"]) == 3
+    assert capsys.readouterr().err.startswith("convergence error: arch_term n=1:")
     # nan, inf, a Fejer support below 1e-6 and a gaussian width past
     # density.GAUSSIAN_W_MAX are usage errors
     for argv in (

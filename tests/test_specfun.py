@@ -1,4 +1,4 @@
-"""Incomplete gamma kernel, transition-region lemma, Dirichlet L, constants,
+"""Incomplete gamma kernels, transition-region lemma, Dirichlet L, constants,
 and the float64 log Gamma, psi and Q(c, x) kernels against scipy and mpmath."""
 
 from math import log
@@ -29,6 +29,7 @@ from hecke7.specfun import (
     tricomi_rhs,
     _STIRLERR,
     _stirling_sum,
+    _upper_gamma_scaled,
 )
 
 CTX30 = PrecisionContext(30)
@@ -72,14 +73,68 @@ def test_Q_boundary_and_base_cases():
 
 
 def test_Q_against_mpmath():
-    # independent evaluation route: for integer n, Q(n,x) is the finite
-    # sum e^(-x) sum_{i<n} x^i/i!, all terms positive (no cancellation)
+    # two references: the finite sum e^(-x) sum_{i<n} x^i/i! summed term
+    # by term in mpmath (all terms positive, no cancellation), and
+    # mpmath's gammainc, a route independent of the kernel's fixed point
     with mp.workdps(60):
         for n in (1, 2, 7, 40, 250):
             for x in (mpf("0.1"), mpf(n) / 2, mpf(n), 2 * mpf(n)):
-                want = mpmath.exp(-x) * mpmath.fsum(x**i / mpmath.factorial(i) for i in range(n))
                 got = reg_gamma_Q(n, x, CTX30)
-                assert abs(got - want) < mpf(10) ** -28, (n, x)
+                for want in (
+                    mpmath.exp(-x) * mpmath.fsum(x**i / mpmath.factorial(i) for i in range(n)),
+                    mpmath.gammainc(n, x, regularized=True),
+                ):
+                    assert abs(got - want) < mpf(10) ** -28, (n, x)
+
+
+# The incomplete-gamma kernel at KERNEL_DPS digits against mpmath's
+# gammainc at 20 digits more.  The bounds are 16 units of the kernel's
+# working precision 2^-prec: relative at integer order, and in units of
+# Gamma(c) x^(-c) at complex order (see _upper_gamma_scaled).
+KERNEL_DPS = 60
+
+
+def _gammainc_scaled(s, x):
+    """x^(-s) Gamma(s, x) by mpmath at KERNEL_DPS + 20 digits."""
+    with mp.workdps(KERNEL_DPS + 20):
+        return mpmath.gammainc(s, x) * mpmath.power(x, -s)
+
+
+def test_integer_order_kernel_against_gammainc():
+    # both runs of the Poisson sum (down from k = n-1 for x >= n-1, else 1
+    # less the tail up from k = n) at and beside the switch, at n/2 and
+    # 2n, and at the series' last x = beta M; n = 3999 is the sweep's top
+    with mp.workdps(KERNEL_DPS):
+        unit = mpf(2) ** (4 - mp.prec)
+        beta = 2 * mp.pi / 7
+        for n in (1, 2, 7, 40, 250, 937, 3999):
+            M = series_truncation(n, KERNEL_DPS)
+            xs = [x for x in (mpf(n) / 2, mpf(n - 1), mpf(n), mpf(n + 1), 2 * mpf(n), beta * M) if x > 0]
+            for x, got in zip(xs, _upper_gamma_scaled(n, 0, xs)):
+                assert abs(got - _gammainc_scaled(n, x)) <= unit * _gammainc_scaled(n, x), (n, x)
+                q = reg_gamma_Q(n, x, PrecisionContext(KERNEL_DPS - 10, guard=0))
+                with mp.workdps(KERNEL_DPS + 20):
+                    want = mpmath.gammainc(n, x, regularized=True)
+                assert abs(q - want) <= unit * want, (n, x)
+
+
+def test_complex_order_kernel_against_gammainc():
+    # x = beta m on both sides of the switch |s + 1| between the lower
+    # series and the continued fraction: next to it, at m = 1 and m/3,
+    # and 3 m past it.  The lower series' complex terms go negative, where
+    # >> floors to -1 and never reaches 0.  Below the switch at c = 191
+    # (x = 64 at m/3) the continued fraction's stopping test passes while
+    # it is still off by O(1), so a switch capped at x = 30 fails here
+    for c in (1, 3, 5, 47, 191):
+        for t in (0.3, 2.4, 9.7, 30.0, 50.0):
+            with mp.workdps(KERNEL_DPS):
+                unit = mpf(2) ** (4 - mp.prec) * mpmath.factorial(c - 1)
+                beta = 2 * mp.pi / 7
+                m = int(abs(mpmath.mpc(c + 1, t)) / beta)  # beta m < |s + 1| <= beta (m + 1)
+                xs = [beta * k for k in sorted({1, m // 3, m, m + 1, 3 * (m + 1)} - {0})]
+                for x, got in zip(xs, _upper_gamma_scaled(c, t, xs)):
+                    err = abs(got - _gammainc_scaled(mpmath.mpc(c, t), x))
+                    assert err <= unit * x ** -c, (c, t, x, err)
 
 
 def test_Q_recurrence_identity():
