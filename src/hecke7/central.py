@@ -211,7 +211,12 @@ _BLOCK = 256  # nodes per (node x coefficient) block of the build
 def _assembler(n: int, width: float):
     """Member n's theta coefficients, truncation M, endpoint Y and panel
     edges 1, e^width, e^(2 width), ..., computed once; returns the map
-    degree -> (u, l, G, lgnorm) of _assemble on those panels."""
+    degree -> quadrature data (u, l, G, lgnorm) of member n's engine (see
+    ZEngine) under the degree-point Gauss-Legendre rule on those panels.
+    Node k of panel p is y = e^(u_p) c_k to a few ulps, with u_p the log
+    of the panel's left edge and c_k the nodes of the first panel
+    [1, e^width]: l_k = log c_k, and G[p, k] is the node's rescaled
+    weight, bit for bit the value at _panel_rule's node."""
     a = 2.0 * n - 1.5
     drop = 44.0  # ~19 digits of headroom in the truncations
     M = _theta_m_cutoff(a, 1.0, drop)
@@ -244,16 +249,6 @@ def _assembler(n: int, width: float):
     return assemble
 
 
-def _assemble(n: int, degree: int, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Quadrature data (u, l, G, lgnorm) of member n's engine (see ZEngine)
-    under the degree-point Gauss-Legendre rule on panels of the given
-    width in log y.  Node k of panel p is y = e^(u_p) c_k to a few ulps,
-    with u_p the log of the panel's left edge and c_k the nodes of the
-    first panel [1, e^width]: l_k = log c_k, and G[p, k] is the node's
-    rescaled weight, bit for bit the value at _panel_rule's node."""
-    return _assembler(n, width)(degree)
-
-
 def _z_values(a: float, u: np.ndarray, l: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
     """Z at the points ts from the quadrature data (u, l, G, lgnorm), with
     cos(t (u_p + l_k)) split into panel phase x in-panel phase (see ZEngine)."""
@@ -275,7 +270,7 @@ class ZEngine:
     The panels have one width in log y, PANEL_WIDTH = 16/(1 + T_CAP),
     about 2.5 periods of cos(T_CAP ln y), so one engine serves every scan
     height of its member.  They are geometric and carry the same rule, so
-    node k of panel p has log y = u_p + l_k (see _assemble), and with G
+    node k of panel p has log y = u_p + l_k (see _assembler), and with G
     as a (panels x degree) array
 
         sum_j G_j cos(t log y_j) = sum_k [cos(t l_k) (cos(t u) @ G)_k

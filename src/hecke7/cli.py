@@ -78,6 +78,14 @@ def _sci(x, digits: int) -> str:
         return f"{sign}{ms}e{e:+03d}"
 
 
+def _float_err(x: float, digits: int) -> str:
+    """Error of _sci(x, digits) for a float64 x rounded from an exact or
+    mp value good to 10^-digits: that, plus half an ulp (at most
+    2^-53 |x|) and half a unit in the last printed figure (at most
+    5 * 10^-min(digits, 17) * |x|)."""
+    return _sci(mpf(10) ** (-digits) + abs(x) * (2.0**-53 + 5.0 * 10.0 ** -min(digits, 17)), 3)
+
+
 def _emit(args, payload) -> None:
     """payload: (header, rows) or a flat dict (one-row table in csv)."""
     if args.format == "csv":
@@ -189,14 +197,14 @@ def _cmd_moment(args) -> int:
         "empirical": _sci(rep.empirical, d),
         "empirical_abs_err": _sci(2e-11 * rep.N, 3),
         "predicted_main": _sci(rep.predicted_main, d),
-        "predicted_main_abs_err": _sci(mpf(10) ** (-d), 3),
+        "predicted_main_abs_err": _float_err(rep.predicted_main, d),
         "residual": _sci(rep.residual, d),
     }
     if args.r == 1:
         out["theorem_bound"] = _sci(3.0 * log(args.N) / sqrt(args.N), d)
         out["theorem_bound_abs_err"] = _sci(1e-15, 3)
     out["predicted_constant_form"] = _sci(rep.predicted_constant_form, d)
-    out["predicted_constant_form_abs_err"] = _sci(mpf(10) ** (-d), 3)
+    out["predicted_constant_form_abs_err"] = _float_err(rep.predicted_constant_form, d)
     _emit(args, out)
     return 0
 
@@ -246,7 +254,7 @@ def _cmd_density(args) -> int:
         "explicit_formula": _sci(rep.explicit_formula, d),
         "explicit_formula_abs_err": _sci(1e-8, 3),
         "rmt": _sci(rep.rmt, d),
-        "rmt_abs_err": _sci(mpf(10) ** (-d), 3),
+        "rmt_abs_err": _float_err(rep.rmt, d),
         "v": _sci(rep.rmt, d),
         "nonvanishing_lower_bound": _sci(rep.nonvanishing_lower_bound, d),
         "t_height": _sci(rep.t_height, 6),

@@ -1,5 +1,8 @@
 """One-level density of low-lying zeros across the family chi^(4n-3).
 
+Test functions: the Fejer kernel and the Gaussian, told apart only by
+_scaled, which refuses any other kind.
+
 Pipelines:
   * empirical: scaled zeros from the Hardy-Z scans, averaged against an
     even test function;
@@ -79,11 +82,16 @@ def fejer(alpha: float = 1.0) -> TestFunction:
     return TestFunction(kind="fejer", f=f, fhat=fhat, support=a, param=a)
 
 
+def _zero_density(n: int, T: float) -> float:
+    """(1/pi) log(1.1141 (2n + T + 5)), member n's zero density near height T."""
+    return log(1.1141 * (2 * n + T + 5)) / fpi
+
+
 # The widest gaussian whose float64 arithmetic stays finite in every run
-# empirical_one_level accepts: fhat(0) = w sqrt(pi), and _tail_mass_bound's
-# largest intermediate 2 log(1.1141 (2n + T + 5)) w sqrt(pi)/log N, which
+# empirical_one_level accepts: fhat(0) = w sqrt(pi), and the gaussian
+# tail-mass bound's largest intermediate 2 pi dens w sqrt(pi)/log N, which
 # peaks at N = n = 2 and T = T_CAP.
-GAUSSIAN_W_MAX = float_info.max / (fsqrt(fpi) * max(1.0, 2.0 * log(1.1141 * (4 + T_CAP + 5)) / log(2.0)))
+GAUSSIAN_W_MAX = float_info.max / (fsqrt(fpi) * max(1.0, 2.0 * fpi * _zero_density(2, T_CAP) / log(2.0)))
 
 
 def gaussian(width: float = 2.0) -> TestFunction:
@@ -198,22 +206,32 @@ def prime_sum(n: int, phihat, k_max: int) -> float:
 
 
 def _scaled(phi: TestFunction, s: float):
-    """(phihat, x_end, k_max) for phi(t) = f(t s/pi): phihat(x) =
-    (pi/s) fhat(pi x/s), arch_term's edge x_end and the prime cutoff
-    k_max = floor(e^(2pi x_max)), with x_max the support edge or where the
-    gaussian falls to 1e-14.  ConvergenceError, tested on the exponent
-    before exp, when k_max would pass field.PRIME_TABLE_CAP."""
+    """(phihat, x_end, k_max, tail) for phi(t) = f(t s/pi): phihat(x) = (pi/s)
+    fhat(pi x/s), arch_term's edge x_end, the prime cutoff k_max =
+    floor(e^(2pi x_max)) (x_max: the Fejer support edge, or where the gaussian
+    falls to 1e-14) and tail(n, T), bounding 2 sum_{gamma > T} f(gamma s/pi).
+    The explicit formula's one test of the kind: ValueError unless fejer or gaussian.
+    ConvergenceError, on the exponent before exp, if k_max passes field.PRIME_TABLE_CAP."""
     phihat = lambda x: (fpi / s) * phi.fhat(fpi * x / s)
-    if phi.support is not None:
-        x_max = phi.support * (s / fpi)
-    else:  # gaussian: phihat(x) ~ exp(-(pi W x)^2) with W = pi w/s
+    if phi.kind == "fejer":
+        a = phi.param
+        x_max = a * (s / fpi)
+        # f(t s/pi) <= 1/(a s t)^2, so the tail is <= 2 int_T dens/(a s t)^2 dt
+        tail = lambda n, T: 2.0 * _zero_density(n, T) / ((a * s) ** 2 * T)
+    elif phi.kind == "gaussian":  # phihat(x) ~ exp(-(pi W x)^2) with W = pi w/s
         w = phi.param
         x_max = fsqrt(max(0.0, -log(1e-14 / (w * fsqrt(fpi))))) / (fpi * (fpi * w / s))
+        def tail(n: int, T: float) -> float:
+            # envelope exp(-(Ts/(pi w))^2) decays fast; crude integral bound
+            u = T * s / (fpi * w)
+            return 2.0 * _zero_density(n, T) * fpi * w / s * fsqrt(fpi) / 2 * exp(-u * u)
+    else:
+        raise ValueError(f"no explicit formula for the {phi.kind} test function")
     if not 2.0 * fpi * x_max < log(field.PRIME_TABLE_CAP + 1):
         raise ConvergenceError(f"prime sum cutoff e^{2 * fpi * x_max:.4g} too large for test function {phi.describe()}")
     k_max = int(exp(2.0 * fpi * x_max))
-    x_end = x_max if phi.support is not None else log(max(k_max, 3)) / (2.0 * fpi) * 1.5 + 0.5
-    return phihat, x_end, k_max
+    x_end = x_max if phi.kind == "fejer" else log(max(k_max, 3)) / (2.0 * fpi) * 1.5 + 0.5
+    return phihat, x_end, k_max, tail
 
 
 def explicit_formula_sum(
@@ -229,7 +247,7 @@ def explicit_formula_sum(
     Equals arch_term - prime_sum with phihat(x) = (pi/s) fhat(pi x/s),
     summed over p^r with |phihat(log p^r/2pi)| > 1e-14 (see _scaled).
     """
-    phihat, x_end, k_max = _scaled(phi, float(scale) or fpi)
+    phihat, x_end, k_max, _ = _scaled(phi, float(scale) or fpi)
     return arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
 
 
@@ -296,7 +314,7 @@ def empirical_one_level(
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     s = log(N)
-    phihat, x_end, k_max = _scaled(f, s)
+    phihat, x_end, k_max, tail = _scaled(f, s)
     emp_total = 0.0
     mass_bound = 0.0
     ef_total = 0.0
@@ -305,7 +323,7 @@ def empirical_one_level(
         t_n = min(T, get_engine(n).t_reliable)
         t_min = min(t_min, t_n)
         emp_total += zero_side_sum(n, f, t_n, scale=s)
-        mass_bound += _tail_mass_bound(n, f, t_n, s)
+        mass_bound += tail(n, t_n)
         ef_total += arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
     empirical = emp_total / N
     mass_bound /= N
@@ -322,20 +340,6 @@ def empirical_one_level(
         t_height=t_min,
         discarded_mass_bound=mass_bound,
     )
-
-
-def _tail_mass_bound(n: int, f: TestFunction, T: float, s: float) -> float:
-    """Bound on 2 sum_{gamma > T} f(gamma s/pi) using zero density
-    (1/pi) log(1.1141(2n+t)) and the kernel envelope."""
-    dens = log(1.1141 * (2 * n + T + 5)) / fpi
-    if f.kind == "gaussian":
-        w = f.param
-        # envelope exp(-(Ts/(pi w))^2) decays fast; crude integral bound
-        u = T * s / (fpi * w)
-        return 2.0 * dens * fpi * w / s * fsqrt(fpi) / 2 * exp(-u * u)
-    a = f.support
-    # f(t s/pi) <= 1/(a s t)^2, so the tail is <= 2 int_T dens/(a s t)^2 dt
-    return 2.0 * dens / ((a * s) ** 2 * T)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,10 @@ works on object arrays of Python ints (index = degree) through
 numpy.polynomial.polynomial, whose routines keep the object dtype and
 trim trailing zeros.  Both sequences are stored as tuples of ints in
 grow-only lists, extended one recursion step at a time to the largest
-index asked for; readers divide by the scale once, at the end.
+index asked for; readers divide by the scale once, at the end.  The
+store payload grows about as k^3, so an index above K_CAP raises
+ComputeCapError before any step: B(n) and the exact central value take
+odd n <= 1501, the a-path n <= 751.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
 from numpy.polynomial import polynomial as P
 
-from .specfun import PrecisionContext, DEFAULT_CTX, constants
+from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, constants
 
 @dataclass(frozen=True)
 class VZPoly:
@@ -95,6 +98,10 @@ _X = _ints(0, 1)
 _11X_7 = _ints(7, 11)
 _1_5X = _ints(1, -5)
 
+# Largest index either store grows to, for a 200 MB peak-RSS budget per
+# store: measured peaks 158 MB (b-store, k = 750, B(1501)) and 170 MB
+# (a-store, k = 750, A(751)), against 331 MB for the b-store at k = 1000.
+K_CAP = 750
 _LOCK = Lock()  # guards the growth of _B and _A
 _B = [(1,), (42,)]  # beta_k = 2 * 21^k * b_k as coefficient tuples
 _A = [((1,), (0,)), ((0,), (-3,))]  # alpha_k = 9^k * a_k as (u, v)
@@ -132,9 +139,12 @@ def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
 
 
 def _grow(seq: list, step, k: int) -> tuple:
-    """seq[k], first extending seq one step at a time up to index k."""
+    """seq[k], first extending seq one step at a time up to index k;
+    ComputeCapError, before any step, for k > K_CAP."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k > K_CAP:
+        raise ComputeCapError(f"recursion index {k} exceeds cap {K_CAP}")
     with _LOCK:
         while len(seq) <= k:
             j = len(seq) - 1

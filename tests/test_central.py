@@ -182,7 +182,7 @@ def test_engine_nodes_factor_by_panel(n):
     # split each phase t log y into t u_p + t l_k
     edges = _engine_edges(n)
     for d in central.ZEngine.DEGREES:
-        u, l, G, _ = central._assemble(n, d, central.ZEngine.PANEL_WIDTH)
+        u, l, G, _ = central._assembler(n, central.ZEngine.PANEL_WIDTH)(d)
         ys = central._panel_rule(edges, d)[0].reshape(len(edges) - 1, d)
         assert G.shape == ys.shape
         assert np.all(np.abs(np.exp(u)[:, None] * np.exp(l) - ys) <= 8 * np.spacing(ys)), d
@@ -235,7 +235,7 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
         t_rel = central.t_reliable(n)
         T = min(central.T_CAP, t_rel)
         ref = copy.copy(central.get_engine(n))
-        ref.u, ref.l, ref.G, ref.lgnorm = central._assemble(n, 32, 2.0 / (1.0 + central.T_CAP))
+        ref.u, ref.l, ref.G, ref.lgnorm = central._assembler(n, 2.0 / (1.0 + central.T_CAP))(32)
         got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
         monkeypatch.setattr(central, "get_engine", lambda m: ref)
         want = np.array(central.zeros_up_to(n, T).gammas)

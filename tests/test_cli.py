@@ -8,10 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy
+from mpmath import mp, mpf
 
-from hecke7 import cli, field, vz
+from hecke7 import cli, field, moments, vz
+from hecke7.specfun import PrecisionContext
 
 GOLDEN_TABLE = """\
 n,A_exact,A_factored,L_4dp
@@ -300,6 +303,59 @@ def test_exit_codes(capsys):
             warnings.simplefilter("error")  # refused before any float64 overflow
             assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("usage error:"), argv
+
+
+def test_float_outputs_state_their_error(capsys):
+    # rmt, predicted_main and predicted_constant_form print float64
+    # roundings of exact or mp values: each printed error must cover the
+    # printed value's distance from the value at 40 digits (1.5e-16 to
+    # 2.5e-16 at the default 30 digits, where the error read 1e-30)
+    with mp.workdps(40):
+        fejer_rmt = 1 / mpf(0.7071067811865476) + mpf(1) / 2  # exact for the float support
+        gauss_rmt = 2 * mp.sqrt(mp.pi) + mpmath.erf(2 * mp.pi) / 2
+        m1 = 2 * mp.pi / mp.sqrt(7)
+    displayed, reduced = moments.m2_conjecture_main(10, PrecisionContext(40))
+    cases = (
+        (("density", "--N", "2", "--alpha", "0.7071067811865476"), {"rmt": fejer_rmt}),
+        (("density", "--N", "2", "--testfn", "gaussian", "--width", "2.0"), {"rmt": gauss_rmt}),
+        (("moment", "--r", "1", "--N", "10"), {"predicted_main": m1, "predicted_constant_form": m1}),
+        (("moment", "--r", "2", "--N", "10"), {"predicted_main": displayed, "predicted_constant_form": reduced}),
+    )
+    for digits in ("30", "15"):
+        for argv, exact in cases:
+            rc, out = run(capsys, *argv, "--digits", digits, "--format", "json")
+            assert rc == 0
+            obj = json.loads(out)
+            for key, want in exact.items():
+                with mp.workdps(40):
+                    gap = abs(mpf(obj[key]) - want)
+                assert gap <= mpf(obj[key + "_abs_err"]), (argv, digits, key, gap)
+
+
+def test_exact_route_cap(capsys, monkeypatch):
+    # an index past vz.K_CAP exits 4 before the b-store takes a step
+    before = len(vz._B)
+    assert cli.main(["central", "--n", "3999", "--method", "exact"]) == 4
+    assert capsys.readouterr().err == f"compute cap: recursion index 1999 exceeds cap {vz.K_CAP}\n"
+    assert cli.main(["central", "--n", str(2 * vz.K_CAP + 3), "--method", "exact"]) == 4
+    assert len(vz._B) == before
+    # every exact entry point stops at the same index, from fresh stores
+    monkeypatch.setattr(vz, "K_CAP", 10)
+    monkeypatch.setattr(vz, "_B", vz._B[:2])
+    monkeypatch.setattr(vz, "_A", vz._A[:2])
+    for call in (
+        lambda: vz.B_of(23),
+        lambda: vz.A_of(23),
+        lambda: vz.central_value_exact(23),
+        lambda: vz.b_poly(11),
+        lambda: vz.A_from_a_path(13),
+        lambda: vz.a_poly(11),
+    ):
+        with pytest.raises(vz.ComputeCapError, match="recursion index 1[12] exceeds cap 10"):
+            call()
+    assert len(vz._B) == len(vz._A) == 2
+    assert vz.B_of(21) == vz.b_poly(10).eval_at(0)[0] and vz.A_from_a_path(11) == vz.A_of(11)
+    assert len(vz._B) == len(vz._A) == 11
 
 
 def test_env_digits_default(capsys, monkeypatch):

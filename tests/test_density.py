@@ -66,7 +66,7 @@ def test_testfn_construction():
     assert math.isfinite(g.fhat(0.0))
     for N in range(2, 201):
         for n in (1, 2, N):
-            assert math.isfinite(density._tail_mass_bound(n, g, density.T_CAP, math.log(N))), (N, n)
+            assert math.isfinite(density._scaled(g, math.log(N))[3](n, density.T_CAP)), (N, n)
 
 
 def test_rmt_prediction_closed_forms():
@@ -85,6 +85,21 @@ def test_rmt_prediction_needs_closed_form():
     other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, support=None, param=1.0)
     with pytest.raises(ValueError):
         density.rmt_prediction(other)
+
+
+def test_explicit_formula_refuses_other_kinds(monkeypatch):
+    # _scaled is the one place the kind is read: a hand-built kind is
+    # refused before any member is scanned
+    g = density.gaussian(2.0)
+    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, support=None, param=1.0)
+    monkeypatch.setattr(density, "get_engine", lambda n: pytest.fail("scanned a member"))
+    for call in (
+        lambda: density.empirical_one_level(2, other, ctx=CTX),
+        lambda: density.explicit_formula_sum(1, other, CTX),
+        lambda: density._scaled(other, math.log(2)),
+    ):
+        with pytest.raises(ValueError, match="no explicit formula for the box test function"):
+            call()
 
 
 def test_rmt_prediction_dual_route():
@@ -157,20 +172,24 @@ def test_arch_term_against_t_side_quadrature():
         assert abs(got - float(direct)) < 1e-10, n
 
 
-def _arch_term_tanh_sinh(n, phihat, x_end, ctx):
+def _arch_term_tanh_sinh(n, alpha, s, x_end, ctx):
     # reference route: the resummed correction integral by mpmath
-    # tanh-sinh quadrature at ctx precision, lead term by mpmath digamma
+    # tanh-sinh quadrature at ctx precision, with the Fejer phihat(x) =
+    # (pi/s)(1 - pi x/(s alpha))_+/alpha in mpmath at the float alpha and
+    # s, so the integrand has the digits the quadrature resolves; lead
+    # term by mpmath digamma
     c = 2 * n - 1
-    ph0 = phihat(0.0)
-
-    def g(x):
-        x = float(x)
-        if x <= 0:
-            return mpf(0)
-        den = -mpmath.expm1(-2 * mp.pi * x)  # 1 - e^(-2pi x) without cancelling at tanh-sinh's nodes near 0
-        return 2 * (ph0 - phihat(x)) * mpmath.exp(-2 * mp.pi * c * x) / den
-
     with mp.workdps(ctx.working_dps):
+        a, s = mpf(alpha), mpf(s)
+        phihat = lambda x: mp.pi / s * max(0, 1 - mp.pi * x / (s * a)) / a
+        ph0 = phihat(0)
+
+        def g(x):
+            if x <= 0:
+                return mpf(0)
+            den = -mpmath.expm1(-2 * mp.pi * x)  # 1 - e^(-2pi x) without cancelling at tanh-sinh's nodes near 0
+            return 2 * (ph0 - phihat(x)) * mpmath.exp(-2 * mp.pi * c * x) / den
+
         lead = ph0 / mp.pi * (mp.log(7 / (2 * mp.pi)) + digamma(c, ctx))
         corr = mpmath.quad(g, [0, min(0.05, x_end / 8), x_end / 2, x_end, mp.inf])
         return float(lead + corr)
@@ -193,7 +212,7 @@ def test_arch_term_fejer_against_tanh_sinh():
         x_end = f.support * s / math.pi
         for n in (1, 48, 96):
             got = density.arch_term(n, phihat, x_end, CTX)
-            want = _arch_term_tanh_sinh(n, phihat, x_end, CTX)
+            want = _arch_term_tanh_sinh(n, alpha, s, x_end, CTX)
             assert abs(got - want) < max(1e-13, 1e-15 * abs(want)), (alpha, N, n, got - want)
 
 
