@@ -1,9 +1,13 @@
 """Central values, the completed L-function on the critical line, and zeros.
 
 Two indexings, following the source conventions:
-  * central_value_series(n): the character is chi^(2n-1) (series index);
+  * central_value_series(m): the character is chi^(2m-1) (series index,
+    after Rodriguez Villegas-Zagier; the sign is (-1)^(m-1));
   * completed_lambda / hardy_Z / zeros_up_to(n): the character is
     chi^(4n-3) (family index; always even functional equation).
+Family member n is series index m = 2n - 1.  _member is the one map
+from a family index to its member's numbers (k = 4n - 3, c = 2n - 1,
+a = c - 1/2); every family routine reads them from there.
 
 Both rest on one sum over the upper incomplete gamma function, with
 s = c + it and x_m = 2pi m/7:
@@ -35,6 +39,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, lgamma, log, exp, pi as fpi
+from typing import NamedTuple
 
 import numpy as np
 import mpmath
@@ -56,10 +61,26 @@ T_CAP = 50.0  # desk-scale search height
 LOG_Q = log(7.0 / (2.0 * fpi))  # log of the conductor scale Q = 7/(2pi)
 
 
-def _check_family_index(n: int) -> None:
-    """ValueError unless n is a family index (n >= 1)."""
-    if n < 1:
+class _Member(NamedTuple):
+    """Family member n's numbers, from _member."""
+
+    k: int  # character exponent 4n - 3
+    c: int  # Gamma shift 2n - 1, also the series index
+    a: float  # c - 1/2, the theta-integral exponent of the engine
+
+
+def _member(n) -> _Member:
+    """Family member n's numbers, for an integer n >= 1 (a numpy integer
+    reads as the int) or an integer array of them (entrywise); ValueError
+    for anything else, bools and integral floats included."""
+    if type(n) is not int:
+        arr = np.asarray(n)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"family index n must be an integer, got {n!r}")
+        n = arr if arr.ndim else int(arr)
+    if (n if type(n) is int else n.min()) < 1:
         raise ValueError("family index n must be >= 1")
+    return _Member(k=4 * n - 3, c=2 * n - 1, a=2 * n - 1.5)
 
 
 @dataclass(frozen=True)
@@ -141,21 +162,6 @@ def _gamma_sum(c: int, t, M: int, wp: int):
         return mpmath.fsum(table.exact[m] * w for m, w in zip(ms, terms))
 
 
-def gamma_factor_X(k: int, s, ctx: PrecisionContext = DEFAULT_CTX):
-    """X_k(s) = (7/2pi)^(1-2s) Gamma(1-s+k/2)/Gamma(s+k/2), the
-    asymmetric functional-equation factor L(s) = X(s) L(1-s)."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd positive integer")
-    with mp.workdps(ctx.working_dps):
-        s = mpmath.mpmathify(s)
-        kh = mpf(k) / 2
-        for arg in (1 - s + kh, s + kh):
-            if mpmath.im(arg) == 0 and mpmath.re(arg) <= 0 and arg == mpmath.floor(arg):
-                raise ValueError(f"gamma pole at argument {arg}")
-        q = 7 / (2 * mp.pi)
-        return +(q ** (1 - 2 * s) * mpmath.gamma(1 - s + kh) / mpmath.gamma(s + kh))
-
-
 # ---------------------------------------------------------------------------
 # theta-integral machinery
 # ---------------------------------------------------------------------------
@@ -217,10 +223,10 @@ def _assembler(n: int, width: float):
     of the panel's left edge and c_k the nodes of the first panel
     [1, e^width]: l_k = log c_k, and G[p, k] is the node's rescaled
     weight, bit for bit the value at _panel_rule's node."""
-    a = 2.0 * n - 1.5
+    k, _, a = _member(n)
     drop = 44.0  # ~19 digits of headroom in the truncations
     M = _theta_m_cutoff(a, 1.0, drop)
-    coeff = field.prime_table(M).coeffs(4 * n - 3)
+    coeff = field.prime_table(M).coeffs(k)
     ms = np.nonzero(coeff)[0]
     cs = coeff[ms]
     lm = np.log(ms.astype(float))
@@ -298,9 +304,8 @@ class ZEngine:
     PROBE_TOL = 1e-10
 
     def __init__(self, n: int):
-        _check_family_index(n)
+        self.a = _member(n).a
         self.n = n
-        self.a = 2.0 * n - 1.5
         self.t_reliable = t_reliable(n)
         probe = np.linspace(0.0, 0.5 * self.t_reliable, 17)[1:]
         assemble = _assembler(n, self.PANEL_WIDTH)
@@ -330,8 +335,7 @@ def t_reliable(n: int) -> float:
     suppression of member n has fallen to 1e-10, the float64 noise floor
     of the engine's cosine dot product, else 4 T_CAP; it depends on n
     alone."""
-    _check_family_index(n)
-    c = 2.0 * n - 1.0  # a + 1/2 of the engine
+    c = _member(n).c  # a + 1/2 of the engine
     ts = np.arange(0.0, 4 * T_CAP, 0.5)
     lg = loggamma_f64(c, ts).real
     below = np.nonzero(np.exp(lg - lg[0]) <= 1e-10)[0]
@@ -353,8 +357,7 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     the remainder at every t.  The terms cancel down by
     10^loss = Gamma(c)/|Gamma(c+it)|, so the sum is run and truncated at
     working_dps + loss + 12 digits."""
-    _check_family_index(n)
-    c = 2 * n - 1
+    c = _member(n).c
     loss = ceil((lgamma(c) - loggamma_f64(c, float(t)).real) / log(10.0))
     wp = ctx.working_dps + loss + 12
     M = series_truncation(c, wp)
@@ -365,14 +368,14 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 
 
 def hardy_Z(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """Z(t) = Lambda(1/2+it) / |(7/2pi)^(1/2+it) Gamma(1/2+it+2n-3/2)|;
+    """Z(t) = Lambda(1/2+it) / |(7/2pi)^(1/2+it) Gamma(c+it)|, c = 2n - 1;
     real and even with the same critical-line zeros as L, and good to
     about 10^(-working_dps) absolute at every t (see completed_lambda)."""
+    c = _member(n).c
     with mp.workdps(ctx.working_dps + 12):
         lam = completed_lambda(n, t, ctx)
-        a = mpf(2 * n) - mpf(3) / 2
         q = 7 / (2 * mp.pi)
-        denom = mpmath.sqrt(q) * abs(mpmath.gamma(mpf(1) / 2 + a + mpc(0, 1) * mpf(t)))
+        denom = mpmath.sqrt(q) * abs(mpmath.gamma(mpf(c) + mpc(0, 1) * mpf(t)))
         return +(mpmath.re(lam) / denom)
 
 
@@ -447,6 +450,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
         raise ValueError("T must be positive")
     if T > T_CAP:
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
+    c = _member(n).c
     eng = get_engine(n)
     t_rel = eng.t_reliable
     if T > t_rel:
@@ -467,7 +471,7 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     order = np.argsort(np.concatenate([exact, brackets]))
     gammas = np.concatenate([ts[exact], refined])[order].tolist()
     # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
-    expected = (T * LOG_Q + loggamma_f64(2 * n - 1, T).imag) / fpi
+    expected = (T * LOG_Q + loggamma_f64(c, T).imag) / fpi
     if abs(len(gammas) - expected) > 5 + log(2 * n):
         warnings.warn(
             f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "

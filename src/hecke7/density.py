@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import LOG_Q, T_CAP, _check_family_index, _panel_rule, get_engine, zeros_up_to
+from .central import LOG_Q, T_CAP, _member, _panel_rule, get_engine, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
 
@@ -53,7 +53,6 @@ class TestFunction:
     kind: str
     f: callable
     fhat: callable
-    support: float | None  # half-width of supp fhat, None if unbounded
     param: float
 
     def describe(self) -> str:
@@ -79,7 +78,7 @@ def fejer(alpha: float = 1.0) -> TestFunction:
         ax = np.abs(np.asarray(x, dtype=float))
         return np.where(ax <= a, (1.0 - ax / a) / a, 0.0)[()]
 
-    return TestFunction(kind="fejer", f=f, fhat=fhat, support=a, param=a)
+    return TestFunction(kind="fejer", f=f, fhat=fhat, param=a)
 
 
 def _zero_density(n: int, T: float) -> float:
@@ -110,7 +109,7 @@ def gaussian(width: float = 2.0) -> TestFunction:
     def fhat(x):
         return w * fsqrt(fpi) * np.exp(-((fpi * w * np.asarray(x, dtype=float)) ** 2))[()]
 
-    return TestFunction(kind="gaussian", f=f, fhat=fhat, support=None, param=w)
+    return TestFunction(kind="gaussian", f=f, fhat=fhat, param=w)
 
 
 @dataclass(frozen=True)
@@ -123,23 +122,6 @@ class DensityReport:
     nonvanishing_lower_bound: float
     t_height: float
     discarded_mass_bound: float
-
-
-# ---------------------------------------------------------------------------
-# von Mangoldt data
-# ---------------------------------------------------------------------------
-
-
-def lambda_vm(n: int, p: int, r: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Lambda_{4n-3}(p^r) = log p (alpha^r + conj(alpha)^r): the
-    T-Chebyshev value log(p) c_r with c_0 = 2, c_1 = a(p),
-    c_{r+1} = a(p)c_r - c_{r-1}.  Inert: 0 at odd r, 2 log p (-1)^(r/2)
-    at even r.  Returns 0 at p = 7."""
-    _check_family_index(n)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    field.prime_class(p)  # ValueError unless p is prime, so the last row of the cut to p is p's own
-    return log(p) * float(field.prime_table(p)[-1:].chebyshev(4 * n - 3, r, 2.0)[0, r])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +148,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     overflowing phihat, fails the check without numpy warnings.  `ctx` is
     accepted for API compatibility; the result is float64.
     """
-    _check_family_index(n)
-    c = 2 * n - 1
+    c = _member(n).c
     ph0 = float(phihat(0.0))
     w = 1.0 / (2.0 * fpi * c)
     edges = [0.0]
@@ -199,8 +180,7 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
 def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
-    _check_family_index(n)
-    p, q, c = field.prime_table(k_max).powers(4 * n - 3, 2.0)
+    p, q, c = field.prime_table(k_max).powers(_member(n).k, 2.0)
     w = phihat(np.log(q) / (2.0 * fpi))
     return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
 
@@ -542,16 +522,16 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
     even analytic limit is taken by Richardson extrapolation from
     t0 = 2e-4 and t0/2 (error O(t0^4)).  `ctx` is accepted for API
     compatibility; the result is float64."""
-    _check_family_index(n)
+    c = _member(n).c
     t = float(t)
     if isnan(t):
         raise ValueError("height t must be a number, got nan")
     if abs(t) < 1e-4:
         t0 = 2e-4
-        i1 = _ratios_integrand_direct(n, t0, P)
-        i2 = _ratios_integrand_direct(n, t0 / 2, P)
+        i1 = _ratios_integrand_direct(c, t0, P)
+        i2 = _ratios_integrand_direct(c, t0 / 2, P)
         return float((4.0 * i2 - i1) / 3.0)
-    return float(_ratios_integrand_direct(n, t, P))
+    return float(_ratios_integrand_direct(c, t, P))
 
 
 def ratios_integrand_abs_err(t: float) -> float:
@@ -571,14 +551,16 @@ def ratios_integrand_abs_err(t: float) -> float:
     return 2.0 * (a_err + 4.08 / P)
 
 
-def _ratios_integrand_direct(n, t: float, P: int, zeta_L=None):
-    """The integrand at height t for the family index n, or for each
-    entry of an array of indices (the arithmetic factors are shared).
-    zeta_L is _zeta_L_block(t) when the caller already has it."""
+def _ratios_integrand_direct(c, t: float, P: int, zeta_L=None):
+    """The integrand at height t for the member with Gamma shift c, or for
+    each entry of an array of shifts (the arithmetic factors are shared);
+    c is read through np.asarray, so one shift takes the numpy arithmetic
+    of an array entry.  zeta_L is _zeta_L_block(t) when the caller already
+    has it."""
     block, xblock = _zeta_L_block(t) if zeta_L is None else zeta_L
     ap = ratios_A_prime(t, P=P)
     a_mir = ratios_A(-1j * t, 1j * t, P=P)
-    c = 2 * np.asarray(n) - 1
+    c = np.asarray(c)
     # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
     e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q))
     bracket = block + ap - e_factor * xblock * a_mir
@@ -602,8 +584,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     s = log(N)
     t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
-    ns = np.arange(1, N + 1)
+    cs = _member(np.arange(1, N + 1)).c
     total = 0.0
     for t, wt, zeta_L in zip(ts.tolist(), ws.tolist(), zip(*_zeta_L_block(ts))):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(ns, t, P, zeta_L)))
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, P, zeta_L)))
     return 2.0 * total / (2.0 * fpi * N)

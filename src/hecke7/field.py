@@ -107,16 +107,6 @@ def _eps_power_sum(k: int, reps: list[tuple[int, int]]) -> tuple[int, int]:
     return (u, v)
 
 
-def character_sum(k: int, m: int) -> tuple[int, int]:
-    """Full sum of eps_{a,b} (a+b*eta)^k over all representations of m.
-
-    Returned as a Z[eta] pair.  Test hook: for even k the sum cancels
-    to (0, 0) identically; for odd k it equals 2*chi^(k)(m) and the
-    eta-component is 0.
-    """
-    return _eps_power_sum(k, representations(m))
-
-
 def hecke_coeff(k: int, m: int) -> int:
     """The rational integer chi^(k)(m) = (1/2) sum over representations.
 
@@ -130,15 +120,6 @@ def hecke_coeff(k: int, m: int) -> int:
     if v != 0:
         raise ArithmeticError(f"character sum not real for k={k}, m={m}")
     return u
-
-
-def normalized_coeff(k: int, m: int, digits: int = 15) -> mpf:
-    """chi^(k)(m) / m^(k/2) at the requested decimal precision."""
-    ctx = PrecisionContext(digits)
-    c = hecke_coeff(k, m)
-    with mp.workdps(ctx.working_dps):
-        val = mpf(c) / mpf(m) ** (mpf(k) / 2)
-        return +val
 
 
 def theta(a: int, b: int, digits: int = 15) -> mpf:

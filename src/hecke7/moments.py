@@ -28,7 +28,7 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, to_fixed
 
 from . import field
-from .central import BETA, central_value_series, series_truncation
+from .central import BETA, _member, central_value_series, series_truncation
 from .specfun import (
     CHI7,
     PrecisionContext,
@@ -72,20 +72,21 @@ class EulerFactorValue:
 def _build_sweep(N: int) -> np.ndarray:
     """The first N central values, read-only; PrecisionError unless those
     in _VALIDATION_SUBSAMPLE match the 20-digit series route."""
-    M = series_truncation(2 * N - 1, 11)
+    c_max = _member(N).c
+    M = series_truncation(c_max, 11)
     table = field.prime_table(M)
     ms = np.arange(1, M + 1)
     inv_sqrt_m = 1.0 / np.sqrt(ms)
-    qs = islice(reg_gamma_Q_f64(2 * N - 1, BETA * ms), 0, None, 2)  # Q(2nu-1, x_m)
+    qs = islice(reg_gamma_Q_f64(c_max, BETA * ms), 0, None, 2)  # Q(c, x_m) at each member nu's c
     out = np.zeros(N)
     for nu, q in zip(range(1, N + 1), qs):
-        a = table.coeffs(4 * nu - 3)[1:]
+        a = table.coeffs(_member(nu).k)[1:]
         out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
     ctx = PrecisionContext(digits=20)
     for nu in _VALIDATION_SUBSAMPLE:
         if nu > N:
             break
-        err = abs(out[nu - 1] - float(central_value_series(2 * nu - 1, ctx).value))
+        err = abs(out[nu - 1] - float(central_value_series(_member(nu).c, ctx).value))
         if err > _VALIDATION_TOL:
             raise PrecisionError(f"sweep validation failed at n={nu}: |fast - mp| = {err:.3e}")
     out.setflags(write=False)
@@ -152,7 +153,7 @@ def m2_conjecture_main(N: int, ctx: PrecisionContext = DEFAULT_CTX):
         g = mp.euler
         zpz2 = cs["zeta_prime_at_2"] / mp.zeta(2)
         lead = cs["three_pi_over_sqrt7"]
-        psi_avg = mpmath.fsum(digamma(2 * n - 1, ctx) for n in range(1, N + 1)) / N
+        psi_avg = mpmath.fsum(digamma(_member(n).c, ctx) for n in range(1, N + 1)) / N
         displayed = lead * (g + f1_constant(ctx) / f0_constant(ctx) - mp.log(2 * mp.pi / 7) + psi_avg)
         gprod = (
             mp.gamma(mpf(1) / 7) * mp.gamma(mpf(2) / 7) * mp.gamma(mpf(4) / 7)
@@ -237,7 +238,7 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
         raise ValueError("m, l must be in [1, 130]")
     if N < 1 or N > 10**4:
         raise ValueError("N must be in [1, 10^4]")
-    ks = 4 * np.arange(1, N + 1) - 3
+    ks = _member(np.arange(1, N + 1)).k
 
     def coeffs(x: int) -> np.ndarray:
         a = np.ones(N)

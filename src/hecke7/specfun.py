@@ -83,11 +83,6 @@ class PrecisionContext:
 DEFAULT_CTX = PrecisionContext()
 
 
-def policy_digits(k: int, base: int = 64) -> int:
-    """Precision policy for character exponent k: digits >= 40 + 0.02*k."""
-    return max(base, 40 + ceil(0.02 * k))
-
-
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n)
     for a positive integer n and x >= 0: the finite Poisson sum

@@ -48,25 +48,6 @@ def test_series_compute_cap():
         central.central_value_series(5001)
 
 
-def test_gamma_factor_unitarity():
-    # |X(1/2+it)| = 1 on the critical line; X(s) X(1-s) = 1 off it
-    with mp.workdps(35):
-        for k in (1, 9):
-            assert abs(central.gamma_factor_X(k, mpf(1) / 2, CTX25) - 1) < mpf(10) ** -24
-            for t in ("0.5", "3.25"):
-                X = central.gamma_factor_X(k, mpf(1) / 2 + mpf(t) * 1j, CTX25)
-                assert abs(abs(X) - 1) < mpf(10) ** -24
-            s = mpf("0.3") + mpf("1.1") * 1j
-            prod = central.gamma_factor_X(k, s, CTX25) * central.gamma_factor_X(
-                k, 1 - s, CTX25
-            )
-            assert abs(prod - 1) < mpf(10) ** -24
-    with pytest.raises(ValueError):
-        central.gamma_factor_X(2, 0.5)
-    with pytest.raises(ValueError):
-        central.gamma_factor_X(1, mpf(3) / 2)  # Gamma pole at 1-s+1/2 = 0
-
-
 def test_completed_lambda_ties_to_series_route():
     # Lambda(1/2) = Q^(1/2) Gamma(a+1/2) L(1/2) with L from the
     # incomplete-gamma series; family n has exponent 4n-3 = 2(2n-1)-1
@@ -335,6 +316,20 @@ def test_family_index_must_be_positive(n):
     for call in calls:
         with pytest.raises(ValueError, match="family index"):
             call()
+
+
+def test_member_reads_numpy_integers():
+    # a numpy integer is its int; an integer array maps entrywise
+    assert central._member(np.int64(3)) == central._member(3) == (9, 5, 4.5)
+    assert type(central._member(np.int32(3)).k) is int
+    assert central.t_reliable(np.int64(3)) == central.t_reliable(3)
+    assert central.hardy_Z(np.int64(2), 1.5, CTX20) == central.hardy_Z(2, 1.5, CTX20)
+    member = central._member(np.arange(1, 4))
+    assert member.k.tolist() == [1, 5, 9] and member.c.tolist() == [1, 3, 5] and member.a.tolist() == [0.5, 2.5, 4.5]
+    with pytest.raises(ValueError, match="family index n must be an integer"):
+        central._member(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="family index n must be >= 1"):
+        central._member(np.arange(0, 3))
 
 
 def test_zeros_validation_and_truncation():

@@ -42,8 +42,8 @@ def test_transform_pairs_by_quadrature():
 
 def test_testfn_construction():
     fj = density.fejer(0.5)
-    assert fj.support == 0.5 and fj.describe() == "fejer(0.5)"
-    assert density.gaussian(2.0).support is None
+    assert fj.param == 0.5 and fj.describe() == "fejer(0.5)"
+    assert density.gaussian(2.0).param == 2.0
     # small-argument series branch and array evaluation
     assert density.fejer(1.0).f(0.0) == 1.0
     assert abs(density.fejer(1.0).f(1e-10) - 1.0) < 1e-12
@@ -82,7 +82,7 @@ def test_rmt_prediction_closed_forms():
 
 def test_rmt_prediction_needs_closed_form():
     g = density.gaussian(2.0)
-    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, support=None, param=1.0)
+    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, param=1.0)
     with pytest.raises(ValueError):
         density.rmt_prediction(other)
 
@@ -91,7 +91,7 @@ def test_explicit_formula_refuses_other_kinds(monkeypatch):
     # _scaled is the one place the kind is read: a hand-built kind is
     # refused before any member is scanned
     g = density.gaussian(2.0)
-    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, support=None, param=1.0)
+    other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, param=1.0)
     monkeypatch.setattr(density, "get_engine", lambda n: pytest.fail("scanned a member"))
     for call in (
         lambda: density.empirical_one_level(2, other, ctx=CTX),
@@ -112,36 +112,37 @@ def test_rmt_prediction_dual_route():
 
 
 def test_lambda_vm_values():
+    # Lambda_{4n-3}(p^r) = log p c_r, c_r the T-Chebyshev value of p's row
+    def lambda_vm(n, p, r):
+        return math.log(p) * float(field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r])
+
     lg2, lg3 = math.log(2), math.log(3)
-    assert density.lambda_vm(1, 2, 1) == pytest.approx(lg2 / math.sqrt(2), rel=1e-13)
-    assert density.lambda_vm(1, 2, 2) == pytest.approx(-1.5 * lg2, rel=1e-13)
-    assert density.lambda_vm(1, 3, 1) == 0.0
-    assert density.lambda_vm(1, 3, 2) == pytest.approx(-2 * lg3, rel=1e-13)
-    assert density.lambda_vm(1, 3, 4) == pytest.approx(2 * lg3, rel=1e-13)
-    assert density.lambda_vm(2, 7, 1) == 0.0
-    with pytest.raises(ValueError):
-        density.lambda_vm(1, 2, 0)
+    assert lambda_vm(1, 2, 1) == pytest.approx(lg2 / math.sqrt(2), rel=1e-13)
+    assert lambda_vm(1, 2, 2) == pytest.approx(-1.5 * lg2, rel=1e-13)
+    assert lambda_vm(1, 3, 1) == 0.0
+    assert lambda_vm(1, 3, 2) == pytest.approx(-2 * lg3, rel=1e-13)
+    assert lambda_vm(1, 3, 4) == pytest.approx(2 * lg3, rel=1e-13)
+    assert lambda_vm(2, 7, 1) == 0.0
 
 
 def test_lambda_vm_reads_one_row(monkeypatch):
     # p's own row of the cut to p gives the value of the full cut bit for bit
     for n, p, r in ((1, 2, 1), (3, 11, 2), (7, 1009, 5), (1, 99991, 3), (20, 99989, 4)):
-        want = math.log(p) * field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r]
-        assert density.lambda_vm(n, p, r) == want, (n, p, r)
+        want = field.prime_table(p).chebyshev(4 * n - 3, r, 2.0)[-1, r]
+        assert field.prime_table(p)[-1:].chebyshev(4 * n - 3, r, 2.0)[0, r] == want, (n, p, r)
     rows = []
     chebyshev = field.PrimeTable.chebyshev
     monkeypatch.setattr(
         field.PrimeTable, "chebyshev", lambda self, *a: rows.append(len(self.primes)) or chebyshev(self, *a)
     )
-    density.lambda_vm(1, 99991, 3)
     moments.empirical_delta_oracle(12, 18, 100)
-    assert len(rows) == 5 and set(rows) == {1}
+    assert len(rows) == 4 and set(rows) == {1}
 
 
 def test_prime_table_cap_refuses_before_sieving():
-    # a prime past the cap must be refused, not sieved to (~1e9 entries)
+    # a cutoff past the cap must be refused, not sieved to (~1e9 entries)
     with pytest.raises(ComputeCapError):
-        density.lambda_vm(1, 1_000_000_007, 1)
+        density.prime_sum(1, density.fejer(1.0).fhat, 1_000_000_007)
     with pytest.raises(ComputeCapError):
         field.prime_table(10**7 + 1)
 
@@ -209,7 +210,7 @@ def test_arch_term_fejer_against_tanh_sinh():
         f = density.fejer(alpha)
         s = math.log(N)
         phihat = lambda x: (math.pi / s) * f.fhat(math.pi * x / s)
-        x_end = f.support * s / math.pi
+        x_end = f.param * s / math.pi
         for n in (1, 48, 96):
             got = density.arch_term(n, phihat, x_end, CTX)
             want = _arch_term_tanh_sinh(n, alpha, s, x_end, CTX)
@@ -268,16 +269,20 @@ def test_t_reliable_once_per_member(monkeypatch):
     assert sorted(calls) == list(range(1, 11))
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, 1.5, 2.0, True])
 def test_family_index_must_be_positive(n):
     phi = density.fejer(1.0)
     calls = (
         lambda: density.arch_term(n, phi.fhat, 1.0),
         lambda: density.explicit_formula_sum(n, phi, CTX),
         lambda: density.prime_sum(n, phi.fhat, 100),
-        lambda: density.lambda_vm(n, 2, 1),
         lambda: density.zero_side_sum(n, phi, 5.0),
         lambda: density.ratios_one_level_integrand(n, 0.5),
+        lambda: central.zeros_up_to(n, 5.0),
+        lambda: central.completed_lambda(n, 1.0),
+        lambda: central.hardy_Z(n, 1.0),
+        lambda: central.t_reliable(n),
+        lambda: central.ZEngine(n),
     )
     for call in calls:
         with pytest.raises(ValueError, match="family index"):

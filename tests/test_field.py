@@ -85,7 +85,7 @@ def test_hecke_coeff_small_table():
     want = {1: 1, 2: 1, 3: 0, 4: -1, 5: 0, 6: 0, 7: 0, 8: -3}
     for m, c in want.items():
         assert field.hecke_coeff(1, m) == c
-    assert field.character_sum(1, 2) == (2, 0)
+    assert field._eps_power_sum(1, field.representations(2)) == (2, 0)
 
 
 def test_hecke_coeff_multiplicative():
@@ -112,13 +112,14 @@ def test_normalized_coeff_oracle():
     # independent angle-sum oracle: a(m) = sum eps cos(2 pi k theta)
     with mp.workdps(30):
         for k in (1, 5, 9):
+            table = field.coeff_table(k, 60)
             for m in range(1, 61):
                 reps = field.half_representations(m)
                 want = sum(
                     field.epsilon(a, b) * mpmath.cos(2 * mp.pi * k * field.theta(a, b))
                     for a, b in reps
                 )
-                got = field.normalized_coeff(k, m)
+                got = table.normalized[m]
                 assert abs(got - want) < 1e-10, (k, m)
 
 
@@ -126,8 +127,9 @@ def test_normalized_coeff_divisor_bound():
     import sympy
 
     for k in (1, 9):
+        table = field.coeff_table(k, 199)
         for m in range(1, 200):
-            assert abs(float(field.normalized_coeff(k, m))) <= sympy.divisor_count(
+            assert abs(float(table.normalized[m])) <= sympy.divisor_count(
                 m
             ) + 1e-9
 
@@ -251,4 +253,4 @@ def test_table_angles_match_theta_route(monkeypatch):
 def test_spec_example_a2():
     # normalized a(2) = 1/sqrt 2 at k=1
     with mp.workdps(25):
-        assert abs(field.normalized_coeff(1, 2) - 1 / mp.sqrt(2)) < 1e-20
+        assert abs(field.coeff_table(1, 2).normalized[2] - 1 / mp.sqrt(2)) < 1e-20

@@ -22,7 +22,6 @@ from hecke7.specfun import (
     erfc,
     gamma_rational,
     loggamma_f64,
-    policy_digits,
     reg_gamma_Q,
     reg_gamma_Q_f64,
     tricomi_lhs,
@@ -51,12 +50,6 @@ def test_precision_context_validation():
     ctx = PrecisionContext(20, guard=5)
     assert ctx.working_dps == 25
     assert ctx.eps == mpf(10) ** -20
-
-
-def test_policy_digits():
-    assert policy_digits(1) == 64
-    assert policy_digits(3000) == 100
-    assert policy_digits(1200, base=15) == 64
 
 
 def test_Q_boundary_and_base_cases():
