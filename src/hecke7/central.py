@@ -46,6 +46,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
+from .vz import _series_index
 from .specfun import (
     PrecisionContext,
     DEFAULT_CTX,
@@ -132,6 +133,7 @@ def _log_tail_bound(n: int, m: int) -> float:
 def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> CentralValue:
     """L(1/2, chi^(2n-1)) = 2 (2pi/7)^n/(n-1)! S(n, 0), truncated at
     series_truncation(n, ctx.digits) with tail_bound its remainder bound."""
+    n = _series_index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 2 == 0:
@@ -342,10 +344,16 @@ def t_reliable(n: int) -> float:
     return float(ts[below[0]]) if len(below) else 4 * T_CAP
 
 
-@lru_cache(maxsize=256)
 def get_engine(n: int) -> ZEngine:
     """The shared engine of member n, built once; it serves every scan
-    height up to T_CAP."""
+    height up to T_CAP.  n is read through _member before the cache, so a
+    numpy integer finds the engine of the equal int."""
+    return _engine((_member(n).c + 1) // 2)
+
+
+@lru_cache(maxsize=256)
+def _engine(n: int) -> ZEngine:
+    """get_engine's cache, keyed on the int n."""
     return ZEngine(n)
 
 

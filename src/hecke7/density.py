@@ -339,21 +339,36 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
     with y = p^(-1-2 gamma), w = p^(-1-alpha-gamma).
     """
     _check_shift(alpha, gamma)
-    a = complex(alpha)
-    g = complex(gamma)
+    return _ratios_A_rows([alpha], [gamma], P, tol)[0]
+
+
+def _ratios_classes(P: int):
+    """(log p, split, inert, ramified) over the primes p <= P, the last
+    three as index arrays: the class split that _ratios_A_rows and
+    _ratios_A_prime_rows read once per call."""
     table = field.prime_table(P)
-    lp, cls = np.log(table.primes), table.classes
-    tail_est = _ratios_A_tail(a, g, P)
-    if tail_est > tol:
-        raise ConvergenceError(f"tail estimate {tail_est:.2e} exceeds tol {tol:.2e}")
-    y = np.exp(-(1 + 2 * g) * lp)
-    w = np.exp(-(1 + a + g) * lp)
-    fac = np.ones(len(lp), dtype=complex)
-    split, inert, ram = cls == "split", cls == "inert", cls == "ramified"
-    fac[split] = (1 - y[split]) * (1 + y[split] - 2 * w[split]) / (1 - w[split]) ** 2
-    fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
-    fac[ram] = (1 - y[ram]) / (1 - w[ram])
-    return complex(np.prod(fac))
+    split, inert, ram = (np.flatnonzero(table.classes == c) for c in ("split", "inert", "ramified"))
+    return np.log(table.primes), split, inert, ram
+
+
+def _ratios_A_rows(a, g, P: int, tol: float = 1e-3) -> list[complex]:
+    """ratios_A at each shift pair (a[i], g[i]), one row at a time: a
+    2-D block of rows costs memory and buys no time (BENCH_family_loops)."""
+    lp, split, inert, ram = _ratios_classes(P)
+    out = []
+    for ai, gi in zip(map(complex, a), map(complex, g)):
+        tail_est = _ratios_A_tail(ai, gi, P)
+        if tail_est > tol:
+            raise ConvergenceError(f"tail estimate {tail_est:.2e} exceeds tol {tol:.2e}")
+        y = np.exp(-(1 + 2 * gi) * lp)
+        w = np.exp(-(1 + ai + gi) * lp)
+        fac = np.empty_like(y)
+        ys, ws = y[split], w[split]
+        fac[split] = (1 - ys) * (1 + ys - 2 * ws) / (1 - ws) ** 2
+        fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
+        fac[ram] = (1 - y[ram]) / (1 - w[ram])
+        out.append(complex(np.prod(fac)))
+    return out
 
 
 def _ratios_A_tail(a: complex, g: complex, P: int) -> float:
@@ -399,12 +414,19 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     w = p^(-1-2r), with r = it.  `ctx` is accepted for API
     compatibility; the result is float64.
     """
-    table = field.prime_table(P)
-    lp, cls = np.log(table.primes), table.classes
-    w = np.exp(-(1 + 2j * float(t)) * lp)
-    inert, ram = cls == "inert", cls == "ramified"
-    wi, wr = w[inert], w[ram]
-    return complex(-np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr)))
+    return _ratios_A_prime_rows([t], P)[0]
+
+
+def _ratios_A_prime_rows(t, P: int) -> list[complex]:
+    """ratios_A_prime at each height t[i], one row at a time."""
+    lp, _, inert, ram = _ratios_classes(P)
+    lpi, lpr = lp[inert], lp[ram]
+    out = []
+    for ti in map(float, t):
+        coef = -(1 + 2j * ti)
+        wi, wr = np.exp(coef * lpi), np.exp(coef * lpr)
+        out.append(complex(-np.sum(2 * lpi * wi**2 / (1 - wi**2)) - np.sum(lpr * wr / (1 - wr))))
+    return out
 
 
 # B_{2j}/(2j)! for j = 1..15: the Euler-Maclaurin corrections of the
@@ -551,15 +573,16 @@ def ratios_integrand_abs_err(t: float) -> float:
     return 2.0 * (a_err + 4.08 / P)
 
 
-def _ratios_integrand_direct(c, t: float, P: int, zeta_L=None):
+def _ratios_integrand_direct(c, t: float, P: int, arith=None):
     """The integrand at height t for the member with Gamma shift c, or for
     each entry of an array of shifts (the arithmetic factors are shared);
     c is read through np.asarray, so one shift takes the numpy arithmetic
-    of an array entry.  zeta_L is _zeta_L_block(t) when the caller already
-    has it."""
-    block, xblock = _zeta_L_block(t) if zeta_L is None else zeta_L
-    ap = ratios_A_prime(t, P=P)
-    a_mir = ratios_A(-1j * t, 1j * t, P=P)
+    of an array entry.  arith is (block, xblock, ap, a_mir), that is
+    _zeta_L_block(t), ratios_A_prime(t) and ratios_A(-it, it), when the
+    caller already has them."""
+    if arith is None:
+        arith = _zeta_L_block(t) + (ratios_A_prime(t, P=P), ratios_A(-1j * t, 1j * t, P=P))
+    block, xblock, ap, a_mir = arith
     c = np.asarray(c)
     # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
     e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q))
@@ -575,8 +598,9 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     The integrand is even, so the integral is twice a 48-point
     Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
     with f(t_end log N/pi) = 1e-12.  The zeta and L factors are one
-    _zeta_L_block call over all the nodes.  `ctx` is accepted for API
-    compatibility; the result is float64."""
+    _zeta_L_block call over all the nodes, and the A and A' products one
+    row call each.  `ctx` is accepted for API compatibility; the result
+    is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
     if N < 2:
@@ -586,6 +610,9 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     cs = _member(np.arange(1, N + 1)).c
     total = 0.0
-    for t, wt, zeta_L in zip(ts.tolist(), ws.tolist(), zip(*_zeta_L_block(ts))):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, P, zeta_L)))
+    tl = ts.tolist()
+    a_mir = _ratios_A_rows([-1j * t for t in tl], [1j * t for t in tl], P)
+    arith = zip(*_zeta_L_block(ts), _ratios_A_prime_rows(tl, P), a_mir)
+    for t, wt, args in zip(tl, ws.tolist(), arith):
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, P, args)))
     return 2.0 * total / (2.0 * fpi * N)

@@ -44,6 +44,7 @@ from .specfun import (
 SWEEP_CAP = 2000  # family-size cap for the desk-scale sweep
 _VALIDATION_SUBSAMPLE = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 469, 610, 987, 1597, SWEEP_CAP)
 _VALIDATION_TOL = 1e-9
+_SWEEP_BLOCK = 32  # members whose coefficient rows the sweep reads at once
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,10 @@ def _build_sweep(N: int) -> np.ndarray:
     inv_sqrt_m = 1.0 / np.sqrt(ms)
     qs = islice(reg_gamma_Q_f64(c_max, BETA * ms), 0, None, 2)  # Q(c, x_m) at each member nu's c
     out = np.zeros(N)
-    for nu, q in zip(range(1, N + 1), qs):
-        a = table.coeffs(_member(nu).k)[1:]
-        out[nu - 1] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
+    for lo in range(0, N, _SWEEP_BLOCK):
+        block = table.coeffs(_member(np.arange(lo + 1, min(lo + _SWEEP_BLOCK, N) + 1)).k)[:, 1:]
+        for i, (a, q) in enumerate(zip(block, qs), start=lo):
+            out[i] = 2.0 * float(np.dot(a * inv_sqrt_m, q))
     ctx = PrecisionContext(digits=20)
     for nu in _VALIDATION_SUBSAMPLE:
         if nu > N:

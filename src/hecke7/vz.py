@@ -157,6 +157,17 @@ def _scaled(coeffs: tuple, scale: int) -> tuple:
     return tuple(Fraction(c, scale) for c in coeffs)
 
 
+def _series_index(n, name: str = "n") -> int:
+    """The series index n as an int, a numpy integer read as the int;
+    ValueError for anything else, bools and integral floats included.
+    Range checks stay with the callers."""
+    if type(n) is not int:
+        if not isinstance(n, np.integer):
+            raise ValueError(f"series index {name} must be an integer, got {n!r}")
+        n = int(n)
+    return n
+
+
 def b_poly(k: int) -> VZPoly:
     """The exact rational polynomial b_k(x)."""
     return VZPoly.make(_scaled(_grow(_B, _b_step, k), 2 * 21**k))
@@ -174,6 +185,7 @@ def A_from_a_path(n: int) -> Fraction:
     At x = -1 the radicand (1+x)(1-27x) vanishes, so the limit is just
     the u-component there.
     """
+    n = _series_index(n)
     if n % 2 == 0:
         return Fraction(0)
     u = _grow(_A, _a_step, n - 1)[0]
@@ -182,6 +194,7 @@ def A_from_a_path(n: int) -> Fraction:
 
 def B_of(n: int) -> Fraction:
     """B(n) = b_{(n-1)/2}(0) for odd n; B(1) = 1/2, integer for n > 1."""
+    n = _series_index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd positive integer")
     k = (n - 1) // 2
@@ -190,6 +203,7 @@ def B_of(n: int) -> Fraction:
 
 def A_of(n: int) -> Fraction:
     """A(n): zero for even n (odd functional equation), else B(n)^2."""
+    n = _series_index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 2 == 0:
@@ -200,6 +214,7 @@ def A_of(n: int) -> Fraction:
 
 def central_value_exact(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> ExactCentral:
     """L(1/2, chi^(2n-1)) = 2 (2pi/sqrt7)^n Omega^(2n-1) A(n)/(n-1)!."""
+    n = _series_index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd positive integer")
     A = A_of(n)
@@ -213,6 +228,7 @@ def central_value_exact(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> ExactCen
 
 def congruence_check(max_n: int) -> list[tuple[int, int, bool]]:
     """B(n) = -n (mod 4) for odd 1 < n <= max_n: the nonvanishing sweep."""
+    max_n = _series_index(max_n, "max_n")
     if max_n % 2 == 0:
         raise ValueError("max_n must be odd")
     out = []

@@ -131,7 +131,7 @@ def test_one_engine_per_member(monkeypatch):
     builds = []
     init = central.ZEngine.__init__
     monkeypatch.setattr(central.ZEngine, "__init__", lambda self, n: builds.append(n) or init(self, n))
-    central.get_engine.cache_clear()
+    central._engine.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # T = 30 is past the ceiling
         for T in (3.0, 12.0, 30.0):
@@ -330,6 +330,36 @@ def test_member_reads_numpy_integers():
         central._member(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="family index n must be >= 1"):
         central._member(np.arange(0, 3))
+
+
+def test_get_engine_reads_numpy_integers():
+    # the cache is keyed on the int: one build serves np.int64(2), 2 and np.int32(2)
+    central._engine.cache_clear()
+    engine = central.get_engine(np.int64(2))
+    assert central.get_engine(2) is engine and central.get_engine(np.int32(2)) is engine
+    info = central._engine.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    with pytest.raises(ValueError, match="family index n must be an integer"):
+        central.get_engine(1.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [central.central_value_series, vz.central_value_exact, vz.A_of, vz.B_of, vz.A_from_a_path, vz.congruence_check],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None], ids=repr)
+def test_series_index_must_be_an_integer(call, bad):
+    with pytest.raises(ValueError, match="series index"):
+        call(bad)
+
+
+def test_series_index_reads_numpy_integers():
+    got = central.central_value_series(np.int64(3), CTX20)
+    assert type(got.n) is int and got == central.central_value_series(3, CTX20)
+    assert vz.central_value_exact(np.int32(5)) == vz.central_value_exact(5)
+    assert vz.A_of(np.int64(7)) == vz.A_from_a_path(np.int64(7)) == vz.A_of(7)
+    assert vz.congruence_check(np.int64(11)) == vz.congruence_check(11)
 
 
 def test_zeros_validation_and_truncation():

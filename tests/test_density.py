@@ -249,7 +249,7 @@ def test_gauss_legendre_rule_once_per_degree(monkeypatch):
     degrees = []
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda d: degrees.append(d) or leggauss(d))
     monkeypatch.setattr(central, "_GL_RULES", {})
-    central.get_engine.cache_clear()
+    central._engine.cache_clear()
     density.empirical_one_level(20, density.fejer(1.0), ctx=CTX)
     assert sorted(degrees) == sorted(set(degrees)) == [16, 24, 48]
     for nodes, weights in central._GL_RULES.values():
@@ -264,7 +264,7 @@ def test_t_reliable_once_per_member(monkeypatch):
     counted = lambda n: calls.append(n) or t_reliable(n)
     monkeypatch.setattr(central, "t_reliable", counted)
     monkeypatch.setattr(density, "t_reliable", counted, raising=False)
-    central.get_engine.cache_clear()
+    central._engine.cache_clear()
     density.empirical_one_level(10, density.fejer(1.0), ctx=CTX)
     assert sorted(calls) == list(range(1, 11))
 
@@ -460,6 +460,41 @@ def test_zeta_L_block_against_mpmath():
             for b, g, want in zip(batch, single, _zeta_L_block_mp(t)):
                 assert abs(b[i] - want) < 1e-13 * max(1.0, abs(want)), (w, t)
                 assert abs(b[i] - g) < 1e-14 * abs(g), (w, t)
+
+
+def _ratios_A_masked(a, g, P):
+    # ratios_A and ratios_A_prime as single-height products over boolean
+    # class masks, the reference for the bits of the row versions
+    table = field.prime_table(P)
+    lp, cls = np.log(table.primes), table.classes
+    split, inert, ram = cls == "split", cls == "inert", cls == "ramified"
+    y, w = np.exp(-(1 + 2 * g) * lp), np.exp(-(1 + a + g) * lp)
+    fac = np.ones(len(lp), dtype=complex)
+    fac[split] = (1 - y[split]) * (1 + y[split] - 2 * w[split]) / (1 - w[split]) ** 2
+    fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
+    fac[ram] = (1 - y[ram]) / (1 - w[ram])
+    wd = np.exp(-(1 + 2 * g) * lp)  # A' at the height g = it
+    wi, wr = wd[inert], wd[ram]
+    prime = -np.sum(2 * lp[inert] * wi**2 / (1 - wi**2)) - np.sum(lp[ram] * wr / (1 - wr))
+    return complex(np.prod(fac)), complex(prime)
+
+
+def test_ratios_rows_match_the_public_calls():
+    # the route's 96 nodes: one row call each for A(-it, it) and A'(it, it)
+    # gives the public single-height values and the masked products, bit for bit
+    for w in (1.8, 2.2):
+        ts = _gaussian_nodes(w).tolist()
+        mirrored = density._ratios_A_rows([-1j * t for t in ts], [1j * t for t in ts], 100_000)
+        primes = density._ratios_A_prime_rows(ts, 100_000)
+        assert len(mirrored) == len(primes) == 96
+        for t, a, ap in zip(ts, mirrored, primes):
+            want = _ratios_A_masked(-1j * t, 1j * t, 100_000)
+            assert repr((a, ap)) == repr(want), t
+            assert repr(a) == repr(density.ratios_A(-1j * t, 1j * t)), t
+            assert repr(ap) == repr(density.ratios_A_prime(t)), t
+    shifts = [(0.1 - 0.2j, 0.05 + 0.3j), (-0.2, 0.1j), (0.0, 0.0)]
+    rows = density._ratios_A_rows([a for a, _ in shifts], [g for _, g in shifts], 10**4, tol=float("inf"))
+    assert rows == [density.ratios_A(a, g, P=10**4, tol=float("inf")) for a, g in shifts]
 
 
 def test_zeta_L_block_truncation_guard():

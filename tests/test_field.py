@@ -169,6 +169,37 @@ def test_coeff_table_consistency():
         field.prime_class(9)
 
 
+def test_coeffs_of_an_exponent_array_match_the_int_calls():
+    # the axes of k lead; each row is the int call's array, bit for bit
+    table = field.prime_table(1446)
+    ks = np.array([1, 5, 97, 1873, 7997])
+    rows = table.coeffs(ks)
+    assert rows.shape == (5, 1447)
+    for k, row in zip(ks.tolist(), rows):
+        assert row.tobytes() == table.coeffs(k).tobytes(), k
+    assert table.coeffs(ks.reshape(5, 1))[:, 0].tobytes() == rows.tobytes()
+    p, q, x = table.powers(ks, 1.0)
+    assert x.shape == (5, len(q))
+    for k, row in zip(ks.tolist(), x):
+        assert row.tobytes() == table.powers(k, 1.0)[2].tobytes(), k
+
+
+def test_lucas_coeff_against_direct_powering():
+    # hecke_coeff's Lucas V-sequences against zpow on every half
+    # representation (_eps_power_sum), whose sum must be real
+    for k in range(1, 62, 2):
+        for m in range(1, 401):
+            u, v = field._eps_power_sum(k, field.half_representations(m))
+            assert v == 0 and field.hecke_coeff(k, m) == u, (k, m)
+    rng = random.Random(7)
+    # 2, 4, 8 split, 3^2 inert, 7 ramified, 11 * 2 composite, 2^12 and 29^2
+    fixed = [2, 4, 8, 9, 7, 22, 4096, 841]
+    for k in (1873, 7997):
+        for m in fixed + rng.sample(range(2, 5940), 6):
+            u, v = field._eps_power_sum(k, field.half_representations(m))
+            assert v == 0 and field.hecke_coeff(k, m) == u, (k, m)
+
+
 def test_factorizations_and_primes():
     import sympy
 

@@ -1,6 +1,7 @@
 """Moment sweeps, multiplicative averages, and shifted Euler factors."""
 
 import math
+import random
 from functools import partial
 
 import mpmath
@@ -32,6 +33,26 @@ def test_sweep_spot_against_mp_series():
     for nu in (1, 4, 50):
         ref = central.central_value_series(2 * nu - 1, PrecisionContext(20))
         assert abs(vals[nu - 1] - float(ref.value)) < 1e-9, nu
+
+
+def test_sweep_blocks_match_per_member_rows():
+    # the sweep reads coefficients in member blocks; each value is the
+    # per-member int-exponent route, bit for bit
+    from hecke7 import central
+    from hecke7.specfun import reg_gamma_Q_f64
+
+    N = 469
+    vals = moments.sweep_central_values(N)
+    c_max = central._member(N).c
+    M = central.series_truncation(c_max, 11)
+    table = field.prime_table(M)
+    ms = np.arange(1, M + 1)
+    qs = list(reg_gamma_Q_f64(c_max, central.BETA * ms))[::2]
+    # block edges (blocks of 64) and twelve drawn members
+    for nu in [1, 2, 63, 64, 65, 128, 129, 469] + random.Random(469).sample(range(3, N), 12):
+        a = table.coeffs(central._member(nu).k)[1:]
+        want = 2.0 * float(np.dot(a * (1.0 / np.sqrt(ms)), qs[nu - 1]))
+        assert vals[nu - 1] == want, nu
 
 
 def test_validation_subsample_reaches_cap():
