@@ -46,13 +46,13 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .vz import _series_index
 from .specfun import (
     PrecisionContext,
     DEFAULT_CTX,
     ComputeCapError,
     ConvergenceError,
     loggamma_f64,
+    _series_index,
     _upper_gamma_scaled,
 )
 

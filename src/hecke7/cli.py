@@ -121,10 +121,20 @@ def _cmd_coeffs(args) -> int:
     tab = field.coeff_table(args.k, args.max_m, digits=args.digits)
     header = ["m", "chi_exact", "normalized", "normalized_abs_err"]
     err = _sci(mpf(10) ** (-args.digits), 3)
-    rows = [
-        [str(m), str(tab.exact[m]), _sci(tab.normalized[m], args.digits), err]
-        for m in range(1, args.max_m + 1)
-    ]
+    # chi^(k)(m) has about k log10(m) / 2 digits, past the int-to-str limit
+    # of Python >= 3.11 (4300) for large k: print it in full, and restore
+    # the limit for the rest of the process (0 means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = [
+            [str(m), str(tab.exact[m]), _sci(tab.normalized[m], args.digits), err]
+            for m in range(1, args.max_m + 1)
+        ]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     _emit(args, (header, rows))
     return 0
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import ceil, exp, factorial, inf, isnan, log, pi as fpi, sqrt as fsqrt
 from sys import float_info
 
@@ -392,7 +391,7 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
             cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(g))))
         xa = mpf(p) ** (-(mpf(1) / 2 + a))
         xg = mpf(p) ** (-(mpf(1) / 2 + g))
-        bracket = _local_double_sum(xa, xg, partial(delta_mu, p), cutoff, 2)
+        bracket = _local_double_sum(xa, xg, [[delta_mu(p, i, j) for j in range(3)] for i in range(cutoff + 1)])
         u = mpf(p) ** (-1 - 2 * a)
         y = mpf(p) ** (-1 - 2 * g)
         w = mpf(p) ** (-1 - a - g)

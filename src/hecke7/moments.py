@@ -11,16 +11,17 @@ read-only module store, rebuilt for a larger N and validated against the
 arbitrary-precision series route on a fixed subsample.  The module also
 houses the multiplicative averages delta(m), delta(l,m), delta_mu(p^m, p^l), a
 family-average oracle for them over the prime table, and the
-local/global Euler factors F(alpha,beta) of the shifted second moment.
+local/global Euler factors F(alpha,beta) of the shifted second moment,
+whose brute oracle sums integer rows delta(p^i, p^j), j = 0..J.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from math import exp, isqrt, log
+from operator import mul
 
 import numpy as np
 import mpmath
@@ -195,14 +196,18 @@ def delta_one(m: int) -> int:
     return CHI7[r % 7]
 
 
-def _delta_two_local(cls: str, a: int, b: int) -> int:
-    if a == 0 and b == 0:
-        return 1
+def _delta_row(cls: str, i: int, J: int) -> list[int]:
+    """delta(p^i, p^j) for j = 0..J at a prime of class cls: min(i, j) + 1
+    when split and i + j is even, (-1)^((i+j)/2) when inert and i, j are
+    even, 1 at (0, 0) when ramified, and 0 elsewhere."""
+    row = [0] * (J + 1)
     if cls == "split":
-        return (min(a, b) + 1) if (a + b) % 2 == 0 else 0
-    if cls == "inert" and a % 2 == 0 and b % 2 == 0:
-        return -1 if ((a + b) // 2) % 2 else 1
-    return 0
+        row[i % 2 :: 2] = [min(i, j) + 1 for j in range(i % 2, J + 1, 2)]
+    elif cls == "inert" and i % 2 == 0:
+        row[::2] = [(-1) ** ((i + j) // 2) for j in range(0, J + 1, 2)]
+    elif i == 0:
+        row[0] = 1
+    return row
 
 
 def delta_two(l: int, m: int) -> int:
@@ -212,7 +217,7 @@ def delta_two(l: int, m: int) -> int:
     fl, fm = field.factorint(l), field.factorint(m)
     out = 1
     for p in set(fl) | set(fm):
-        out *= _delta_two_local(field.prime_class(p), fl.get(p, 0), fm.get(p, 0))
+        out *= _delta_row(field.prime_class(p), fl.get(p, 0), fm.get(p, 0))[-1]
         if out == 0:
             return 0
     return out
@@ -229,7 +234,7 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
     cls = field.prime_class(p)
     if l_exp >= 3 or cls == "ramified":
         return 0
-    return (1, -1, 1)[l_exp] * _delta_two_local(cls, m_exp, l_exp % 2)
+    return (1, -1, 1)[l_exp] * _delta_row(cls, m_exp, l_exp % 2)[-1]
 
 
 def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -299,43 +304,39 @@ def f1_constant(ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         return +(f0_constant(ctx) * (3 * L1p / L1 - 2 * zpz2 + mp.log(7) / 8))
 
 
-def _local_double_sum(x, y, rule, I: int, J: int) -> mpc:
-    """sum_{i<=I, j<=J} rule(i, j) x^i y^j for an integer-valued rule: the
-    brute Dirichlet series of one Euler factor, with rule called on every
-    (i, j).
+def _local_double_sum(x, y, rows) -> mpc:
+    """sum_{i<=I, j<=J} rows[i][j] x^i y^j for I + 1 equal-length integer
+    rows of J + 1 entries each: the brute Dirichlet series of one Euler
+    factor, which visits every term.
 
     Let prec = mp.prec + 32.  The powers x^i and y^j come from repeated
     multiplication at prec + 20 bits, so for I, J < 2^19 each is within
     2^-prec of exact, relative.  Each y^j is then truncated to a multiple
     of 2^-prec in both parts, so for |y| <= 1 it is within 2.5 * 2^-prec
-    of exact.  Each row sum_j rule(i, j) y^j is summed exactly in Python
+    of exact.  Each row sum_j rows[i][j] y^j is summed exactly in Python
     ints, and one mpmath.fdot of the rows against the x^i rounds once, to
     mp.prec.  Before that rounding the result is within
 
-        4 (J+1) max|rule| sum_{i<=I} |x|^i 2^-prec
+        4 (J+1) max|rows| sum_{i<=I} |x|^i 2^-prec
 
     of the exact sum.
     """
-    if I < 0 or J < 0:
+    if not rows:
         raise ValueError("cutoff must be nonnegative")
     prec = mp.prec + 32
     with mp.workprec(prec + 20):
         xs, ys = [mp.one], [mpc(1)]
-        for _ in range(I):
+        for _ in range(len(rows) - 1):
             xs.append(xs[-1] * x)
-        for _ in range(J):
+        for _ in range(len(rows[0]) - 1):
             ys.append(ys[-1] * y)
-    yfix = [(to_fixed(re, prec), to_fixed(im, prec)) for re, im in (v._mpc_ for v in ys)]
-    rows = []
-    for i in range(I + 1):
-        re = im = 0
-        for j, (yr, yi) in enumerate(yfix):
-            d = rule(i, j)
-            if d:
-                re += d * yr
-                im += d * yi
-        rows.append(mp.make_mpc((from_man_exp(re, -prec), from_man_exp(im, -prec))))
-    return mpmath.fdot(rows, xs)
+    yre = [to_fixed(v._mpc_[0], prec) for v in ys]
+    yim = [to_fixed(v._mpc_[1], prec) for v in ys]
+    sums = [
+        mp.make_mpc((from_man_exp(sum(map(mul, row, yre)), -prec), from_man_exp(sum(map(mul, row, yim)), -prec)))
+        for row in rows
+    ]
+    return mpmath.fdot(sums, xs)
 
 
 def _closed_local(p: int, cls: str, a, b):
@@ -379,7 +380,7 @@ def local_factor(
             cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(b))))
         xa = mpf(p) ** (-(mpf(1) / 2 + a))
         xb = mpf(p) ** (-(mpf(1) / 2 + b))
-        brute = _local_double_sum(xa, xb, partial(_delta_two_local, cls), cutoff, cutoff)
+        brute = _local_double_sum(xa, xb, [_delta_row(cls, i, cutoff) for i in range(cutoff + 1)])
         return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff)
 
 

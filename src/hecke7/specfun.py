@@ -83,6 +83,17 @@ class PrecisionContext:
 DEFAULT_CTX = PrecisionContext()
 
 
+def _series_index(n, name: str = "n") -> int:
+    """The series index n as an int, a numpy integer read as the int;
+    ValueError for anything else, bools and integral floats included.
+    Range checks stay with the callers."""
+    if type(n) is not int:
+        if not isinstance(n, np.integer):
+            raise ValueError(f"series index {name} must be an integer, got {n!r}")
+        n = int(n)
+    return n
+
+
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n)
     for a positive integer n and x >= 0: the finite Poisson sum

@@ -48,7 +48,7 @@ import numpy as np
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
 from numpy.polynomial import polynomial as P
 
-from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, constants
+from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, _series_index, constants
 
 @dataclass(frozen=True)
 class VZPoly:
@@ -155,17 +155,6 @@ def _grow(seq: list, step, k: int) -> tuple:
 def _scaled(coeffs: tuple, scale: int) -> tuple:
     """The stored integer coefficients divided by the store's scale."""
     return tuple(Fraction(c, scale) for c in coeffs)
-
-
-def _series_index(n, name: str = "n") -> int:
-    """The series index n as an int, a numpy integer read as the int;
-    ValueError for anything else, bools and integral floats included.
-    Range checks stay with the callers."""
-    if type(n) is not int:
-        if not isinstance(n, np.integer):
-            raise ValueError(f"series index {name} must be an integer, got {n!r}")
-        n = int(n)
-    return n
 
 
 def b_poly(k: int) -> VZPoly:

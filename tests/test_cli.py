@@ -115,6 +115,30 @@ def test_exact_commands_do_not_import_sympy():
     assert _fresh_python(code).stdout.splitlines()[-1] == "False"
 
 
+def test_density_and_moments_do_not_import_vz():
+    # the exact A(n) route (and numpy.polynomial) stays out of the float64 stages
+    code = "import sys\nimport hecke7.density, hecke7.moments\nprint('hecke7.vz' in sys.modules)\n"
+    assert _fresh_python(code).stdout.splitlines()[-1] == "False"
+
+
+def test_coeffs_prints_integers_past_the_str_digit_limit(capsys):
+    # chi^(7997)(16) has 4,815 digits, past Python's default int-to-str
+    # limit of 4300; the command prints it in full and restores the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    rc, out = run(capsys, "coeffs", "--k", "7997", "--max-m", "16", "--format", "csv")
+    assert rc == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    m, chi_exact = out.splitlines()[-1].split(",")[:2]
+    assert m == "16" and len(chi_exact.lstrip("-")) == 4815
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(chi_exact) == field.hecke_coeff(7997, 16)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_float64_commands_run_without_scipy():
     # scipy is the tests' reference only: a None entry in sys.modules makes
     # every scipy import raise, and the float64 routes must not need one

@@ -173,14 +173,20 @@ def test_delta_mu_against_family_data():
                 assert abs(got - moments.delta_mu(p, m, l)) < 0.02, (p, m, l, got)
 
 
+def _rows(rule, I, J):
+    return [[rule(i, j) for j in range(J + 1)] for i in range(I + 1)]
+
+
 def test_local_double_sum_against_geometric_series():
     x, y = mpf("0.3"), mpmath.mpc("0.2", "0.1")
-    got = moments._local_double_sum(x, y, lambda i, j: 1, 5, 2)
+    got = moments._local_double_sum(x, y, _rows(lambda i, j: 1, 5, 2))
     want = (1 - x**6) / (1 - x) * (1 - y**3) / (1 - y)
     assert abs(got - want) < 1e-14
-    # only the terms with a nonzero rule value enter, each weighted by it
-    got = moments._local_double_sum(x, y, lambda i, j: (i == j) * (i + 1), 5, 2)
+    # only the terms with a nonzero row entry enter, each weighted by it
+    got = moments._local_double_sum(x, y, _rows(lambda i, j: (i == j) * (i + 1), 5, 2))
     assert abs(got - (1 + 2 * x * y + 3 * x**2 * y**2)) < 1e-14
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        moments._local_double_sum(x, y, [])
 
 
 def _per_term_sum(x, y, rule, I, J):
@@ -196,11 +202,30 @@ def _per_term_sum(x, y, rule, I, J):
     return acc
 
 
+def _delta_two_rule(cls, a, b):
+    # delta(p^a, p^b) one term at a time, written apart from moments._delta_row
+    if a == 0 and b == 0:
+        return 1
+    if cls == "split":
+        return (min(a, b) + 1) if (a + b) % 2 == 0 else 0
+    if cls == "inert" and a % 2 == 0 and b % 2 == 0:
+        return -1 if ((a + b) // 2) % 2 else 1
+    return 0
+
+
+def test_delta_rows_match_the_term_rule():
+    for cls in ("split", "inert", "ramified"):
+        for J in (0, 1, 2, 7, 30):
+            for i in range(40):
+                want = [_delta_two_rule(cls, i, j) for j in range(J + 1)]
+                assert moments._delta_row(cls, i, J) == want, (cls, i, J)
+
+
 def test_local_double_sum_matches_per_term_sum():
     def check(a, b, rule, I, J):
         with mp.workdps(30):
             x, y = mpf(2) ** -(mpf(1) / 2 + a), mpf(2) ** -(mpf(1) / 2 + b)
-            got = moments._local_double_sum(x, y, rule, I, J)
+            got = moments._local_double_sum(x, y, _rows(rule, I, J))
             prec = mp.prec + 32
             with mp.workprec(mp.prec + 64):
                 want = _per_term_sum(x, y, rule, I, J)
@@ -214,7 +239,7 @@ def test_local_double_sum_matches_per_term_sum():
     shifts = ((mpf("0.05"), mpf("-0.24")), (mpc("0.05", "-2"), mpc("-0.24", "1.7")))
     for cls in ("split", "inert", "ramified"):
         for a, b in shifts:
-            check(a, b, partial(moments._delta_two_local, cls), 156, 156)
+            check(a, b, partial(_delta_two_rule, cls), 156, 156)
     # the J = 2 shape of ratios_local_brute, weights up to 400
     for a, b in shifts:
         check(b, a, lambda i, j: (i + 1) * (1, -1, 1)[j], 399, 2)
@@ -313,6 +338,24 @@ def test_local_factor_brute_matches_closed():
     v = moments.local_factor(2, -0.24, 0, mode="brute", ctx=CTX)
     assert v.cutoff == moments.brute_cutoff_for(2, -0.24) == 244
     assert abs(v.brute - v.closed) < 1e-12
+
+
+def test_brute_oracle_bits_are_pinned():
+    # every bit of both brute oracles at 30 digits (repr at the working
+    # precision round-trips), default cutoffs, one complex shift
+    ctx = PrecisionContext(30)
+    a, b = mpc("0.05", "0.3"), -0.1
+    want = {
+        2: "mpc(real='9.599197326296086695067469547355450884388707', imag='-6.591287090993786523524863776170992617092291')",
+        3: "mpc(real='0.5593877305409133445499081020121291449049431', imag='0.08277665501195604739438547767506256617239762')",
+        7: "mpc(real='1.0', imag='0.0')",
+    }
+    with mp.workdps(ctx.working_dps):
+        for p, r in want.items():
+            assert repr(moments.local_factor(p, a, b, mode="brute", ctx=ctx).brute) == r, p
+        assert repr(density.ratios_local_brute(2, a, b, ctx=ctx)) == (
+            "mpc(real='1.000796599925708708931463819463295891090785', imag='-0.0628471014196440672744894665712369281569432')"
+        )
 
 
 def test_brute_cutoff_policy():
