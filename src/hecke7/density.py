@@ -343,10 +343,10 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
 
 def _ratios_classes(P: int):
     """(log p, split, inert, ramified) over the primes p <= P, the last
-    three as index arrays: the class split that _ratios_A_rows and
-    _ratios_A_prime_rows read once per call."""
+    three as index arrays where the table's chi is 1, -1 and 0: the class
+    split that _ratios_A_rows and _ratios_A_prime_rows read once per call."""
     table = field.prime_table(P)
-    split, inert, ram = (np.flatnonzero(table.classes == c) for c in ("split", "inert", "ramified"))
+    split, inert, ram = (np.flatnonzero(table.chi == c) for c in (1, -1, 0))
     return np.log(table.primes), split, inert, ram
 
 
@@ -383,7 +383,7 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
     independent oracle for ratios_A, on its domain |Re| < 1/4 (the series
     converges for Re alpha > -1/2)."""
     _check_shift(alpha, gamma)
-    cls = field.prime_class(p)
+    chi = field._prime_chi(p)
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         g = mpmath.mpmathify(gamma)
@@ -395,9 +395,9 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
         u = mpf(p) ** (-1 - 2 * a)
         y = mpf(p) ** (-1 - 2 * g)
         w = mpf(p) ** (-1 - a - g)
-        if cls == "ramified":
+        if chi == 0:
             norm = 1  # delta_mu vanishes off (0, 0) at p = 7, so the bracket is 1
-        elif cls == "split":
+        elif chi == 1:
             norm = (1 - u) / (1 - w)
         else:
             norm = (1 + u) / (1 + w)

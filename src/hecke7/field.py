@@ -13,6 +13,11 @@ Lucas V-sequence (hecke_coeff); floating normalization is applied last.
 These serve the mpmath routes and the oracles; the float64 family routes
 share one PrimeTable (exact fixed-point representation angles) instead,
 which reads a whole array of exponents k in one pass.
+
+A prime's splitting class is the int chi_{-7}(p) = CHI7[p % 7]: 1 split,
+-1 inert, 0 ramified (p = 7).  The table holds it as int8, _prime_chi
+checks and reads it for one prime, and only the public prime_class names
+it as a string.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
 from mpmath.libmp import from_int, mpf_atan2, mpf_div, mpf_mul, mpf_pi, mpf_sqrt, round_nearest, to_int
 
-from .specfun import CHI7, ComputeCapError, PrecisionContext
+from .specfun import CHI7, ComputeCapError, PrecisionContext, _series_index
 
 PRIME_TABLE_CAP = 10**7  # largest P the shared prime table is grown to
 
@@ -176,15 +181,25 @@ def theta(a: int, b: int, digits: int = 15) -> mpf:
 _CLASS_NAMES = {1: "split", -1: "inert", 0: "ramified"}
 
 
+def _prime_chi(p: int) -> int:
+    """chi_{-7}(p) = (p/7), the splitting class of a prime p as an int.
+
+    Raises ValueError unless p is an int or numpy integer prime (bools
+    and floats are refused; a numpy integer is read as the int).
+    """
+    p = _series_index(p, "prime p")
+    if p < 2 or factorint(p) != {p: 1}:
+        raise ValueError(f"{p} is not prime")
+    return CHI7[p % 7]
+
+
 def prime_class(p: int) -> str:
     """Splitting type of a rational prime in Q(sqrt(-7)).
 
     'split' for p = 1, 2, 4 mod 7; 'inert' for p = 3, 5, 6 mod 7;
-    'ramified' for p = 7.  Raises ValueError if p is not prime.
+    'ramified' for p = 7.  Raises ValueError if p is not an int prime.
     """
-    if p < 2 or factorint(p) != {p: 1}:
-        raise ValueError(f"{p} is not prime")
-    return _CLASS_NAMES[CHI7[p % 7]]
+    return _CLASS_NAMES[_prime_chi(p)]
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -192,7 +207,7 @@ def factorint(n: int) -> dict[int, int]:
 
     At most about sqrt(n)/2 trial divisors: enough for the table's
     |B(n)|, n <= 33 (below 2^46, largest prime factor 1,747,169), for
-    the arguments of the delta averages and for prime_class.
+    the arguments of the delta averages and for _prime_chi.
     """
     out = {}
     p = 2
@@ -258,7 +273,8 @@ def coeff_table(k: int, maxM: int, digits: int = 15) -> CoeffTable:
 class PrimeTable:
     """Float64 prime kernel for p <= P; every array is read-only.
 
-    Per prime: its prime_class and, for its two half-representations in
+    Per prime: chi, its splitting class chi_{-7}(p) as int8 (1 split,
+    -1 inert, 0 at p = 7), and, for its two half-representations in
     half_representations order (zero rows at inert p and p = 7), rep_eps
     and rep_turns, theta(a, b, 30) rounded to 64-bit fixed-point turns, so
     k theta mod 1 is one wrapping uint64 multiply.  Per m <= P: ppart, the
@@ -271,13 +287,13 @@ class PrimeTable:
 
     P: int
     primes: np.ndarray
-    classes: np.ndarray
+    chi: np.ndarray
     ppart: np.ndarray
     rep_eps: np.ndarray
     rep_turns: np.ndarray
 
     def __getitem__(self, rows: slice) -> PrimeTable:
-        cut = {name: getattr(self, name)[rows] for name in ("primes", "classes", "rep_eps", "rep_turns")}
+        cut = {name: getattr(self, name)[rows] for name in ("primes", "chi", "rep_eps", "rep_turns")}
         return replace(self, **cut)
 
     def chebyshev(self, k: int | np.ndarray, e_max: int, c0: float) -> np.ndarray:
@@ -290,7 +306,7 @@ class PrimeTable:
         k = np.asarray(k, dtype=np.uint64)[..., None, None]
         phase = (k * self.rep_turns).view(np.int64) * 2.0**-64  # in [-1/2, 1/2)
         ap = (self.rep_eps * np.cos(2.0 * np.pi * phase)).sum(axis=-1)
-        c = self.classes != "ramified"
+        c = self.chi != 0
         xs = [np.full_like(ap, c0), ap]
         for _ in range(e_max - 1):
             xs.append(ap * xs[-1] - c * xs[-2])
@@ -328,12 +344,14 @@ class PrimeTable:
         return a
 
 
-def _build_table(P: int) -> PrimeTable:
-    """A PrimeTable for p <= P."""
+def _build_table(P: int, old: PrimeTable | None) -> PrimeTable:
+    """A PrimeTable for p <= P.  The angle rows of old, a stored table
+    for p <= old.P < P, are copied, so the exact atan2 runs only for the
+    split primes in (old.P, P]; the rest is built afresh."""
     spf = _spf_sieve(P)
     ms = np.arange(P + 1)
     primes = np.flatnonzero(spf == ms)[2:]
-    classes = np.array([_CLASS_NAMES[CHI7[r]] for r in range(7)])[primes % 7]
+    chi = np.array([CHI7[r] for r in range(7)], dtype=np.int8)[primes % 7]
     ppart = spf.copy()
     ppart[0] = 1
     # the m >= 2 divisible by p^2, p = spf(m); each pass multiplies in one
@@ -345,13 +363,23 @@ def _build_table(P: int) -> PrimeTable:
         left = left[left % (ppart[left] * spf[left]) == 0]
     # Each split p <= P is the norm of one z = (a, b) with b > 0 < 2a + b; its rows
     # are -conj(z) = (-a-b, b), with 1/2 - theta(z) and -eps(z), then z itself.
+    # Over those a the norm ((2a + b)^2 + 7b^2)/4 rises, so the norms above
+    # P0 = old.P (0 when fresh) start past a = (isqrt(4 P0 - 7b^2) - b)//2
+    # when 7b^2 <= 4 P0; the rows of the primes <= P0 are old's.
     prec = 136  # theta(..., digits=30)'s working precision: the turns match it bit for bit
     sqrt7 = mpf_sqrt(from_int(7), prec, round_nearest)
     scale = mpf_div(from_int(1 << 63), mpf_pi(prec, round_nearest), prec, round_nearest)  # 2^64/2pi
     rep_eps = np.zeros((len(primes), 2))
     rep_turns = np.zeros((len(primes), 2), dtype=np.uint64)
+    P0 = 0
+    if old is not None:
+        P0 = old.P
+        rep_eps[: len(old.primes)] = old.rep_eps
+        rep_turns[: len(old.primes)] = old.rep_turns
     for b in range(1, isqrt(4 * P // 7) + 1):
-        a = np.arange(-((b - 1) // 2), (isqrt(4 * P - 7 * b * b) - b) // 2 + 1)
+        d0 = 4 * P0 - 7 * b * b
+        lo = (isqrt(d0) - b) // 2 + 1 if d0 >= 0 else -((b - 1) // 2)
+        a = np.arange(lo, (isqrt(4 * P - 7 * b * b) - b) // 2 + 1)
         q = a * a + a * b + 2 * b * b
         split = spf[q] == q
         y = mpf_mul(from_int(b), sqrt7, prec, round_nearest)
@@ -360,7 +388,7 @@ def _build_table(P: int) -> PrimeTable:
             t = to_int(mpf_mul(atan, scale, prec, round_nearest), round_nearest)
             rep_eps[i] = -epsilon(x, b), epsilon(x, b)
             rep_turns[i] = (1 << 63) - t, t
-    arrays = (primes, classes, ppart, rep_eps, rep_turns)
+    arrays = (primes, chi, ppart, rep_eps, rep_turns)
     for arr in arrays:
         arr.setflags(write=False)
     return PrimeTable(P, *arrays)
@@ -374,13 +402,15 @@ def prime_table(P: int) -> PrimeTable:
     """The shared PrimeTable cut to p <= P, the same at any stored size:
     built on first use, never at import, and rebuilt for a larger P at
     max(P, twice the stored P) clamped at PRIME_TABLE_CAP, so a rising run
-    of P costs few builds.  Raises ComputeCapError for P > PRIME_TABLE_CAP."""
+    of P costs few builds.  Each rebuild keeps the stored angle rows, so a
+    split prime's atan2 is taken once per process.  Raises ComputeCapError
+    for P > PRIME_TABLE_CAP."""
     global _TABLE
     if P > PRIME_TABLE_CAP:
         raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
     with _TABLE_LOCK:
         if _TABLE is None or _TABLE.P < P:
-            _TABLE = _build_table(min(max(P, 2 * getattr(_TABLE, "P", 0)), PRIME_TABLE_CAP))
+            _TABLE = _build_table(min(max(P, 2 * getattr(_TABLE, "P", 0)), PRIME_TABLE_CAP), _TABLE)
         t = _TABLE
     n = int(np.searchsorted(t.primes, P, side="right"))
     return replace(t[:n], P=P, ppart=t.ppart[: P + 1])

@@ -196,14 +196,15 @@ def delta_one(m: int) -> int:
     return CHI7[r % 7]
 
 
-def _delta_row(cls: str, i: int, J: int) -> list[int]:
-    """delta(p^i, p^j) for j = 0..J at a prime of class cls: min(i, j) + 1
-    when split and i + j is even, (-1)^((i+j)/2) when inert and i, j are
-    even, 1 at (0, 0) when ramified, and 0 elsewhere."""
+def _delta_row(chi: int, i: int, J: int) -> list[int]:
+    """delta(p^i, p^j) for j = 0..J at a prime p with chi = chi_{-7}(p):
+    min(i, j) + 1 when split (chi = 1) and i + j is even, (-1)^((i+j)/2)
+    when inert (chi = -1) and i, j are even, 1 at (0, 0) when ramified
+    (chi = 0), and 0 elsewhere."""
     row = [0] * (J + 1)
-    if cls == "split":
+    if chi == 1:
         row[i % 2 :: 2] = [min(i, j) + 1 for j in range(i % 2, J + 1, 2)]
-    elif cls == "inert" and i % 2 == 0:
+    elif chi == -1 and i % 2 == 0:
         row[::2] = [(-1) ** ((i + j) // 2) for j in range(0, J + 1, 2)]
     elif i == 0:
         row[0] = 1
@@ -217,7 +218,7 @@ def delta_two(l: int, m: int) -> int:
     fl, fm = field.factorint(l), field.factorint(m)
     out = 1
     for p in set(fl) | set(fm):
-        out *= _delta_row(field.prime_class(p), fl.get(p, 0), fm.get(p, 0))[-1]
+        out *= _delta_row(CHI7[p % 7], fl.get(p, 0), fm.get(p, 0))[-1]
         if out == 0:
             return 0
     return out
@@ -229,12 +230,12 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
     p^(l mod 2)); at p = 7 only the (0, 0) entry is nonzero."""
     if m_exp < 0 or l_exp < 0:
         raise ValueError("exponents must be nonnegative")
+    chi = field._prime_chi(p)
     if m_exp == 0 and l_exp == 0:
         return 1
-    cls = field.prime_class(p)
-    if l_exp >= 3 or cls == "ramified":
+    if l_exp >= 3 or chi == 0:
         return 0
-    return (1, -1, 1)[l_exp] * _delta_row(cls, m_exp, l_exp % 2)[-1]
+    return (1, -1, 1)[l_exp] * _delta_row(chi, m_exp, l_exp % 2)[-1]
 
 
 def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -339,12 +340,12 @@ def _local_double_sum(x, y, rows) -> mpc:
     return mpmath.fdot(sums, xs)
 
 
-def _closed_local(p: int, cls: str, a, b):
-    if cls == "ramified":
+def _closed_local(p: int, chi: int, a, b):
+    if chi == 0:
         return mpf(1)
     u = mpf(p) ** (-1 - 2 * a)
     y = mpf(p) ** (-1 - 2 * b)
-    if cls == "split":
+    if chi == 1:
         w = mpf(p) ** (-1 - a - b)
         return (1 + w) / ((1 - u) * (1 - w) * (1 - y))
     return 1 / ((1 + u) * (1 + y))
@@ -372,15 +373,15 @@ def local_factor(
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         b = mpmath.mpmathify(beta)
-        cls = field.prime_class(p)
-        closed = mpc(_closed_local(p, cls, a, b))
+        chi = field._prime_chi(p)
+        closed = mpc(_closed_local(p, chi, a, b))
         if mode == "closed":
             return EulerFactorValue(p=p, closed=closed, brute=None, cutoff=None)
         if cutoff is None:
             cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(b))))
         xa = mpf(p) ** (-(mpf(1) / 2 + a))
         xb = mpf(p) ** (-(mpf(1) / 2 + b))
-        brute = _local_double_sum(xa, xb, [_delta_row(cls, i, cutoff) for i in range(cutoff + 1)])
+        brute = _local_double_sum(xa, xb, [_delta_row(chi, i, cutoff) for i in range(cutoff + 1)])
         return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff)
 
 
@@ -409,6 +410,6 @@ def delta_series_product(alpha, beta, P: int, ctx: PrecisionContext = DEFAULT_CT
         b = mpmath.mpmathify(beta)
         table = field.prime_table(P)
         acc = mpc(1)
-        for p, cls in zip(table.primes.tolist(), table.classes.tolist()):
-            acc *= _closed_local(p, cls, a, b)
+        for p, chi in zip(table.primes.tolist(), table.chi.tolist()):
+            acc *= _closed_local(p, chi, a, b)
         return acc

@@ -83,13 +83,13 @@ class PrecisionContext:
 DEFAULT_CTX = PrecisionContext()
 
 
-def _series_index(n, name: str = "n") -> int:
-    """The series index n as an int, a numpy integer read as the int;
-    ValueError for anything else, bools and integral floats included.
-    Range checks stay with the callers."""
+def _series_index(n, name: str = "series index n") -> int:
+    """An integer argument (a series index, a prime) as an int, a numpy
+    integer read as the int; ValueError for anything else, bools and
+    integral floats included.  Range checks stay with the callers."""
     if type(n) is not int:
         if not isinstance(n, np.integer):
-            raise ValueError(f"series index {name} must be an integer, got {n!r}")
+            raise ValueError(f"{name} must be an integer, got {n!r}")
         n = int(n)
     return n
 

@@ -217,7 +217,7 @@ def central_value_exact(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> ExactCen
 
 def congruence_check(max_n: int) -> list[tuple[int, int, bool]]:
     """B(n) = -n (mod 4) for odd 1 < n <= max_n: the nonvanishing sweep."""
-    max_n = _series_index(max_n, "max_n")
+    max_n = _series_index(max_n, "series index max_n")
     if max_n % 2 == 0:
         raise ValueError("max_n must be odd")
     out = []

@@ -44,6 +44,13 @@ def run(capsys, *argv):
     return rc, out
 
 
+def test_sci_carries_a_rounded_mantissa_of_ten():
+    # a mantissa that rounds up to 10 moves into the next decade
+    assert cli._sci(9.9996, 3) == "1.00e+01"
+    assert cli._sci(99.96, 3) == "1.00e+02"
+    assert cli._sci(-0.0099996, 3) == "-1.00e-02"
+
+
 def test_central_json(capsys):
     rc, out = run(capsys, "central", "--n", "9", "--digits", "40", "--format", "json")
     assert rc == 0

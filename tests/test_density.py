@@ -139,6 +139,23 @@ def test_lambda_vm_reads_one_row(monkeypatch):
     assert len(rows) == 4 and set(rows) == {1}
 
 
+def test_prime_entries_refuse_non_integers():
+    # prime_class and the three local-factor entries take an int or numpy
+    # integer prime; floats, integral ones too, and bools are ValueErrors
+    entries = [
+        field.prime_class,
+        lambda p: moments.local_factor(p, 0, 0),
+        lambda p: moments.delta_mu(p, 1, 0),
+        lambda p: density.ratios_local_brute(p, 0, 0, cutoff=4),
+    ]
+    for entry in entries:
+        for bad in (7.5, 2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError):
+                entry(bad)
+    assert field.prime_class(np.int64(2)) == "split" and field.prime_class(np.int32(7)) == "ramified"
+    assert moments.delta_mu(np.int64(3), 2, 0) == moments.delta_mu(3, 2, 0) == -1
+
+
 def test_prime_table_cap_refuses_before_sieving():
     # a cutoff past the cap must be refused, not sieved to (~1e9 entries)
     with pytest.raises(ComputeCapError):
@@ -466,8 +483,8 @@ def _ratios_A_masked(a, g, P):
     # ratios_A and ratios_A_prime as single-height products over boolean
     # class masks, the reference for the bits of the row versions
     table = field.prime_table(P)
-    lp, cls = np.log(table.primes), table.classes
-    split, inert, ram = cls == "split", cls == "inert", cls == "ramified"
+    lp, chi = np.log(table.primes), table.chi
+    split, inert, ram = chi == 1, chi == -1, chi == 0
     y, w = np.exp(-(1 + 2 * g) * lp), np.exp(-(1 + a + g) * lp)
     fac = np.ones(len(lp), dtype=complex)
     fac[split] = (1 - y[split]) * (1 + y[split] - 2 * w[split]) / (1 - w[split]) ** 2

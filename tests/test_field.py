@@ -164,7 +164,7 @@ def test_coeff_table_consistency():
     assert np.array_equal(table.chebyshev(ks, 7, 1.0), stacked)
     table = field.prime_table(10**4)
     assert table.primes.tolist() == list(sympy.primerange(2, 10**4 + 1))
-    assert table.classes.tolist() == [field.prime_class(p) for p in table.primes.tolist()]
+    assert table.chi.tolist() == [field._prime_chi(p) for p in table.primes.tolist()]
     with pytest.raises(ValueError):
         field.prime_class(9)
 
@@ -229,7 +229,7 @@ def test_prime_table_row_cut():
     for rows in (slice(3, 40), slice(-1, None), slice(100, 100)):
         cut = table[rows]
         assert cut.P == table.P and cut.ppart is table.ppart
-        for name in ("primes", "classes", "rep_eps", "rep_turns"):
+        for name in ("primes", "chi", "rep_eps", "rep_turns"):
             arr = getattr(cut, name)
             assert np.array_equal(arr, getattr(table, name)[rows]), name
             assert not arr.flags.writeable, name
@@ -240,11 +240,11 @@ def test_prime_table_grows_geometrically(monkeypatch):
     # P, and every cut is the table a fresh build at P gives
     monkeypatch.setattr(field, "_TABLE", None)
     build, builds = field._build_table, []
-    monkeypatch.setattr(field, "_build_table", lambda P: builds.append(P) or build(P))
+    monkeypatch.setattr(field, "_build_table", lambda P, old: builds.append(P) or build(P, old))
     for P in range(100, 201):
-        got, want = field.prime_table(P), build(P)
+        got, want = field.prime_table(P), build(P, None)
         assert got.P == want.P == P
-        for name in ("primes", "classes", "ppart", "rep_eps", "rep_turns"):
+        for name in ("primes", "chi", "ppart", "rep_eps", "rep_turns"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (P, name)
     assert builds == [100, 200]
     # the doubling stops at the cap
@@ -254,6 +254,22 @@ def test_prime_table_grows_geometrically(monkeypatch):
     for P in (100, 101):
         field.prime_table(P)
     assert builds == [100, 150]
+
+
+def test_prime_table_takes_each_angle_once(monkeypatch):
+    # a rising run of P from an empty store takes the exact atan2 once per
+    # split prime up to the last built P, and ends at a fresh build's table
+    monkeypatch.setattr(field, "_TABLE", None)
+    atan2, calls = field.mpf_atan2, []
+    monkeypatch.setattr(field, "mpf_atan2", lambda *a: calls.append(a) or atan2(*a))
+    for P in (10, 100, 101, 150, 1391, 2782, 10**4):
+        field.prime_table(P)
+    grown = field._TABLE
+    assert grown.P == 10**4 and grown.chi.dtype == np.int8
+    assert len(calls) == int(np.count_nonzero(grown.chi == 1))
+    fresh = field._build_table(grown.P, None)
+    for name in ("primes", "chi", "ppart", "rep_eps", "rep_turns"):
+        assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 def test_table_angles_match_theta_route(monkeypatch):
@@ -270,7 +286,7 @@ def test_table_angles_match_theta_route(monkeypatch):
     # each split row is (eps, theta(.., 30) in 64-bit turns) over
     # half_representations(p); inert rows and the row of p = 7 are zero
     assert table.rep_eps.shape == table.rep_turns.shape == (len(table.primes), 2)
-    split = table.classes == "split"
+    split = table.chi == 1
     assert not table.rep_eps[~split].any() and not table.rep_turns[~split].any()
     assert 7 in table.primes[~split]
     rows = zip(table.primes[split].tolist(), table.rep_eps[split].tolist(), table.rep_turns[split].tolist())

@@ -68,7 +68,7 @@ def test_cached_arrays_read_only():
     assert moments.empirical_moment(1, 50).empirical == before
     table = field.prime_table(50)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5  # primes, classes, ppart, rep_eps, rep_turns
+    assert len(arrays) == 5  # primes, chi, ppart, rep_eps, rep_turns
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 99
@@ -157,6 +157,14 @@ def test_delta_mu_cases():
         moments.delta_mu(4, 1, 1)  # not a prime
 
 
+def test_delta_mu_checks_p_before_the_trivial_entry():
+    # (0, 0) is 1 at every prime, and a non-prime is refused there too
+    assert moments.delta_mu(2, 0, 0) == moments.delta_mu(7, 0, 0) == 1
+    for p in (9, 1, 0):
+        with pytest.raises(ValueError, match="not prime"):
+            moments.delta_mu(p, 0, 0)
+
+
 def test_delta_mu_against_family_data():
     # mu_n(p^l) as the Dirichlet inverse of the prime table's a_n(p^e):
     # mu(1) = 1, mu(p^k) = -sum_{j=1..k} a(p^j) mu(p^(k-j))
@@ -214,11 +222,11 @@ def _delta_two_rule(cls, a, b):
 
 
 def test_delta_rows_match_the_term_rule():
-    for cls in ("split", "inert", "ramified"):
+    for cls, chi in (("split", 1), ("inert", -1), ("ramified", 0)):
         for J in (0, 1, 2, 7, 30):
             for i in range(40):
                 want = [_delta_two_rule(cls, i, j) for j in range(J + 1)]
-                assert moments._delta_row(cls, i, J) == want, (cls, i, J)
+                assert moments._delta_row(chi, i, J) == want, (cls, i, J)
 
 
 def test_local_double_sum_matches_per_term_sum():
