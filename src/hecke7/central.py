@@ -169,11 +169,19 @@ def _gamma_sum(c: int, t, M: int, wp: int):
 # ---------------------------------------------------------------------------
 
 
+def _theta_log_peak(a: float, y: float) -> float:
+    """a log m* - beta m* y at m* = max(1, a/(beta y)): the largest
+    exponent a log m - beta m y of the theta series at height y over
+    real m >= 1."""
+    mstar = max(1.0, a / (BETA * y))
+    return a * log(mstar) - BETA * mstar * y
+
+
 def _theta_m_cutoff(a: float, y: float, drop: float) -> int:
     """Number of terms so that the discarded theta-series mass at height y
     is `drop` in natural log below the peak term (float bookkeeping)."""
     mstar = max(1.0, a / (BETA * y))
-    peak = a * log(mstar) - BETA * mstar * y
+    peak = _theta_log_peak(a, y)
     m = int(mstar) + 1
     while True:
         # d(m) <= 2 sqrt(m); fold into the exponent as log(2) + 0.5 log m
@@ -213,18 +221,29 @@ def _panel_rule(edges, degree: int):
     return (mid + rad * nodes).ravel(), (rad * weights).ravel()
 
 
-_BLOCK = 256  # nodes per (node x coefficient) block of the build
+_WINDOW_PANELS = 2  # panels per (node x coefficient) window of the build
 
 
 def _assembler(n: int, width: float):
-    """Member n's theta coefficients, truncation M, endpoint Y and panel
-    edges 1, e^width, e^(2 width), ..., computed once; returns the map
-    degree -> quadrature data (u, l, G, lgnorm) of member n's engine (see
-    ZEngine) under the degree-point Gauss-Legendre rule on those panels.
-    Node k of panel p is y = e^(u_p) c_k to a few ulps, with u_p the log
-    of the panel's left edge and c_k the nodes of the first panel
-    [1, e^width]: l_k = log c_k, and G[p, k] is the node's rescaled
-    weight, bit for bit the value at _panel_rule's node."""
+    """Member n's theta coefficients, truncation M, endpoint Y, panel
+    edges 1, e^width, e^(2 width), ... and coefficient windows, computed
+    once; returns the map degree -> quadrature data (u, l, G, lgnorm) of
+    member n's engine (see ZEngine) under the degree-point
+    Gauss-Legendre rule on those panels.  Node k of panel p is
+    y = e^(u_p) c_k to a few ulps, with u_p the log of the panel's left
+    edge and c_k the nodes of the first panel [1, e^width]: l_k = log c_k,
+    and G[p, k] is the node's rescaled weight, the value at _panel_rule's
+    node.
+
+    The nodes are summed in windows of _WINDOW_PANELS panels [y0, y1],
+    each over the columns [lo, hi) of the nonzero m whose term can pass
+    the drop at some height of the window: by _theta_m_cutoff's
+    inequality (d(m) <= 2 sqrt(m), log(1 + m), drop 44 below the peak),
+    a term is dropped where log 2 + (a + 1/2) log m - beta m y is below
+    the peak exponent less 44 + log(1 + m).  Below the peak m* = a/(beta y)
+    a term's distance to the peak shrinks as y grows and above it the
+    distance grows, so lo is set at y1 and hi at y0.  Every node thus
+    carries the same e^(-44) bound that M carries at y = 1."""
     k, _, a = _member(n)
     drop = 44.0  # ~19 digits of headroom in the truncations
     M = _theta_m_cutoff(a, 1.0, drop)
@@ -237,18 +256,27 @@ def _assembler(n: int, width: float):
     while edges[-1] < Y:
         edges.append(edges[-1] * exp(width))
     u = np.log(edges[:-1])
+    # the log bound on a term at y = 0, with the drop's log(1 + m) moved over
+    size = log(2.0) + (a + 0.5) * lm + np.log1p(ms)
+    windows = []  # (first panel, end panel, lo, hi)
+    for p in range(0, len(u), _WINDOW_PANELS):
+        q = min(p + _WINDOW_PANELS, len(u))
+        y0, y1 = edges[p], edges[q]
+        lo = int(np.argmax(size - BETA * y1 * ms >= _theta_log_peak(a, y1) - drop))
+        hi = len(ms) - int(np.argmax((size - BETA * y0 * ms >= _theta_log_peak(a, y0) - drop)[::-1]))
+        windows.append((p, q, lo, hi))
 
     def assemble(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         ys, ws = _panel_rule(edges, degree)
-        # phi_j = sum_m c_m e^(expo_jm - E_j) with the max exponent E_j
-        # factored out, in blocks of nodes to bound the (node x m) matrix
+        # phi_j = sum_m c_m e^(expo_jm - E_j) over the node's window, with
+        # the max exponent E_j factored out
         tj = np.empty_like(ys)
         phis = np.empty_like(ys)
-        for b in range(0, len(ys), _BLOCK):
-            yb = ys[b : b + _BLOCK]
-            expo = a * lm - (BETA * yb)[:, None] * ms
-            tj[b : b + _BLOCK] = tb = expo.max(axis=1)
-            phis[b : b + _BLOCK] = np.exp(expo - tb[:, None]) @ cs
+        for p, q, lo, hi in windows:
+            b = slice(p * degree, q * degree)
+            expo = a * lm[lo:hi] - (BETA * ys[b])[:, None] * ms[lo:hi]
+            tj[b] = tb = expo.max(axis=1)
+            phis[b] = np.exp(expo - tb[:, None]) @ cs[lo:hi]
         Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
         Estar = float(Es.max())
         G = (phis * np.exp(Es - Estar)).reshape(len(u), degree)
@@ -257,13 +285,44 @@ def _assembler(n: int, width: float):
     return assemble
 
 
+def _z_block(rules):
+    """Z under the quadrature data rules[j] = (a, u, l, G, lgnorm) of one
+    or more members (see ZEngine), as the map (member, ts) -> Z with ts[i]
+    under rules[member[i]]; member is nondecreasing, so each rule's
+    points are one slice.  The panel phases come from the u rows
+    zero-padded to the most panels, each slice makes its two
+    (points x P) @ G products, and the in-panel phases and log Gamma run
+    on the flat arrays; cos(t (u_p + l_k)) splits into panel phase x
+    in-panel phase as in ZEngine."""
+    P = max(len(rule[1]) for rule in rules)
+    d = max(len(rule[2]) for rule in rules)
+    U, L = np.zeros((len(rules), P)), np.zeros((len(rules), d))
+    for j, (_, u, l, _, _) in enumerate(rules):
+        U[j, : len(u)], L[j, : len(l)] = u, l
+    c = np.array([rule[0] + 0.5 for rule in rules])
+    lgnorm = np.array([rule[4] for rule in rules])
+    cuts = np.arange(len(rules) + 1)
+
+    def z(member: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        tu = ts[:, None] * U[member]
+        cu, su = np.cos(tu), np.sin(tu)
+        cg, sg = np.zeros((len(ts), d)), np.zeros((len(ts), d))
+        bounds = np.searchsorted(member, cuts).tolist()
+        for (_, _, _, G, _), i, j in zip(rules, bounds, bounds[1:]):
+            if i < j:
+                p, k = G.shape
+                cg[i:j, :k] = cu[i:j, :p] @ G
+                sg[i:j, :k] = su[i:j, :p] @ G
+        tl = ts[:, None] * L[member]
+        dots = (np.cos(tl) * cg).sum(axis=1) - (np.sin(tl) * sg).sum(axis=1)
+        return 2.0 * dots * np.exp(lgnorm[member] - loggamma_f64(c[member], ts).real)
+
+    return z
+
+
 def _z_values(a: float, u: np.ndarray, l: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
-    """Z at the points ts from the quadrature data (u, l, G, lgnorm), with
-    cos(t (u_p + l_k)) split into panel phase x in-panel phase (see ZEngine)."""
-    tu, tl = np.outer(ts, u), np.outer(ts, l)
-    dots = (np.cos(tl) * (np.cos(tu) @ G)).sum(axis=1) - (np.sin(tl) * (np.sin(tu) @ G)).sum(axis=1)
-    lg = loggamma_f64(a + 0.5, ts).real
-    return 2.0 * dots * np.exp(lgnorm - lg)
+    """Z at the points ts from one member's quadrature data (u, l, G, lgnorm)."""
+    return _z_block([(a, u, l, G, lgnorm)])(np.zeros(len(ts), dtype=np.intp), ts)
 
 
 class ZEngine:
@@ -285,7 +344,12 @@ class ZEngine:
                                           - sin(t l_k) (sin(t u) @ G)_k]:
 
     2 (P + d) sines and cosines per Z value for P panels of degree d, in
-    place of P d cosines (8,032 against 41,088 nodes over n <= 96).
+    place of P d cosines (8,032 against 41,088 nodes over n <= 96).  Each
+    node's weight sums only the coefficients of its window of panels
+    whose terms can pass the truncation drop there, so every node keeps
+    the e^(-44) bound of the truncation M (see _assembler).  A zero scan
+    refines the brackets of several members in one run (_zeros_block),
+    with Z of every engine evaluated by _z_block, the formula above.
 
     The rule's degree per panel is chosen when the engine is built: the
     data at degree d and at 2d are assembled on the same panels and
@@ -395,10 +459,11 @@ def zero_count_main_term(n: int, T: float) -> float:
 ZERO_WIDTH = 1e-11  # bracket width at which a zero counts as isolated
 
 
-def _illinois(eng: ZEngine, lo, hi, flo, fhi) -> np.ndarray:
+def _illinois(z, lo, hi, flo, fhi) -> np.ndarray:
     """Midpoints of the brackets [lo, hi] (Z(lo) Z(hi) < 0), shrunk below
     ZERO_WIDTH by the Illinois variant of regula falsi, all brackets at
-    once with one z_many call per step.
+    once with one call z(live, x) per step: Z at the points x of the
+    brackets whose indices are live, in increasing order.
 
     Each step keeps a sign change inside every bracket.  When the same
     end is kept twice running, its Z value is halved (Illinois), which
@@ -418,7 +483,7 @@ def _illinois(eng: ZEngine, lo, hi, flo, fhi) -> np.ndarray:
         x = np.clip(l - fl * (h - l) / (fh - fl), l + 0.4 * ZERO_WIDTH, h - 0.4 * ZERO_WIDTH)
         bis = stalled[live] >= 3
         x[bis] = 0.5 * (l[bis] + h[bis])
-        fx = eng.z_many(x)
+        fx = z(live, x)
         root = fx == 0.0
         left = (np.sign(fx) == np.sign(fl)) & ~root  # zero lies in [x, h]
         right = ~left & ~root  # zero lies in [l, x]
@@ -440,55 +505,71 @@ def _illinois(eng: ZEngine, lo, hi, flo, fhi) -> np.ndarray:
 
 def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRecord:
     """All sign changes of Z on (0, T]: a grid scan, then vectorised
-    Illinois refinement (`_illinois`) of every sign-change bracket.
+    Illinois refinement (`_illinois`) of every sign-change bracket; the
+    one-member case of `_zeros_block`.
 
     Each returned ordinate is the midpoint of a bracket narrower than
     ZERO_WIDTH = 1e-11 across which the engine's Z changes sign, or a
     grid point where Z is exactly 0.  The scan uses the member's one
-    shared engine (`get_engine(n)`), whatever T is.
+    shared engine (`get_engine(n)`), whatever T is; past its float64
+    ceiling t_reliable(n) the scan is truncated there with a warning.
 
     The scan step refines the quarter-mean-spacing rule pi/(4 log(2n+4))
     with the local density log((7/2pi)(2n+t)) so tall scans at small n
     do not undersample.  The grid's last step ends at T itself, so a
     zero between the last full step and T is bracketed too.  Two zeros
     closer together than one step can still be missed (no sign change
-    between grid points).
+    between grid points).  A zero count off the gamma-phase count
+    theta(T)/pi by more than 5 + log 2n is warned of.
     """
-    if not T > 0:  # also refuses nan
-        raise ValueError("T must be positive")
-    if T > T_CAP:
-        raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
-    c = _member(n).c
-    eng = get_engine(n)
-    t_rel = eng.t_reliable
-    if T > t_rel:
-        warnings.warn(
-            f"n={n}: float64 engine unreliable past t={t_rel:.1f}; "
-            f"truncating scan (requested {T})"
-        )
-        T = t_rel
-    step = fpi / (4.0 * max(log(2 * n + 4), log(1.1141 * (2 * n + T))))
-    # anchor at t=0 (Z(0) > 0 here: central nonvanishing holds family-wide)
-    # so a first zero inside (0, step) is still bracketed
-    ts = np.arange(0.0, T, step)
-    ts = np.append(ts[ts < T], T)
-    zs = eng.z_many(ts)
-    exact = np.nonzero(zs[:-1] == 0.0)[0]
-    brackets = np.nonzero(zs[:-1] * zs[1:] < 0)[0]
-    refined = _illinois(eng, ts[brackets], ts[brackets + 1], zs[brackets], zs[brackets + 1])
-    order = np.argsort(np.concatenate([exact, brackets]))
-    gammas = np.concatenate([ts[exact], refined])[order].tolist()
-    # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
-    expected = (T * LOG_Q + loggamma_f64(c, T).imag) / fpi
-    if abs(len(gammas) - expected) > 5 + log(2 * n):
-        warnings.warn(
-            f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "
-            f"{expected:.2f}; grid may be too coarse"
-        )
-    scale = log(2 * n) / fpi
-    return ZeroRecord(
-        n=n,
-        gammas=tuple(gammas),
-        scaled=tuple(g * scale for g in gammas),
-        t_max=float(T),
-    )
+    return _zeros_block([n], [T])[0]
+
+
+def _zeros_block(ns, Ts) -> list[ZeroRecord]:
+    """zeros_up_to(ns[i], Ts[i]) for every i, with its errors and
+    warnings: each member's grid scan on its own engine, then one
+    Illinois run over the sign-change brackets of all the members, Z
+    evaluated for every live point at once (`_z_block`).  Every T and n
+    is checked before any member is scanned."""
+    for T in Ts:
+        if not T > 0:  # also refuses nan
+            raise ValueError("T must be positive")
+        if T > T_CAP:
+            raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
+    cs = [_member(n).c for n in ns]
+    engines = [get_engine(n) for n in ns]
+    scans = []  # (T, grid, Z on it, exact zeros, brackets) per member
+    for n, T, eng in zip(ns, Ts, engines):
+        t_rel = eng.t_reliable
+        if T > t_rel:
+            warnings.warn(
+                f"n={n}: float64 engine unreliable past t={t_rel:.1f}; "
+                f"truncating scan (requested {T})"
+            )
+            T = t_rel
+        step = fpi / (4.0 * max(log(2 * n + 4), log(1.1141 * (2 * n + T))))
+        # anchor at t=0 (Z(0) > 0 here: central nonvanishing holds family-wide)
+        # so a first zero inside (0, step) is still bracketed
+        ts = np.arange(0.0, T, step)
+        ts = np.append(ts[ts < T], T)
+        zs = eng.z_many(ts)
+        scans.append((T, ts, zs, np.nonzero(zs[:-1] == 0.0)[0], np.nonzero(zs[:-1] * zs[1:] < 0)[0]))
+    counts = [len(brackets) for *_, brackets in scans]
+    owner = np.repeat(np.arange(len(scans)), counts)
+    lo, hi, flo, fhi = (np.concatenate(ends) for ends in zip(*[(ts[b], ts[b + 1], zs[b], zs[b + 1]) for _, ts, zs, _, b in scans]))
+    z = _z_block([(eng.a, eng.u, eng.l, eng.G, eng.lgnorm) for eng in engines])
+    refined = _illinois(lambda live, x: z(owner[live], x), lo, hi, flo, fhi)
+    records = []
+    for n, c, (T, ts, _, exact, brackets), part in zip(ns, cs, scans, np.split(refined, np.cumsum(counts)[:-1])):
+        order = np.argsort(np.concatenate([exact, brackets]))
+        gammas = np.concatenate([ts[exact], part])[order].tolist()
+        # the gamma-phase count theta(T)/pi, theta(t) = t log Q + Im log Gamma(c+it)
+        expected = (T * LOG_Q + loggamma_f64(c, T).imag) / fpi
+        if abs(len(gammas) - expected) > 5 + log(2 * n):
+            warnings.warn(
+                f"n={n}, T={T}: found {len(gammas)} zeros vs gamma-phase count "
+                f"{expected:.2f}; grid may be too coarse"
+            )
+        scale = log(2 * n) / fpi
+        records.append(ZeroRecord(n=n, gammas=tuple(gammas), scaled=tuple(g * scale for g in gammas), t_max=float(T)))
+    return records

@@ -37,11 +37,12 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import LOG_Q, T_CAP, _member, _panel_rule, get_engine, zeros_up_to
+from .central import LOG_Q, T_CAP, _member, _panel_rule, _zeros_block, get_engine, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
 
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
+_SCAN_BLOCK = 8  # members per zero scan and prime-sum call of empirical_one_level
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,15 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
 def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
-    p, q, c = field.prime_table(k_max).powers(_member(n).k, 2.0)
+    return _prime_sums(field.prime_table(k_max), [_member(n).k], phihat)[0]
+
+
+def _prime_sums(table: field.PrimeTable, ks, phihat) -> list[float]:
+    """prime_sum at k_max = table.P for each character exponent ks[i],
+    from one PrimeTable.powers call over all of them."""
+    p, q, c = table.powers(np.asarray(ks), 2.0)
     w = phihat(np.log(q) / (2.0 * fpi))
-    return float(np.dot(np.log(p) * c / np.sqrt(q), w)) / fpi
+    return [float(np.dot(row, w)) / fpi for row in np.log(p) * c / np.sqrt(q)]
 
 
 def _scaled(phi: TestFunction, s: float):
@@ -233,8 +240,12 @@ def explicit_formula_sum(
 def zero_side_sum(n: int, phi: TestFunction, T: float, scale: float = 0.0) -> float:
     """sum over zeros (both signs) with |gamma| <= T of phi(gamma) =
     f(gamma s/pi); scale = 0 means s = pi, as in explicit_formula_sum."""
-    s = float(scale) or fpi
-    g = np.array(zeros_up_to(n, T).gammas) * (s / fpi)
+    return _zero_side(zeros_up_to(n, T), phi, float(scale) or fpi)
+
+
+def _zero_side(rec, phi: TestFunction, s: float) -> float:
+    """zero_side_sum over the zeros of rec at the scale s."""
+    g = np.array(rec.gammas) * (s / fpi)
     return 2.0 * float(np.sum(phi.f(g)))
 
 
@@ -285,6 +296,10 @@ def empirical_one_level(
 
     Zeros enter up to height min(T, per-n float64 reliability ceiling);
     the report records the discarded-mass bound for the dropped tail.
+    The members are walked in blocks of _SCAN_BLOCK: each block makes one
+    zero scan (`central._zeros_block`, one Illinois run over its
+    brackets) and one PrimeTable.powers call for its prime sums, on the
+    prime table read once before the loop.
     """
     if N < 2 or N > 200:
         raise ValueError("N must be in [2, 200] (desk scale)")
@@ -294,16 +309,21 @@ def empirical_one_level(
         raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     s = log(N)
     phihat, x_end, k_max, tail = _scaled(f, s)
+    table = field.prime_table(k_max)
     emp_total = 0.0
     mass_bound = 0.0
     ef_total = 0.0
     t_min = float("inf")
-    for n in range(1, N + 1):
-        t_n = min(T, get_engine(n).t_reliable)
-        t_min = min(t_min, t_n)
-        emp_total += zero_side_sum(n, f, t_n, scale=s)
-        mass_bound += tail(n, t_n)
-        ef_total += arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
+    for first in range(1, N + 1, _SCAN_BLOCK):
+        ns = range(first, min(first + _SCAN_BLOCK, N + 1))
+        ts = [min(T, get_engine(n).t_reliable) for n in ns]
+        records = _zeros_block(ns, ts)
+        psums = _prime_sums(table, _member(np.array(ns)).k, phihat)
+        for n, t_n, rec, ps in zip(ns, ts, records, psums):
+            t_min = min(t_min, t_n)
+            emp_total += _zero_side(rec, f, s)
+            mass_bound += tail(n, t_n)
+            ef_total += arch_term(n, phihat, x_end, ctx) - ps
     empirical = emp_total / N
     mass_bound /= N
     explicit = ef_total / N
@@ -384,6 +404,7 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
     converges for Re alpha > -1/2)."""
     _check_shift(alpha, gamma)
     chi = field._prime_chi(p)
+    p = int(p)  # a numpy integer prime, once accepted, is its int
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         g = mpmath.mpmathify(gamma)

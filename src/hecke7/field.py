@@ -315,17 +315,19 @@ class PrimeTable:
     def powers(self, k: int | np.ndarray, c0: float):
         """(p, q, x): the prime powers q = p^e <= P (e >= 1) and the
         chebyshev value x_e of p at each of them; k as in chebyshev, whose
-        axes lead x's."""
+        axes lead x's.  Past x_1 the ladder runs only on the primes with
+        p^2 <= P, a prefix of the rows."""
         e_max = max(1, self.P.bit_length() - 1)
-        x = self.chebyshev(k, e_max, c0)
-        ps, qs, xs = [], [], []
+        ps, qs, xs = [self.primes], [self.primes], [self.chebyshev(k, 1, c0)[..., 1]]
+        n = int(np.searchsorted(self.primes, isqrt(self.P), side="right"))
+        x = self[:n].chebyshev(k, e_max, c0)
         q = self.primes
-        for e in range(1, e_max + 1):
+        for e in range(2, e_max + 1):
+            q = q[:n] * self.primes[:n]
             n = int(np.searchsorted(q, self.P, side="right"))
             ps.append(self.primes[:n])
             qs.append(q[:n])
             xs.append(x[..., :n, e])
-            q = q[:n] * self.primes[:n]
         return np.concatenate(ps), np.concatenate(qs), np.concatenate(xs, axis=-1)
 
     def coeffs(self, k: int | np.ndarray) -> np.ndarray:
@@ -338,9 +340,12 @@ class PrimeTable:
         a[..., q] = x
         m = np.flatnonzero(self.ppart < np.arange(self.P + 1))
         pm, rest = self.ppart[m], m // self.ppart[m]
-        # each pass settles one more distinct prime factor; there are < log2 P
+        # each pass settles one more distinct prime factor; there are < log2 P.
+        # The passes gather into two buffers made once: fresh row-sized
+        # temporaries each pass can each cost an mmap and its page faults.
+        g, h = np.empty(a.shape[:-1] + m.shape), np.empty(a.shape[:-1] + m.shape)
         for _ in range(self.P.bit_length()):
-            a[..., m] = a[..., pm] * a[..., rest]
+            a[..., m] = np.multiply(np.take(a, pm, axis=-1, out=g), np.take(a, rest, axis=-1, out=h), out=g)
         return a
 
 

@@ -374,6 +374,7 @@ def local_factor(
         a = mpmath.mpmathify(alpha)
         b = mpmath.mpmathify(beta)
         chi = field._prime_chi(p)
+        p = int(p)  # a numpy integer prime, once accepted, is its int
         closed = mpc(_closed_local(p, chi, a, b))
         if mode == "closed":
             return EulerFactorValue(p=p, closed=closed, brute=None, cutoff=None)

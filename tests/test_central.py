@@ -242,6 +242,55 @@ def test_engines_beyond_100_build(n):
     assert abs(z0 - moments.sweep_central_values(n)[n - 1]) < moments._VALIDATION_TOL
 
 
+def _full_window_data(n, width, degree):
+    # the engine data with every nonzero coefficient summed at every node,
+    # in blocks of 256 nodes: the build before its coefficient windows
+    k, _, a = central._member(n)
+    coeff = field.prime_table(central._theta_m_cutoff(a, 1.0, 44.0)).coeffs(k)
+    ms = np.nonzero(coeff)[0]
+    cs, lm = coeff[ms], np.log(ms.astype(float))
+    Y = central._integral_Y(a, 44.0)
+    edges = [1.0]
+    while edges[-1] < Y:
+        edges.append(edges[-1] * math.exp(width))
+    ys, ws = central._panel_rule(edges, degree)
+    tj, phis = np.empty_like(ys), np.empty_like(ys)
+    for b in range(0, len(ys), 256):
+        expo = a * lm - (central.BETA * ys[b : b + 256])[:, None] * ms
+        tj[b : b + 256] = tb = expo.max(axis=1)
+        phis[b : b + 256] = np.exp(expo - tb[:, None]) @ cs
+    Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
+    Estar = float(Es.max())
+    G = (phis * np.exp(Es - Estar)).reshape(len(edges) - 1, degree)
+    return np.log(edges[:-1]), np.log(ys[:degree]), G, Estar - (a + 0.5) * central.LOG_Q
+
+
+@pytest.mark.parametrize("n", [1, 2, 45, 96, 150, 200])
+def test_windowed_assembly_matches_full_window(n):
+    # each window drops only terms e^-44 below its nodes' peaks, so G moves
+    # by rounding alone (worst 1.7e-16 max|G| here, n = 45 at degree 48)
+    assemble = central._assembler(n, central.ZEngine.PANEL_WIDTH)
+    for degree in (24, 48):
+        u, l, G, lgnorm = assemble(degree)
+        u0, l0, G0, lgnorm0 = _full_window_data(n, central.ZEngine.PANEL_WIDTH, degree)
+        assert np.array_equal(u, u0) and np.array_equal(l, l0) and lgnorm == lgnorm0
+        assert np.max(np.abs(G - G0)) <= 4e-16 * np.max(np.abs(G0)), (n, degree)
+
+
+def test_block_scan_matches_one_member_scans():
+    # one Illinois run over eight members of different panel counts and
+    # degrees (115 and 150 take 48) against eight zeros_up_to calls
+    ns = [1, 2, 24, 45, 96, 115, 150, 200]
+    Ts = [min(central.T_CAP, central.t_reliable(n)) for n in ns]
+    for n, T, rec in zip(ns, Ts, central._zeros_block(ns, Ts)):
+        one = central.zeros_up_to(n, T)
+        assert rec.n == n and rec.t_max == one.t_max
+        assert len(rec.gammas) == len(one.gammas), n
+        got, want = np.array(rec.gammas), np.array(one.gammas)
+        low = want < 0.5 * central.t_reliable(n)
+        assert np.all(np.abs(got - want)[low] <= central.ZERO_WIDTH), n
+
+
 def test_t_reliable_matches_scalar_loop():
     # the vectorised float64-kernel grid search against scipy's scalar loop
     def loop(n):
@@ -383,9 +432,14 @@ def test_zeros_refinement_certificate_and_budget(n, monkeypatch):
     t_rel = central.t_reliable(n)
     T = min(central.T_CAP, t_rel)
     eng = central.get_engine(n)
-    calls = []
-    z_many = eng.z_many
-    monkeypatch.setattr(eng, "z_many", lambda ts: calls.append(len(ts)) or z_many(ts))
+    calls = []  # points per Z evaluation: the grid scan's first, then the refinement's
+    z_block = central._z_block
+
+    def counted(rules):
+        z = z_block(rules)
+        return lambda member, ts: calls.append(len(ts)) or z(member, ts)
+
+    monkeypatch.setattr(central, "_z_block", counted)
     rec = central.zeros_up_to(n, T)
     monkeypatch.undo()
     assert len(rec.gammas) > 0

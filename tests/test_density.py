@@ -154,6 +154,11 @@ def test_prime_entries_refuse_non_integers():
                 entry(bad)
     assert field.prime_class(np.int64(2)) == "split" and field.prime_class(np.int32(7)) == "ramified"
     assert moments.delta_mu(np.int64(3), 2, 0) == moments.delta_mu(3, 2, 0) == -1
+    # a numpy integer prime gives the value of its int
+    assert moments.local_factor(np.int64(2), 0, 0) == moments.local_factor(2, 0, 0)
+    assert moments.local_factor(np.int64(7), 0.1, 0.1, mode="brute") == moments.local_factor(7, 0.1, 0.1, mode="brute")
+    assert density.ratios_local_brute(np.int64(2), 0, 0) == density.ratios_local_brute(2, 0, 0)
+    assert density.ratios_local_brute(np.int32(3), 0.1, 0.05, cutoff=4) == density.ratios_local_brute(3, 0.1, 0.05, cutoff=4)
 
 
 def test_prime_table_cap_refuses_before_sieving():
@@ -170,6 +175,17 @@ def test_prime_sum_respects_support():
     fh = density.fejer(1.0).fhat
     base = density.prime_sum(1, fh, 535)
     assert density.prime_sum(1, fh, 5000) == pytest.approx(base, rel=1e-14)
+
+
+def test_block_prime_sums_match_prime_sum():
+    # one PrimeTable.powers call over a block of exponents against the
+    # one-member prime_sum of each
+    fh = density.fejer(1.0).fhat
+    k_max = 96 * 96
+    ns = list(range(89, 97)) + [1, 150]
+    got = density._prime_sums(field.prime_table(k_max), central._member(np.array(ns)).k, fh)
+    for n, value in zip(ns, got):
+        assert value == pytest.approx(density.prime_sum(n, fh, k_max), rel=1e-15, abs=0.0), n
 
 
 def test_arch_term_against_t_side_quadrature():
@@ -312,6 +328,7 @@ def test_empirical_T_checked_before_scanning(monkeypatch):
 
     monkeypatch.setattr(density, "zero_side_sum", no_scan)
     monkeypatch.setattr(density, "get_engine", no_scan)
+    monkeypatch.setattr(density, "_zeros_block", no_scan)
     with pytest.raises(ValueError, match="T=60.0 beyond desk-scale cap 50.0"):
         density.empirical_one_level(25, density.fejer(1.0), T=60.0)
     for T in (0.0, -1.0, float("nan")):
