@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 import mpmath
 from mpmath import mp, mpf, mpc
+from numpy.polynomial import legendre
 
 from . import field
 from .specfun import (
@@ -211,7 +212,7 @@ def _panel_rule(edges, degree: int):
     base rule on [-1, 1] computed once per degree and kept in _GL_RULES."""
     rule = _GL_RULES.get(degree)
     if rule is None:
-        rule = np.polynomial.legendre.leggauss(degree)
+        rule = legendre.leggauss(degree)
         for arr in rule:
             arr.setflags(write=False)
         rule = _GL_RULES.setdefault(degree, rule)

@@ -7,11 +7,16 @@ integrand, and the shared constants.  `selftest` runs the acceptance
 suite (requires the repository checkout with its tests/ directory).
 
 Exit codes: 0 success, 2 usage, 3 precision/convergence, 4 compute cap,
-5 acceptance failure; a non-finite test-function parameter or a Fejer
-support below 1e-6 is a usage error.  `ratios` takes one of --t and
---t-max.  Outputs are deterministic: fixed significant figures,
-insertion-ordered JSON keys, UNIX newlines, UTF-8.  The default
-precision comes from the HECKE7_DIGITS environment variable when set.
+5 acceptance failure.  Usage errors include:
+  - a non-finite test-function parameter or a Fejer support below 1e-6;
+  - a HECKE7_DIGITS value that is not an integer, when --digits is absent.
+
+`ratios` takes one of --t and --t-max.  Outputs are deterministic: fixed
+significant figures, insertion-ordered JSON keys, UNIX newlines, UTF-8.
+Without --digits the precision comes from the HECKE7_DIGITS environment
+variable, read on each call to main(), or is 30 when that is unset or
+empty.  main() parses with one
+parser per process, built on first use.
 --threads is validated (it must be >= 1) but otherwise unused:
 evaluation is single-process, and results never depend on it.
 """
@@ -22,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import log, sqrt
 from pathlib import Path
 
@@ -339,8 +345,8 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, default_digits: int) -> None:
-    p.add_argument("--digits", type=int, default=default_digits,
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--digits", type=int, default=None,
                    help="significant decimal digits (default from "
                         f"{ENV_DIGITS} or 30)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -351,10 +357,8 @@ def _add_common(p: argparse.ArgumentParser, default_digits: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    try:
-        default_digits = int(os.environ.get(ENV_DIGITS, "30"))
-    except ValueError:
-        default_digits = 30
+    """A fresh parser; --digits defaults to None, which main() reads as
+    HECKE7_DIGITS or 30 on each call."""
     top = argparse.ArgumentParser(
         prog="hecke7",
         description="Reports on the Hecke Grossencharacter L-functions of Q(sqrt(-7))",
@@ -364,34 +368,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="Hecke coefficient table for chi^(k)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-m", type=int, required=True)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("central", help="central value L(1/2, chi^(2n-1))")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("series", "exact", "both"), default="both")
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_central)
 
     p = sub.add_parser("table", help="Gross-Zagier table: n, A(n), L to 4 d.p.")
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("moment", help="empirical moment vs predicted main term")
     p.add_argument("--r", type=int, choices=(1, 2), required=True)
     p.add_argument("--N", type=int, required=True)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_moment)
 
     p = sub.add_parser("conjecture", help="second-moment conjectured main term detail")
     p.add_argument("--N", type=int, required=True)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("zeros", help="zeros of L(s, chi^(4n-3)) up to height T")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=float, default=10.0)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("density", help="one-level density report")
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="fejer support")
     p.add_argument("--width", type=float, default=2.0, help="gaussian width")
     p.add_argument("--T", type=float, default=T_CAP)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("ratios", help="ratios-conjecture density integrand")
@@ -409,28 +413,40 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--t", type=float)
     at.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--steps", type=int, default=33)
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("constants", help="shared constants at requested precision")
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--criterion", type=int, default=None,
                    help="run a single numbered criterion")
-    _add_common(p, default_digits)
+    _add_common(p)
     p.set_defaults(func=_cmd_selftest)
 
     return top
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if args.digits is None:
+        env = os.environ.get(ENV_DIGITS) or "30"  # unset or empty: 30
+        try:
+            args.digits = int(env)
+        except ValueError:
+            print(f"usage error: {ENV_DIGITS} must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
         return 2

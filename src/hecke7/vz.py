@@ -28,14 +28,15 @@ The recursion steps run in scaled integers: the stores hold
 
 which have integer coefficients and obey integer recursions (see
 _b_step and _a_step), so a step does no Fraction arithmetic.  Each step
-works on object arrays of Python ints (index = degree) through
-numpy.polynomial.polynomial, whose routines keep the object dtype and
-trim trailing zeros.  Both sequences are stored as tuples of ints in
-grow-only lists, extended one recursion step at a time to the largest
-index asked for; readers divide by the scale once, at the end.  The
-store payload grows about as k^3, so an index above K_CAP raises
-ComputeCapError before any step: B(n) and the exact central value take
-odd n <= 1501, the a-path n <= 751.
+is one pass over lists of Python ints (index = degree): every new
+coefficient is a short sum of neighbouring old ones, with the fixed
+polynomials (x-7)(64x-7), 11x+7, R, R'/2 and 1-5x and the derivative
+folded into integer weights, and trailing zeros trimmed.  Both
+sequences are stored as tuples of ints in grow-only lists, extended one
+recursion step at a time to the largest index asked for; readers divide
+by the scale once, at the end.  The store payload grows about as k^3, so
+an index above K_CAP raises ComputeCapError before any step: B(n) and the
+exact central value take odd n <= 1501, the a-path n <= 751.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from threading import Lock
 
-import numpy as np
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
-from numpy.polynomial import polynomial as P
 
 from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, _series_index, constants
 
@@ -67,7 +66,14 @@ class VZPoly:
     def eval_at(self, x) -> tuple[Fraction, Fraction]:
         """(u(x), v(x)); the element's value is u(x) + v(x)*s(x)."""
         x = Fraction(x)
-        return P.polyval(x, self.u), P.polyval(x, self.v)
+        return _horner(self.u, x), _horner(self.v, x)
+
+
+def _horner(coeffs: tuple, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -80,23 +86,18 @@ class ExactCentral:
     L: mpf
 
 
-def _ints(*coeffs) -> np.ndarray:
-    """Object array of Python int coefficients, index = degree.
-
-    The object dtype keeps the arithmetic exact: numpy.polynomial's
-    polyder turns an int64 array into float64, and int64 would overflow.
-    """
-    return np.array(coeffs, dtype=object)
+def _padded(p: tuple, lead: int, n: int) -> list:
+    """p_{-lead}, ..., p_n as a list, zero off p's range: p_i sits at
+    index lead + i."""
+    return [0] * lead + [*p] + [0] * (n + 1 - len(p))
 
 
-# (x-7)(64x-7) = 64x^2 - 455x + 49
-_QUAD = _ints(49, -455, 64)
-# the a-path radicand R = s^2 = (1+x)(1-27x) and R'/2
-_R = _ints(1, -26, -27)
-_HALF_DR = _ints(-13, -27)
-_X = _ints(0, 1)
-_11X_7 = _ints(7, 11)
-_1_5X = _ints(1, -5)
+def _trimmed(out: list) -> tuple:
+    """out without trailing zeros; the zero polynomial keeps one."""
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
 
 # Largest index either store grows to, for a 200 MB peak-RSS budget per
 # store: measured peaks 158 MB (b-store, k = 750, B(1501)) and 170 MB
@@ -112,30 +113,49 @@ def _b_step(k: int, bk: tuple, bk1: tuple) -> tuple:
 
     beta_{k+1} = ((32kx - 56k + 42) - (x-7)(64x-7) d/dx) beta_k
                  - 21 * 2k(2k-1)(11x+7) beta_{k-1}
+
+    Coefficient by coefficient, with b = beta_k, e = beta_{k-1} and
+    m = 21 * 2k(2k-1), where (x-7)(64x-7) = 49 - 455x + 64x^2 acting on
+    b'_i = (i+1) b_{i+1} gives the terms in i:
+
+    out_i = (42 - 56k + 455i) b_i + (32k - 64(i-1)) b_{i-1} - 49(i+1) b_{i+1}
+            - m (7 e_i + 11 e_{i-1})
     """
-    bk, bk1 = _ints(*bk), _ints(*bk1)
-    term = P.polysub(P.polymul(_ints(42 - 56 * k, 32 * k), bk), P.polymul(_QUAD, P.polyder(bk)))
-    term = P.polysub(term, P.polymul(_11X_7, bk1) * (21 * 2 * k * (2 * k - 1)))
-    return tuple(term)
+    m = 21 * 2 * k * (2 * k - 1)
+    n = max(len(bk), len(bk1))  # out has degree <= n
+    b, e = _padded(bk, 1, n + 1), _padded(bk1, 1, n)
+    return _trimmed([
+        (42 - 56 * k + 455 * i) * b[i + 1] + (32 * k - 64 * (i - 1)) * b[i]
+        - 49 * (i + 1) * b[i + 2] - m * (7 * e[i + 1] + 11 * e[i])
+        for i in range(n + 1)
+    ])
 
 
 def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
     """alpha_{k+1} = (u, v) from alpha_k and alpha_{k-1} in the ring u + v*s.
 
     alpha_{k+1} = s (9x d/dx - 3(2k+1)) alpha_k - 9k^2 (1-5x) alpha_{k-1}
+
+    With c = 3(2k+1), s (9x d/dx - c)(u + v s) is
+    [9x(v'R + vR'/2) - cvR] + [9xu' - cu] s, and with R = 1 - 26x - 27x^2,
+    R'/2 = -13 - 27x, coefficient by coefficient (alpha_{k-1} = u1 + v1 s):
+
+    u_new_i = (9i - c) v_i + (26c + 117 - 234i) v_{i-1}
+              + (27c + 243 - 243i) v_{i-2} - 9k^2 (u1_i - 5 u1_{i-1})
+    v_new_i = (9i - c) u_i - 9k^2 (v1_i - 5 v1_{i-1})
     """
-    (u, v), (u1, v1) = [(_ints(*p), _ints(*q)) for p, q in (ak, ak1)]
-    c = 3 * (2 * k + 1)
-    # s*(9x d/dx - c)(u + v s) = [9x(v'R + vR'/2) - cvR] + [9xu' - cu]s
-    new_u = P.polysub(
-        P.polymul(_X, P.polyadd(P.polymul(P.polyder(v), _R), P.polymul(v, _HALF_DR))) * 9,
-        P.polymul(v, _R) * c,
-    )
-    new_v = P.polysub(P.polymul(_X, P.polyder(u)) * 9, u * c)
-    corr = 9 * k * k
-    new_u = P.polysub(new_u, P.polymul(_1_5X, u1) * corr)
-    new_v = P.polysub(new_v, P.polymul(_1_5X, v1) * corr)
-    return tuple(new_u), tuple(new_v)
+    (u, v), (u1, v1) = ak, ak1
+    c, m = 3 * (2 * k + 1), 9 * k * k
+    nu, nv = max(len(v) + 1, len(u1)), max(len(u) - 1, len(v1))  # degrees
+    vp, u1p = _padded(v, 2, nu), _padded(u1, 1, nu)
+    up, v1p = _padded(u, 0, nv), _padded(v1, 1, nv)
+    new_u = [
+        (9 * i - c) * vp[i + 2] + (26 * c + 117 - 234 * i) * vp[i + 1]
+        + (27 * c + 243 - 243 * i) * vp[i] - m * (u1p[i + 1] - 5 * u1p[i])
+        for i in range(nu + 1)
+    ]
+    new_v = [(9 * i - c) * up[i] - m * (v1p[i + 1] - 5 * v1p[i]) for i in range(nv + 1)]
+    return _trimmed(new_u), _trimmed(new_v)
 
 
 def _grow(seq: list, step, k: int) -> tuple:
@@ -175,6 +195,8 @@ def A_from_a_path(n: int) -> Fraction:
     the u-component there.
     """
     n = _series_index(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if n % 2 == 0:
         return Fraction(0)
     u = _grow(_A, _a_step, n - 1)[0]

@@ -123,7 +123,7 @@ def test_exact_commands_do_not_import_sympy():
 
 
 def test_density_and_moments_do_not_import_vz():
-    # the exact A(n) route (and numpy.polynomial) stays out of the float64 stages
+    # the exact A(n) route stays out of the float64 stages
     code = "import sys\nimport hecke7.density, hecke7.moments\nprint('hecke7.vz' in sys.modules)\n"
     assert _fresh_python(code).stdout.splitlines()[-1] == "False"
 
@@ -394,6 +394,94 @@ def test_env_digits_default(capsys, monkeypatch):
     rc, out = run(capsys, "constants", "--format", "json")
     assert rc == 0
     assert json.loads(out)["digits"] == 21
+
+
+def test_env_digits_read_on_each_call(capsys, monkeypatch):
+    # the parser is built once, so the variable must not be baked into it
+    for env, want in (("21", 21), ("17", 17), (None, 30), ("", 30)):
+        if env is None:
+            monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_DIGITS, env)
+        rc, out = run(capsys, "constants", "--format", "json")
+        assert rc == 0 and json.loads(out)["digits"] == want, env
+
+
+def test_env_digits_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    for env in ("abc", "1e3"):
+        monkeypatch.setenv(cli.ENV_DIGITS, env)
+        assert cli.main(["constants"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {cli.ENV_DIGITS} must be an integer, got {env!r}\n"
+        # --digits wins over the variable, which is then never read
+        rc, out = run(capsys, "constants", "--digits", "20", "--format", "json")
+        assert rc == 0 and json.loads(out)["digits"] == 20
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    assert build() is not build()  # the public builder stays fresh per call
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["constants", "--digits", "15"], ["bogus"], ["table", "--format", "csv"], ["--help"]):
+            cli.main(argv)
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_parser_reused_after_usage_errors_and_help(capsys):
+    assert cli.main(["bogus"]) == 2
+    assert cli.main(["central", "--n", "3", "--digits", "x"]) == 2
+    rc, out = run(capsys, "central", "--n", "9", "--method", "exact", "--format", "json")
+    assert rc == 0 and json.loads(out)["A_exact"] == "49"
+    for _ in range(2):
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["central", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: hecke7 central") == 2
+    rc, out = run(capsys, "table", "--format", "csv")
+    assert rc == 0 and out == GOLDEN_TABLE
+
+
+# the text of the exact commands' fields, recorded before the parser was
+# shared and the recursions moved to int lists; GOLDEN_TABLE pins `table`
+PINNED_CENTRAL = {
+    9: {
+        "series_value": "1.76925622973861149908168931190e-01",
+        "series_tail_bound": "7.09e-33",
+        "exact_value": "1.76925622973861149908168931190e-01",
+        "A_exact": "49",
+        "B_exact": "7",
+    },
+    101: {
+        "series_value": "2.23122809305455812639588193758e-03",
+        "series_tail_bound": "8.56e-33",
+        "exact_value": "2.23122809305455812639588193758e-03",
+        "A_exact": (
+            "1081245937279757777477292171131206812673026372914658320395351443509221999258584762"
+            "085663927803603320197155500046760240713388591025390625"
+        ),
+        "B_exact": "32882304318276688825960028851904923142331727341904869246631555659375",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CENTRAL))
+def test_central_prints_the_pinned_exact_text(capsys, n):
+    argv = ("central", "--n", str(n), "--method", "both", "--digits", "30", "--format", "json")
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    obj = json.loads(out)
+    assert {key: obj[key] for key in PINNED_CENTRAL[n]} == PINNED_CENTRAL[n]
+    assert mpf(obj["delta"]) <= mpf(obj["delta_bound"])
 
 
 def test_selftest_exit_code_mapping(capsys, monkeypatch, tmp_path):

@@ -1,13 +1,16 @@
 """Exact central-value recursions: b-sequence, a-path, A(n) = B(n)^2."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy as sp
 from mpmath import mp, mpf
+from numpy.polynomial import polynomial as P
 
 from hecke7 import vz
 from hecke7.specfun import PrecisionContext
@@ -93,9 +96,12 @@ def test_A_even_and_validation():
     assert vz.A_of(2) == 0
     assert vz.A_of(30) == 0
     with pytest.raises(ValueError):
-        vz.A_of(0)
-    with pytest.raises(ValueError):
         vz.B_of(4)
+    # the a-path refuses what A_of refuses
+    for n in (0, -1, -2):
+        for f in (vz.A_of, vz.A_from_a_path):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                f(n)
 
 
 def test_B_congruence():
@@ -117,6 +123,59 @@ def test_a_path_agrees_with_b_path():
     for n in range(1, 202, 2):
         assert vz.A_from_a_path(n) == vz.A_of(n), n
     assert vz.A_from_a_path(4) == 0
+
+
+def _ints(*coeffs):
+    # object dtype keeps Python ints: polyder turns int64 into float64,
+    # and int64 would overflow
+    return np.array(coeffs, dtype=object)
+
+
+def _b_step_numpy(k, bk, bk1):
+    # the recursion through numpy.polynomial on object arrays of Python ints
+    bk, bk1 = _ints(*bk), _ints(*bk1)
+    term = P.polysub(P.polymul(_ints(42 - 56 * k, 32 * k), bk), P.polymul(_ints(49, -455, 64), P.polyder(bk)))
+    term = P.polysub(term, P.polymul(_ints(7, 11), bk1) * (21 * 2 * k * (2 * k - 1)))
+    return tuple(term)
+
+
+def _a_step_numpy(k, ak, ak1):
+    (u, v), (u1, v1) = [(_ints(*p), _ints(*q)) for p, q in (ak, ak1)]
+    R, half_dR, x, one_5x = _ints(1, -26, -27), _ints(-13, -27), _ints(0, 1), _ints(1, -5)
+    c = 3 * (2 * k + 1)
+    new_u = P.polysub(
+        P.polymul(x, P.polyadd(P.polymul(P.polyder(v), R), P.polymul(v, half_dR))) * 9,
+        P.polymul(v, R) * c,
+    )
+    new_v = P.polysub(P.polymul(x, P.polyder(u)) * 9, u * c)
+    new_u = P.polysub(new_u, P.polymul(one_5x, u1) * (9 * k * k))
+    new_v = P.polysub(new_v, P.polymul(one_5x, v1) * (9 * k * k))
+    return tuple(new_u), tuple(new_v)
+
+
+@pytest.mark.parametrize("step, oracle, first, k_max", [
+    (vz._b_step, _b_step_numpy, [(1,), (42,)], 300),
+    (vz._a_step, _a_step_numpy, [((1,), (0,)), ((0,), (-3,))], 150),
+])
+def test_int_list_steps_match_the_numpy_polynomial_rule(step, oracle, first, k_max):
+    # both sequences grown from their initial terms, each row tuple-equal
+    # (trailing zeros trimmed the same way, at least one coefficient kept)
+    got, want = list(first), list(first)
+    for k in range(1, k_max):
+        got.append(step(k, got[k], got[k - 1]))
+        want.append(oracle(k, want[k], want[k - 1]))
+        assert got[-1] == want[-1], k
+
+
+def test_steps_trim_like_polysub():
+    # results that cancel to zero keep one coefficient, as polysub does
+    zero = ((0,), (0,))
+    assert vz._b_step(1, (0,), (0,)) == _b_step_numpy(1, (0,), (0,)) == (0,)
+    assert vz._a_step(1, zero, zero) == _a_step_numpy(1, zero, zero) == zero
+    for k, bk, bk1 in ((3, (5, 0, 7), (1,)), (2, (1,), (4, -3, 2, 9))):
+        assert vz._b_step(k, bk, bk1) == _b_step_numpy(k, bk, bk1)
+    ak, ak1 = ((2, 0, -1), (0, 3)), ((1,), (5, 0, 0, 4))
+    assert vz._a_step(4, ak, ak1) == _a_step_numpy(4, ak, ak1)
 
 
 def test_store_rows_are_int_tuples():
@@ -213,3 +272,16 @@ def test_vzpoly_eval():
     p = vz.VZPoly.make([Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)])
     u, v = p.eval_at(Fraction(3))
     assert (u, v) == (Fraction(7), Fraction(3))
+    # against numpy.polynomial's polyval on random rational polynomials
+    rng = random.Random(7)
+
+    def frac():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    for _ in range(200):
+        u = [frac() for _ in range(rng.randint(1, 12))]
+        v = [frac() for _ in range(rng.randint(1, 12))]
+        for x in (frac(), rng.randint(-9, 9), Fraction(-1)):
+            got = vz.VZPoly.make(u, v).eval_at(x)
+            want = (P.polyval(Fraction(x), u), P.polyval(Fraction(x), v))
+            assert got == want and all(type(g) is Fraction for g in got)
