@@ -39,7 +39,7 @@ from mpmath import mp, mpf, mpc
 from . import field
 from .central import LOG_Q, T_CAP, _member, _panel_rule, _zeros_block, get_engine, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
-from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, digamma_f64, loggamma_f64
+from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _series_index, digamma_f64, loggamma_f64
 
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
 _SCAN_BLOCK = 8  # members per zero scan and prime-sum call of empirical_one_level
@@ -358,35 +358,58 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
     with y = p^(-1-2 gamma), w = p^(-1-alpha-gamma).
     """
     _check_shift(alpha, gamma)
-    return _ratios_A_rows([alpha], [gamma], P, tol)[0]
+    return _ratios_rows([alpha], [gamma], P, tol)[0][0]
 
 
 def _ratios_classes(P: int):
     """(log p, split, inert, ramified) over the primes p <= P, the last
-    three as index arrays where the table's chi is 1, -1 and 0: the class
-    split that _ratios_A_rows and _ratios_A_prime_rows read once per call."""
-    table = field.prime_table(P)
-    split, inert, ram = (np.flatnonzero(table.chi == c) for c in (1, -1, 0))
-    return np.log(table.primes), split, inert, ram
+    three as index arrays where chi is 1, -1 and 0: the class split that
+    _ratios_rows reads once per call.  The primes and classes are
+    field.prime_classes(P)'s, so the shared prime table neither grows nor
+    takes an atan2.  ValueError unless P is an integer >= 2 (the tail
+    estimate divides by log P)."""
+    P = _series_index(P, "prime bound P")
+    if P < 2:
+        raise ValueError(f"prime bound P must be >= 2, got {P}")
+    primes, chi = field.prime_classes(P)
+    split, inert, ram = (np.flatnonzero(chi == c) for c in (1, -1, 0))
+    return np.log(primes), split, inert, ram
 
 
-def _ratios_A_rows(a, g, P: int, tol: float = 1e-3) -> list[complex]:
-    """ratios_A at each shift pair (a[i], g[i]), one row at a time: a
-    2-D block of rows costs memory and buys no time (BENCH_family_loops)."""
+def _ratios_rows(a, g, P: int, tol: float = 1e-3) -> list[tuple[complex, complex]]:
+    """(A(a[i], g[i]), A'(g[i], g[i])) at each shift pair, one row at a
+    time: ratios_A, and ratios_A_prime's closed form at r = g.  A 2-D
+    block of rows costs memory and buys no time (BENCH_family_loops).
+
+    Both read y = p^(-1-2g), which is the w of A' bit for bit.  A's
+    w = p^(-1-a-g) and its split, inert and ramified denominators are
+    formed again only when a + g changes, so the density's mirrored rows
+    (-it, it) share one w = 1/p.  (A zero part of the sum 1 + a + g is
+    always +0.0, so equal exponents are equal bits.)  ConvergenceError
+    where A's tail estimate exceeds tol."""
     lp, split, inert, ram = _ratios_classes(P)
+    lpi, lpr = lp[inert], lp[ram]
     out = []
+    w_exp = None
     for ai, gi in zip(map(complex, a), map(complex, g)):
         tail_est = _ratios_A_tail(ai, gi, P)
         if tail_est > tol:
             raise ConvergenceError(f"tail estimate {tail_est:.2e} exceeds tol {tol:.2e}")
+        s = -(1 + ai + gi)
+        if s != w_exp:
+            w_exp = s
+            w = np.exp(s * lp)
+            ws = w[split]
+            den_split, den_inert, den_ram = (1 - ws) ** 2, 1 - w[inert] ** 2, 1 - w[ram]
         y = np.exp(-(1 + 2 * gi) * lp)
-        w = np.exp(-(1 + ai + gi) * lp)
+        ys, yi, yr = y[split], y[inert], y[ram]
+        yi2 = yi**2
         fac = np.empty_like(y)
-        ys, ws = y[split], w[split]
-        fac[split] = (1 - ys) * (1 + ys - 2 * ws) / (1 - ws) ** 2
-        fac[inert] = (1 - y[inert] ** 2) / (1 - w[inert] ** 2)
-        fac[ram] = (1 - y[ram]) / (1 - w[ram])
-        out.append(complex(np.prod(fac)))
+        fac[split] = (1 - ys) * (1 + ys - 2 * ws) / den_split
+        fac[inert] = (1 - yi2) / den_inert
+        fac[ram] = (1 - yr) / den_ram
+        prime = -np.sum(2 * lpi * yi2 / (1 - yi2)) - np.sum(lpr * yr / (1 - yr))
+        out.append((complex(np.prod(fac)), complex(prime)))
     return out
 
 
@@ -434,19 +457,8 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     w = p^(-1-2r), with r = it.  `ctx` is accepted for API
     compatibility; the result is float64.
     """
-    return _ratios_A_prime_rows([t], P)[0]
-
-
-def _ratios_A_prime_rows(t, P: int) -> list[complex]:
-    """ratios_A_prime at each height t[i], one row at a time."""
-    lp, _, inert, ram = _ratios_classes(P)
-    lpi, lpr = lp[inert], lp[ram]
-    out = []
-    for ti in map(float, t):
-        coef = -(1 + 2j * ti)
-        wi, wr = np.exp(coef * lpi), np.exp(coef * lpr)
-        out.append(complex(-np.sum(2 * lpi * wi**2 / (1 - wi**2)) - np.sum(lpr * wr / (1 - wr))))
-    return out
+    r = 1j * float(t)
+    return _ratios_rows([r], [r], P, tol=inf)[0][1]
 
 
 # B_{2j}/(2j)! for j = 1..15: the Euler-Maclaurin corrections of the
@@ -597,12 +609,12 @@ def _ratios_integrand_direct(c, t: float, P: int, arith=None):
     """The integrand at height t for the member with Gamma shift c, or for
     each entry of an array of shifts (the arithmetic factors are shared);
     c is read through np.asarray, so one shift takes the numpy arithmetic
-    of an array entry.  arith is (block, xblock, ap, a_mir), that is
-    _zeta_L_block(t), ratios_A_prime(t) and ratios_A(-it, it), when the
+    of an array entry.  arith is (block, xblock, a_mir, ap), that is
+    _zeta_L_block(t), ratios_A(-it, it) and ratios_A_prime(t), when the
     caller already has them."""
     if arith is None:
-        arith = _zeta_L_block(t) + (ratios_A_prime(t, P=P), ratios_A(-1j * t, 1j * t, P=P))
-    block, xblock, ap, a_mir = arith
+        arith = _zeta_L_block(t) + _ratios_rows([-1j * t], [1j * t], P)[0]
+    block, xblock, a_mir, ap = arith
     c = np.asarray(c)
     # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
     e_factor = np.exp(-2j * (loggamma_f64(c, t).imag + t * LOG_Q))
@@ -619,8 +631,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
     with f(t_end log N/pi) = 1e-12.  The zeta and L factors are one
     _zeta_L_block call over all the nodes, and the A and A' products one
-    row call each.  `ctx` is accepted for API compatibility; the result
-    is float64."""
+    _ratios_rows call, which forms w = 1/p once for all of them.  `ctx`
+    is accepted for API compatibility; the result is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
     if N < 2:
@@ -631,8 +643,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     cs = _member(np.arange(1, N + 1)).c
     total = 0.0
     tl = ts.tolist()
-    a_mir = _ratios_A_rows([-1j * t for t in tl], [1j * t for t in tl], P)
-    arith = zip(*_zeta_L_block(ts), _ratios_A_prime_rows(tl, P), a_mir)
+    a_mir, ap = zip(*_ratios_rows([-1j * t for t in tl], [1j * t for t in tl], P))
+    arith = zip(*_zeta_L_block(ts), a_mir, ap)
     for t, wt, args in zip(tl, ws.tolist(), arith):
         total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, P, args)))
     return 2.0 * total / (2.0 * fpi * N)

@@ -12,19 +12,22 @@ exact integer arithmetic, each conjugate pair of representations as one
 Lucas V-sequence (hecke_coeff); floating normalization is applied last.
 These serve the mpmath routes and the oracles; the float64 family routes
 share one PrimeTable (exact fixed-point representation angles) instead,
-which reads a whole array of exponents k in one pass.
+which reads a whole array of exponents k in one pass.  Routes that read
+only p and its class (the ratios Euler products, delta_series_product)
+take prime_classes(P), the sieve's primes and classes without angles, so
+they neither grow the shared table nor take its atan2s.
 
 A prime's splitting class is the int chi_{-7}(p) = CHI7[p % 7]: 1 split,
--1 inert, 0 ramified (p = 7).  The table holds it as int8, _prime_chi
-checks and reads it for one prime, and only the public prime_class names
-it as a string.
+-1 inert, 0 ramified (p = 7).  prime_classes and the table hold it as
+int8, _prime_chi checks and reads it for one prime, and only the public
+prime_class names it as a string.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -230,6 +233,42 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
+_CHI7_INT8 = np.array([CHI7[r] for r in range(7)], dtype=np.int8)
+
+
+def _classes(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, chi) read off a smallest-prime-factor table: the primes
+    p <= len(spf) - 1 and chi_{-7}(p) = CHI7[p % 7] as int8, read-only."""
+    primes = np.flatnonzero(spf == np.arange(len(spf)))[2:]
+    chi = _CHI7_INT8[primes % 7]
+    for arr in (primes, chi):
+        arr.setflags(write=False)
+    return primes, chi
+
+
+def _table_size(P) -> int:
+    """P as an int (a numpy integer read as the int) for prime_table and
+    prime_classes: ValueError unless an integer >= 0, bools and floats
+    refused; ComputeCapError for P > PRIME_TABLE_CAP, before any sieving."""
+    P = _series_index(P, "prime bound P")
+    if P < 0:
+        raise ValueError(f"prime bound P must be >= 0, got {P}")
+    if P > PRIME_TABLE_CAP:
+        raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
+    return P
+
+
+# typed: a cached P = 2 must not answer for 2.0, nor P = 1 for True
+@lru_cache(maxsize=2, typed=True)
+def prime_classes(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, chi) for p <= P: prime_table(P)'s primes and classes, equal
+    entry for entry, from a sieve to P and without the table's angles or
+    ppart.  For the routes that read only p and chi_{-7}(p); it leaves the
+    shared table as it is.  The last two P asked for are kept, so a run of
+    single-height ratios calls sieves once.  Errors as prime_table's."""
+    return _classes(_spf_sieve(_table_size(P)))
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Exact and normalized Hecke coefficients chi^(k)(m) for m <= maxM.
@@ -332,31 +371,75 @@ class PrimeTable:
 
     def coeffs(self, k: int | np.ndarray) -> np.ndarray:
         """a_k(m) = chi^(k)(m)/m^(k/2) for m = 0..P: the U-sequence at prime
-        powers, a(m) = a(ppart) a(m/ppart) elsewhere.  k as in chebyshev,
-        whose axes lead the result's m axis."""
+        powers, a(m) = a(ppart) a(m/ppart) at the other m >= 2.  k as in
+        chebyshev, whose axes lead the result's m axis.
+
+        Such an m with d distinct prime factors has level d - 1, and
+        m/ppart has d - 1 of them: a prime power when m is at level 1, one
+        level lower otherwise.  One gather per level, in level order, then
+        forms each product exactly once, from factors already final."""
         _, q, x = self.powers(k, 1.0)
         a = np.zeros(x.shape[:-1] + (self.P + 1,))
         a[..., 1] = 1.0
         a[..., q] = x
-        m = np.flatnonzero(self.ppart < np.arange(self.P + 1))
-        pm, rest = self.ppart[m], m // self.ppart[m]
-        # each pass settles one more distinct prime factor; there are < log2 P.
-        # The passes gather into two buffers made once: fresh row-sized
-        # temporaries each pass can each cost an mmap and its page faults.
-        g, h = np.empty(a.shape[:-1] + m.shape), np.empty(a.shape[:-1] + m.shape)
-        for _ in range(self.P.bit_length()):
-            a[..., m] = np.multiply(np.take(a, pm, axis=-1, out=g), np.take(a, rest, axis=-1, out=h), out=g)
+        levels = self._levels()
+        # The levels gather into two buffers made once: fresh row-sized
+        # temporaries each level can each cost an mmap and its page faults.
+        rows = a[..., 0].size
+        size = rows * max((len(m) for m, _, _ in levels), default=0)
+        g, h = np.empty(size), np.empty(size)
+        for m, pm, rest in levels:
+            shape, n = a.shape[:-1] + m.shape, rows * len(m)
+            gm, hm = g[:n].reshape(shape), h[:n].reshape(shape)
+            a[..., m] = np.multiply(np.take(a, pm, axis=-1, out=gm), np.take(a, rest, axis=-1, out=hm), out=gm)
         return a
+
+    def support(self) -> np.ndarray:
+        """The m = 1..P, ascending, where a_k(m) can be nonzero at some k:
+        those with chi_{-7}(q) = 1 at every prime power q || m, that is 7
+        does not divide m and each inert prime divides it to an even
+        power.  At every k, a_k(7^e) (e >= 1) and a_k(p^e) (p inert, e odd)
+        are exact zeros in coeffs, and a_k(m) is the product over the
+        q || m.  Read off the factorizations m -> m/ppart(m), never off
+        floats; chi_{-7}(q) = CHI7[q % 7], a character mod 7."""
+        m = np.arange(1, self.P + 1)
+        keep = np.ones(len(m), dtype=bool)
+        r = m
+        while r.max(initial=1) > 1:
+            q = self.ppart[r]
+            keep &= _CHI7_INT8[q % 7] == 1
+            r = r // q
+        return m[keep]
+
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(m, ppart[m], m/ppart[m]) over the m <= P that are not prime
+        powers, one triple per level 1, 2, ..., in that order; a level
+        counts the steps m -> m/ppart(m) that end at a prime power."""
+        m = np.flatnonzero(self.ppart < np.arange(self.P + 1))
+        pm = self.ppart[m]
+        rest = m // pm
+        level = np.ones(len(m), dtype=np.int8)
+        live, r = np.arange(len(m)), rest
+        while len(live):
+            up = self.ppart[r] < r  # r is not a prime power: one level higher
+            live, r = live[up], r[up]
+            level[live] += 1
+            r = r // self.ppart[r]
+        out = []
+        for d in range(1, int(level.max(initial=0)) + 1):
+            at = level == d
+            out.append((m[at], pm[at], rest[at]))
+        return out
 
 
 def _build_table(P: int, old: PrimeTable | None) -> PrimeTable:
     """A PrimeTable for p <= P.  The angle rows of old, a stored table
     for p <= old.P < P, are copied, so the exact atan2 runs only for the
-    split primes in (old.P, P]; the rest is built afresh."""
+    split primes in (old.P, P]; the rest is built afresh.  The primes and
+    classes are prime_classes's, read off the same sieve."""
     spf = _spf_sieve(P)
     ms = np.arange(P + 1)
-    primes = np.flatnonzero(spf == ms)[2:]
-    chi = np.array([CHI7[r] for r in range(7)], dtype=np.int8)[primes % 7]
+    primes, chi = _classes(spf)
     ppart = spf.copy()
     ppart[0] = 1
     # the m >= 2 divisible by p^2, p = spf(m); each pass multiplies in one
@@ -393,10 +476,9 @@ def _build_table(P: int, old: PrimeTable | None) -> PrimeTable:
             t = to_int(mpf_mul(atan, scale, prec, round_nearest), round_nearest)
             rep_eps[i] = -epsilon(x, b), epsilon(x, b)
             rep_turns[i] = (1 << 63) - t, t
-    arrays = (primes, chi, ppart, rep_eps, rep_turns)
-    for arr in arrays:
+    for arr in (ppart, rep_eps, rep_turns):
         arr.setflags(write=False)
-    return PrimeTable(P, *arrays)
+    return PrimeTable(P, primes, chi, ppart, rep_eps, rep_turns)
 
 
 _TABLE: PrimeTable | None = None
@@ -408,11 +490,11 @@ def prime_table(P: int) -> PrimeTable:
     built on first use, never at import, and rebuilt for a larger P at
     max(P, twice the stored P) clamped at PRIME_TABLE_CAP, so a rising run
     of P costs few builds.  Each rebuild keeps the stored angle rows, so a
-    split prime's atan2 is taken once per process.  Raises ComputeCapError
+    split prime's atan2 is taken once per process.  P is an int >= 0 (a
+    numpy integer is read as the int), else ValueError; ComputeCapError
     for P > PRIME_TABLE_CAP."""
     global _TABLE
-    if P > PRIME_TABLE_CAP:
-        raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
+    P = _table_size(P)
     with _TABLE_LOCK:
         if _TABLE is None or _TABLE.P < P:
             _TABLE = _build_table(min(max(P, 2 * getattr(_TABLE, "P", 0)), PRIME_TABLE_CAP), _TABLE)

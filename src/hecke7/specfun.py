@@ -22,7 +22,8 @@ density, ratios integrand, central-value sweep):
   * reg_gamma_Q_f64(c_max, x): Q(c, x) for c = 1, ..., c_max as a running
     sum of Poisson masses e^(-x) x^c/c!, each in the saddle-point form of
     C. Loader, "Fast and accurate computation of binomial probabilities"
-    (2000), which neither underflows nor cancels for large x.
+    (2000), which neither underflows nor cancels for large x; the masses
+    of a block of c are one 2-D array round.
 """
 
 from __future__ import annotations
@@ -483,19 +484,22 @@ _STIRLERR = (
 )
 
 
-def _bd0(c: int, x: np.ndarray) -> np.ndarray:
-    """Loader's deviance c log(c/x) + x - c.  Where |c - x| < 0.1 (c + x)
-    the direct form cancels, so there it is (c-x) v + 2c sum_j
-    v^(2j+1)/(2j+1) with v = (c-x)/(c+x); 8 terms leave a relative
-    remainder below 2 * 0.1^17/19 < 1.1e-18."""
+def _bd0(c, x: np.ndarray) -> np.ndarray:
+    """Loader's deviance c log(c/x) + x - c, for a scalar c or an array c
+    that broadcasts against x.  Where |c - x| < 0.1 (c + x) the direct
+    form cancels, so there it is (c-x) v + 2c sum_j v^(2j+1)/(2j+1) with
+    v = (c-x)/(c+x); 8 terms leave a relative remainder below
+    2 * 0.1^17/19 < 1.1e-18.  Each entry is the same float arithmetic
+    whatever the shapes, so an array of c gives the rows of the scalar
+    calls bit for bit."""
     d = c * np.log(c / x) + x - c
     near = np.abs(c - x) < 0.1 * (c + x)
     if near.any():
-        xn = x[near]
-        v = (c - xn) / (c + xn)
+        cn, xn = np.broadcast_to(c, d.shape)[near], np.broadcast_to(x, d.shape)[near]
+        v = (cn - xn) / (cn + xn)
         v2 = v * v
-        s = (c - xn) * v
-        e = 2.0 * c * v
+        s = (cn - xn) * v
+        e = 2.0 * cn * v
         for j in range(1, 9):
             e = e * v2
             s = s + e / (2 * j + 1)
@@ -503,18 +507,35 @@ def _bd0(c: int, x: np.ndarray) -> np.ndarray:
     return d
 
 
+_Q_BLOCK = 32  # Poisson masses of reg_gamma_Q_f64 formed in one 2-D round
+
+
 def reg_gamma_Q_f64(c_max: int, x):
-    """Yield Q(c, x) = Gamma(c, x)/Gamma(c) in float64 at the array x > 0
-    for c = 1, 2, ..., c_max, as fresh arrays.
+    """Q(c, x) = Gamma(c, x)/Gamma(c) in float64 at the array x > 0 for
+    c = 1, 2, ..., c_max, yielded in order as fresh arrays; ValueError
+    for c_max < 1.
 
     Q(1, x) = e^(-x) and Q(c+1, x) = Q(c, x) + e^(-x) x^c/c!, a sum of
     positive terms.  Each Poisson mass is Loader's
     exp(-stirlerr(c) - bd0(c, x))/sqrt(2pi c), correct to a few ulp
-    times bd0 where e^(-x) x/c recurrences would underflow (x > 745)."""
-    x = np.asarray(x, dtype=float)
+    times bd0 where e^(-x) x/c recurrences would underflow (x > 745).
+    The masses of _Q_BLOCK consecutive c are one (c, x) array round of
+    _bd0 and exp, added to the running sum row by row, so every Q is the
+    one-c-at-a-time ladder's bit for bit."""
+    if c_max < 1:
+        raise ValueError(f"c_max must be >= 1, got {c_max}")
+    return _q_ladder(int(c_max), np.asarray(x, dtype=float))
+
+
+def _q_ladder(c_max: int, x: np.ndarray):
+    """reg_gamma_Q_f64's generator, once c_max is checked."""
     q = np.exp(-x)
     yield q
-    for c in range(1, c_max):
-        err = _STIRLERR[c] if c < len(_STIRLERR) else float(_stirling_sum(float(c)))
-        q = q + np.exp(-err - _bd0(c, x)) / fsqrt(2.0 * fpi * c)
-        yield q
+    for lo in range(1, c_max, _Q_BLOCK):
+        cs = range(lo, min(lo + _Q_BLOCK, c_max))
+        err = [_STIRLERR[c] if c < len(_STIRLERR) else float(_stirling_sum(float(c))) for c in cs]
+        c = np.array(cs, dtype=float)[:, None]
+        masses = np.exp(-np.array(err)[:, None] - _bd0(c, x)) / np.sqrt(2.0 * fpi * c)
+        for mass in masses:
+            q = q + mass
+            yield q

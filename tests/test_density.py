@@ -514,21 +514,45 @@ def _ratios_A_masked(a, g, P):
 
 
 def test_ratios_rows_match_the_public_calls():
-    # the route's 96 nodes: one row call each for A(-it, it) and A'(it, it)
-    # gives the public single-height values and the masked products, bit for bit
+    # the route's 96 nodes: one row call gives A(-it, it) and A'(it, it) at
+    # each, the public single-height values and the masked products, bit for bit
     for w in (1.8, 2.2):
         ts = _gaussian_nodes(w).tolist()
-        mirrored = density._ratios_A_rows([-1j * t for t in ts], [1j * t for t in ts], 100_000)
-        primes = density._ratios_A_prime_rows(ts, 100_000)
-        assert len(mirrored) == len(primes) == 96
-        for t, a, ap in zip(ts, mirrored, primes):
+        rows = density._ratios_rows([-1j * t for t in ts], [1j * t for t in ts], 100_000)
+        assert len(rows) == 96
+        for t, (a, ap) in zip(ts, rows):
             want = _ratios_A_masked(-1j * t, 1j * t, 100_000)
             assert repr((a, ap)) == repr(want), t
             assert repr(a) == repr(density.ratios_A(-1j * t, 1j * t)), t
             assert repr(ap) == repr(density.ratios_A_prime(t)), t
-    shifts = [(0.1 - 0.2j, 0.05 + 0.3j), (-0.2, 0.1j), (0.0, 0.0)]
-    rows = density._ratios_A_rows([a for a, _ in shifts], [g for _, g in shifts], 10**4, tol=float("inf"))
-    assert rows == [density.ratios_A(a, g, P=10**4, tol=float("inf")) for a, g in shifts]
+    # shifts whose a + g changes from row to row, and back, and stays
+    shifts = [(0.1 - 0.2j, 0.05 + 0.3j), (-0.2, 0.1j), (0.0, 0.0), (-0.2, 0.1j), (0.1j, -0.1j), (-0.1j, 0.1j)]
+    rows = density._ratios_rows([a for a, _ in shifts], [g for _, g in shifts], 10**4, tol=float("inf"))
+    for (a, g), (got, _) in zip(shifts, rows):
+        want = _ratios_A_masked(complex(a), complex(g), 10**4)[0]
+        assert repr(got) == repr(want) == repr(density.ratios_A(a, g, P=10**4, tol=float("inf"))), (a, g)
+
+
+def test_class_only_routes_leave_the_prime_table(monkeypatch):
+    # the ratios route and delta_series_product read p and chi_{-7}(p) only:
+    # no atan2, and the shared table is neither built nor grown
+    monkeypatch.setattr(field, "_TABLE", None)
+    atan2, calls = field.mpf_atan2, []
+    monkeypatch.setattr(field, "mpf_atan2", lambda *a: calls.append(a) or atan2(*a))
+    assert density.ratios_one_level_density(20, density.gaussian(2.0)) == pytest.approx(3.236129063144008, abs=1e-13)
+    assert mpmath.isfinite(moments.delta_series_product(0.1, 0.05, 10**4, CTX))
+    density.ratios_one_level_integrand(1, 0.3)
+    assert calls == [] and field._TABLE is None
+
+
+def test_ratios_products_refuse_prime_bounds_below_two():
+    for P in (1, 0, -3, 2.5, True):
+        with pytest.raises(ValueError):
+            density.ratios_A(0.1, 0.05, P=P)
+        with pytest.raises(ValueError):
+            density.ratios_A_prime(0.5, P=P)
+    assert density.ratios_A(0.0, 0.0, P=np.int64(2), tol=math.inf) == density.ratios_A(0.0, 0.0, P=2, tol=math.inf)
+    assert density.ratios_A_prime(0.5, P=2) == density.ratios_A_prime(0.5, P=np.int32(2))
 
 
 def test_zeta_L_block_truncation_guard():

@@ -184,6 +184,68 @@ def test_coeffs_of_an_exponent_array_match_the_int_calls():
         assert row.tobytes() == table.powers(k, 1.0)[2].tobytes(), k
 
 
+def _coeffs_by_passes(table, k):
+    # the fixed-pass assembly the level order replaced, kept as the oracle:
+    # P.bit_length() passes of a(m) = a(ppart) a(m/ppart) over every m >= 2
+    # that is not a prime power
+    _, q, x = table.powers(k, 1.0)
+    a = np.zeros(x.shape[:-1] + (table.P + 1,))
+    a[..., 1] = 1.0
+    a[..., q] = x
+    m = np.flatnonzero(table.ppart < np.arange(table.P + 1))
+    pm, rest = table.ppart[m], m // table.ppart[m]
+    for _ in range(table.P.bit_length()):
+        a[..., m] = a[..., pm] * a[..., rest]
+    return a
+
+
+@pytest.mark.parametrize("P", [130, 1391, 5939])
+def test_level_ordered_coeffs_match_the_pass_rule(P):
+    table = field.prime_table(P)
+    block = 4 * np.arange(1, 33) - 3
+    for k in (1, 5, 797, 7997, block, block + 4 * 1968):
+        got = table.coeffs(k)
+        assert got.tobytes() == _coeffs_by_passes(table, k).tobytes(), (P, k)
+    # every composite's level is its number of distinct prime factors less 1,
+    # its cofactor m/ppart sits one level lower, and each m is set once
+    seen = []
+    for level, (m, pm, rest) in enumerate(table._levels(), start=1):
+        assert all(len(field.factorint(v)) == level + 1 for v in m.tolist()), level
+        assert all(len(field.factorint(v)) == level for v in rest.tolist()), level
+        assert np.array_equal(pm * rest, m) and np.array_equal(pm, table.ppart[m])
+        seen += m.tolist()
+    assert sorted(seen) == [m for m in range(2, P + 1) if len(field.factorint(m)) > 1]
+
+
+def test_prime_classes_match_the_table():
+    for P in (0, 1, 2, 7, 1391, 10**5):
+        primes, chi = field.prime_classes(P)
+        table = field.prime_table(P)
+        assert primes.tobytes() == table.primes.tobytes() and primes.dtype == table.primes.dtype, P
+        assert chi.tobytes() == table.chi.tobytes() and chi.dtype == np.int8, P
+        assert chi.tolist() == [(0, 1, 1, -1, 1, -1, -1)[p % 7] for p in primes.tolist()], P
+        assert not primes.flags.writeable and not chi.flags.writeable
+    assert field.prime_classes(np.int64(30))[0].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    with pytest.raises(field.ComputeCapError):
+        field.prime_classes(field.PRIME_TABLE_CAP + 1)
+
+
+def test_prime_bounds_refuse_non_integers_and_negatives(monkeypatch):
+    field.prime_table(1000)  # a stored table: a negative P once cut it to ppart[:P + 1]
+    field.prime_classes(2), field.prime_classes(1)  # kept P, equal to 2.0 and True
+    for entry in (field.prime_table, field.prime_classes):
+        for bad in (-5, -1, True, False, 2.0, 7.5, "7", None):
+            with pytest.raises(ValueError):
+                entry(bad)
+    assert field.prime_table(np.int32(100)).P == 100 and type(field.prime_table(np.int64(100)).P) is int
+    assert field.prime_table(np.int64(100)).coeffs(1).tobytes() == field.prime_table(100).coeffs(1).tobytes()
+    # the cap is checked before any sieving
+    monkeypatch.setattr(field, "_spf_sieve", lambda n: pytest.fail("sieved past the cap"))
+    for entry in (field.prime_table, field.prime_classes):
+        with pytest.raises(field.ComputeCapError):
+            entry(field.PRIME_TABLE_CAP + 1)
+
+
 def test_lucas_coeff_against_direct_powering():
     # hecke_coeff's Lucas V-sequences against zpow on every half
     # representation (_eps_power_sum), whose sum must be real

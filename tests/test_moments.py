@@ -55,6 +55,48 @@ def test_sweep_blocks_match_per_member_rows():
         assert vals[nu - 1] == want, nu
 
 
+def test_sweep_support_holds_every_nonzero_coefficient():
+    # members n <= 2000 over the N = 2000 sweep's m <= M: every nonzero a(m)
+    # lies on the support, and the support is the factorization rule
+    from hecke7 import central
+
+    M = central.series_truncation(central._member(moments.SWEEP_CAP).c, 11)
+    table = field.prime_table(M)
+    support = table.support()
+    on = np.zeros(M + 1, dtype=bool)
+    on[support] = True
+    for lo in range(1, moments.SWEEP_CAP + 1, 100):
+        a = table.coeffs(central._member(np.arange(lo, lo + 100)).k)
+        assert not a[:, ~on].any(), lo
+    rule = [
+        m
+        for m in range(1, M + 1)
+        if all(p != 7 and (p % 7 in (1, 2, 4) or e % 2 == 0) for p, e in field.factorint(m).items())
+    ]
+    assert support.tolist() == rule
+    assert len(rule) < 0.3 * M
+
+
+def test_second_moment_main_term_against_digamma_average():
+    # one psi(1) plus harmonic sums against the N-call digamma average
+    from hecke7 import central
+    from hecke7.specfun import digamma
+
+    ctx = PrecisionContext(25)
+    for N in (1, 2, 50, 469):
+        displayed, _ = moments.m2_conjecture_main(N, ctx)
+        with mp.workdps(ctx.working_dps):
+            psi_avg = mpmath.fsum(digamma(central._member(n).c, ctx) for n in range(1, N + 1)) / N
+            cs = moments.constants(ctx)
+            want = cs["three_pi_over_sqrt7"] * (
+                mp.euler
+                + moments.f1_constant(ctx) / moments.f0_constant(ctx)
+                - mp.log(2 * mp.pi / 7)
+                + psi_avg
+            )
+            assert abs(displayed - want) < mpf(10) ** (-ctx.working_dps + 3), N
+
+
 def test_validation_subsample_reaches_cap():
     sub = moments._VALIDATION_SUBSAMPLE
     assert list(sub) == sorted(set(sub))

@@ -360,3 +360,38 @@ def test_reg_gamma_Q_f64_on_the_sweep_grid():
             for m in {0, len(x) - 1, *np.searchsorted(x, [0.5 * c, 0.9 * c, c, 1.1 * c, 2 * c]).tolist()} - {len(x)}:
                 want = float(mpmath.gammainc(c, mpf(float(x[m])), regularized=True))
                 assert abs(q[m] - want) <= tol[m], (c, m)
+
+
+def _q_ladder_per_c(c_max, x):
+    # the one-c-at-a-time ladder the blocked one replaced, kept as the oracle
+    from hecke7.specfun import _bd0
+
+    q = np.exp(-x)
+    yield q
+    for c in range(1, c_max):
+        err = _STIRLERR[c] if c < len(_STIRLERR) else float(_stirling_sum(float(c)))
+        q = q + np.exp(-err - _bd0(c, x)) / np.sqrt(2.0 * np.pi * c)
+        yield q
+
+
+def test_blocked_Q_ladder_matches_the_per_c_ladder():
+    # the sweep's grid at N = 469, on every m and on a strided subset, and
+    # points where the series branch of bd0 is taken (|c - x| < 0.1 (c + x))
+    ms = np.arange(1, series_truncation(937, 11) + 1)
+    grids = (BETA * ms, BETA * ms[::4], np.linspace(0.5, 60.0, 300))
+    for x in grids:
+        for c_max in (1, 31, 32, 33, 937):
+            got = list(reg_gamma_Q_f64(c_max, x))
+            want = list(_q_ladder_per_c(c_max, x))
+            assert len(got) == len(want) == c_max
+            for c, (g, w) in enumerate(zip(got, want), start=1):
+                assert g.tobytes() == w.tobytes(), (len(x), c_max, c)
+            # fresh arrays: no two yields share memory
+            assert len({id(g) for g in got}) == c_max and not np.shares_memory(got[0], x)
+
+
+def test_reg_gamma_Q_f64_refuses_c_max_below_one():
+    for c_max in (0, -1, -32):
+        with pytest.raises(ValueError):
+            reg_gamma_Q_f64(c_max, np.array([1.0, 2.0]))
+    assert [q.tolist() for q in reg_gamma_Q_f64(1, np.array([1.0]))] == [[np.exp(-1.0)]]
