@@ -40,8 +40,7 @@ from .density import (
     empirical_one_level,
     fejer,
     gaussian,
-    ratios_integrand_abs_err,
-    ratios_one_level_integrand,
+    _ratios_point,
 )
 from .moments import empirical_moment, f0_constant, f1_constant, m2_conjecture_main
 from .specfun import (
@@ -281,27 +280,20 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
-    ctx = _ctx(args)
-    d = args.digits
+    _ctx(args)  # the --digits check of every command; the route is float64
+
+    def row(t: float) -> list[str]:
+        val, err = _ratios_point(args.n, t)
+        return [_sci(t, 8), _sci(val, args.digits), _sci(err, 3)]
+
     if args.t_max is not None:
         if args.steps < 1:
             raise ValueError("--steps must be >= 1")
         ts = [args.t_max * i / max(args.steps - 1, 1) for i in range(args.steps)]
-        header = ["t", "integrand", "integrand_abs_err"]
-        rows = [
-            [_sci(t, 8), _sci(ratios_one_level_integrand(args.n, t, ctx), d), _sci(ratios_integrand_abs_err(t), 3)]
-            for t in ts
-        ]
-        _emit(args, (header, rows))
+        _emit(args, (["t", "integrand", "integrand_abs_err"], [row(t) for t in ts]))
     else:
-        val = ratios_one_level_integrand(args.n, args.t, ctx)
-        out = {
-            "n": args.n,
-            "t": _sci(args.t, 8),
-            "integrand": _sci(val, d),
-            "integrand_abs_err": _sci(ratios_integrand_abs_err(args.t), 3),
-        }
-        _emit(args, out)
+        t, val, err = row(args.t)
+        _emit(args, {"n": args.n, "t": t, "integrand": val, "integrand_abs_err": err})
     return 0
 
 

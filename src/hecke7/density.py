@@ -10,7 +10,8 @@ Pipelines:
     prime sum, both per family member;
   * RMT: even-orthogonal prediction int f(y)(1 + sin(2pi y)/(2pi y)) dy;
   * ratios: the density integrand predicted by the one-ratio conjecture,
-    with the arithmetic factor A(alpha,gamma) as an Euler product.
+    with the arithmetic factor A(alpha,gamma) as an Euler product, each
+    height evaluated once for the integrand and its truncation bound.
 
 Archimedean integrals use the exact resummation
 
@@ -454,10 +455,11 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     A(r,r) = 1 and every split factor is stationary in alpha on the
     diagonal, so the derivative is the closed form
       A'(r,r) = -sum_{inert p} 2 log p w^2/(1-w^2) - log 7 w/(1-w),
-    w = p^(-1-2r), with r = it.  `ctx` is accepted for API
-    compatibility; the result is float64.
+    w = p^(-1-2r), with r = it, which must pass _check_shift (t finite).
+    `ctx` is accepted for API compatibility; the result is float64.
     """
     r = 1j * float(t)
+    _check_shift(r)
     return _ratios_rows([r], [r], P, tol=inf)[0][1]
 
 
@@ -572,48 +574,56 @@ def ratios_one_level_integrand(n: int, t: float, ctx: PrecisionContext = DEFAULT
              - (7/2pi)^(-2it) Gamma(2n-1-it)/Gamma(2n-1+it)
                * zeta(1+2it) L(1-2it)/L(1) * A(-it,it)]
 
-    The zeta(1+2it) pole cancels in the bracket; below |t| = 1e-4 the
-    even analytic limit is taken by Richardson extrapolation from
-    t0 = 2e-4 and t0/2 (error O(t0^4)).  `ctx` is accepted for API
+    The zeta(1+2it) pole cancels in the bracket; below |t| = 1e-4 the even
+    limit is taken (see _ratios_point).  `ctx` is accepted for API
     compatibility; the result is float64."""
-    c = _member(n).c
-    t = float(t)
-    if isnan(t):
-        raise ValueError("height t must be a number, got nan")
-    if abs(t) < 1e-4:
-        t0 = 2e-4
-        i1 = _ratios_integrand_direct(c, t0, P)
-        i2 = _ratios_integrand_direct(c, t0 / 2, P)
-        return float((4.0 * i2 - i1) / 3.0)
-    return float(_ratios_integrand_direct(c, t, P))
+    return _ratios_point(n, t, P)[0]
 
 
 def ratios_integrand_abs_err(t: float) -> float:
     """Bound on how far the default truncation at p <= P = 10^5 moves
-    ratios_one_level_integrand at height t: twice the A'(it,it) tail plus
-    twice ratios_A's tail estimate times |zeta(1+2it) L(1-2it)/L(1) A|.
-
-    The A' tail is at most sum_{p>P} 2 log p/(p^2 - 1) < 4.08/P for
-    P >= 17, by partial summation with theta(x) < 1.01624 x.  Below
-    |t| = 1e-4 the bound follows the Richardson combination of the
-    integrand."""
-    t, P = abs(float(t)), 100_000
-    if t < 1e-4:
-        return (4.0 * ratios_integrand_abs_err(1e-4) + ratios_integrand_abs_err(2e-4)) / 3.0
-    _, xblock = _zeta_L_block(t)
-    a_err = _ratios_A_tail(-1j * t, 1j * t, P) * abs(xblock) * abs(ratios_A(-1j * t, 1j * t, P=P))
-    return 2.0 * (a_err + 4.08 / P)
+    ratios_one_level_integrand at height t, for any member (_ratios_point)."""
+    return _ratios_point(1, t)[1]
 
 
-def _ratios_integrand_direct(c, t: float, P: int, arith=None):
-    """The integrand at height t for the member with Gamma shift c, or for
-    each entry of an array of shifts (the arithmetic factors are shared);
-    c is read through np.asarray, so one shift takes the numpy arithmetic
-    of an array entry.  arith is (block, xblock, a_mir, ap), that is
-    _zeta_L_block(t), ratios_A(-it, it) and ratios_A_prime(t), when the
-    caller already has them."""
-    if arith is None:
-        arith = _zeta_L_block(t) + _ratios_rows([-1j * t], [1j * t], P)[0]
+def _ratios_record(t, P: int):
+    """(block, xblock, A(-it, it), A'(it, it)) at a height t, or at each of
+    an array of heights: one _zeta_L_block and one _ratios_rows call, the
+    arithmetic of the ratios integrand.  A height stays a scalar call,
+    whose block bits a one-entry array would move."""
+    block, ts = _zeta_L_block(t), np.ravel(t).tolist()  # the block first: it refuses heights past its cap
+    rows = _ratios_rows([-1j * u for u in ts], [1j * u for u in ts], P)
+    return block + (rows[0] if np.ndim(t) == 0 else tuple(zip(*rows)))
+
+
+def _ratios_point(n: int, t: float, P: int = 100_000) -> tuple[float, float]:
+    """(integrand I, error bound E) of member n at height t, both from one
+    _ratios_record per evaluated height and both even in t (nan: ValueError).
+    Below |t| = 1e-4 the limit is Richardson's (4 I(t0/2) - I(t0))/3 from
+    t0 = 2e-4 (error O(t0^4)), with the bound (4 E(t0/2) + E(t0))/3.  E is
+    twice the A'(it,it) tail, at most sum_{p>P} 2 log p/(p^2 - 1) < 4.08/P
+    for P >= 17 by partial summation with theta(x) < 1.01624 x, plus twice
+    ratios_A's tail estimate times |zeta(1+2it) L(1-2it)/L(1) A(-it,it)|."""
+    c = _member(n).c
+    t = abs(float(t))
+    if isnan(t):
+        raise ValueError("height t must be a number, got nan")
+
+    def at(h: float) -> tuple[float, float]:
+        rec = _ratios_record(h, P)
+        a_err = _ratios_A_tail(-1j * h, 1j * h, P) * abs(rec[1]) * abs(rec[2])
+        return float(_ratios_integrand_direct(c, h, rec)), float(2.0 * (a_err + 4.08 / P))
+
+    if t >= 1e-4:
+        return at(t)
+    (i1, e1), (i2, e2) = at(2e-4), at(1e-4)
+    return (4.0 * i2 - i1) / 3.0, (4.0 * e2 + e1) / 3.0
+
+
+def _ratios_integrand_direct(c, t: float, arith):
+    """The integrand at height t from arith, its _ratios_record, for the
+    member with Gamma shift c or each entry of an array of shifts; c is read
+    through np.asarray, so one shift takes an array entry's arithmetic."""
     block, xblock, a_mir, ap = arith
     c = np.asarray(c)
     # Gamma(c-it)/Gamma(c+it) = exp(-2i Im log Gamma(c+it)) for real c
@@ -629,8 +639,8 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
 
     The integrand is even, so the integral is twice a 48-point
     Gauss-Legendre sum on the two panels [0, t_end/2], [t_end/2, t_end],
-    with f(t_end log N/pi) = 1e-12.  The zeta and L factors are one
-    _zeta_L_block call over all the nodes, and the A and A' products one
+    with f(t_end log N/pi) = 1e-12.  One _ratios_record over all the
+    nodes gives their arithmetic: one _zeta_L_block call, and one
     _ratios_rows call, which forms w = 1/p once for all of them.  `ctx`
     is accepted for API compatibility; the result is float64."""
     if f.kind != "gaussian":
@@ -642,9 +652,6 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)
     cs = _member(np.arange(1, N + 1)).c
     total = 0.0
-    tl = ts.tolist()
-    a_mir, ap = zip(*_ratios_rows([-1j * t for t in tl], [1j * t for t in tl], P))
-    arith = zip(*_zeta_L_block(ts), a_mir, ap)
-    for t, wt, args in zip(tl, ws.tolist(), arith):
-        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, P, args)))
+    for t, wt, rec in zip(ts.tolist(), ws.tolist(), zip(*_ratios_record(ts, P))):
+        total += wt * float(f.f(t * s / fpi)) * float(np.sum(_ratios_integrand_direct(cs, t, rec)))
     return 2.0 * total / (2.0 * fpi * N)

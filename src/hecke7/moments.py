@@ -281,11 +281,12 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
 
 
 def _check_shift(*shifts) -> None:
-    """ValueError unless |Re s| < 1/4 for every shift s (nan fails): the
+    """ValueError unless every shift s is finite with |Re s| < 1/4: the
     one domain test of F, A and their brute oracles, called at each entry."""
     for s in shifts:
-        if not abs(mpmath.re(mpmath.mpmathify(s))) < 0.25:
-            raise ValueError(f"shift {s} outside |Re| < 1/4")
+        v = mpmath.mpmathify(s)
+        if not (mpmath.isfinite(v) and abs(mpmath.re(v)) < 0.25):
+            raise ValueError(f"shift {s} outside |Re| < 1/4 or not finite")
 
 
 def F_shift(alpha, beta, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:

@@ -1,5 +1,7 @@
 """Command line front end: output shapes, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 import sympy
 from mpmath import mp, mpf
 
-from hecke7 import cli, field, moments, vz
+from hecke7 import cli, density, field, moments, vz
 from hecke7.specfun import PrecisionContext
 
 GOLDEN_TABLE = """\
@@ -482,6 +484,82 @@ def test_central_prints_the_pinned_exact_text(capsys, n):
     obj = json.loads(out)
     assert {key: obj[key] for key in PINNED_CENTRAL[n]} == PINNED_CENTRAL[n]
     assert mpf(obj["delta"]) <= mpf(obj["delta_bound"])
+
+
+# the text of the ratios commands, recorded while the integrand and its
+# error bound were still two library calls per height: the two ratios
+# commands of CI, a negative height, a height on the Richardson branch
+# (|t| < 1e-4) and a member far from n = 1
+PINNED_RATIOS = {
+    "ratios --n 1 --t 100 --format json": """\
+{
+  "n": 1,
+  "t": "1.0000000e+02",
+  "integrand": "1.8175898225775033e+01",
+  "integrand_abs_err": "1.23e-04"
+}
+""",
+    "ratios --n 1 --t-max 0.4 --steps 3 --format csv": """\
+t,integrand,integrand_abs_err
+0.0000000e+00,-7.4583719853039874e+00,7.83e-02
+2.0000000e-01,-6.3936582782300997e+00,1.15e-04
+4.0000000e-01,-5.3374987263122140e+00,1.08e-04
+""",
+    "ratios --n 1 --t -0.5": """\
+{
+  "n": 1,
+  "t": "-5.0000000e-01",
+  "integrand": "-5.0375533925603184e+00",
+  "integrand_abs_err": "1.08e-04"
+}
+""",
+    "ratios --n 3 --t 5e-5": """\
+{
+  "n": 3,
+  "t": "5.0000000e-05",
+  "integrand": "8.7496134802952674e-01",
+  "integrand_abs_err": "7.83e-02"
+}
+""",
+    "ratios --n 37 --t 3.0": """\
+{
+  "n": 37,
+  "t": "3.0000000e+00",
+  "integrand": "4.6102524876312865e+00",
+  "integrand_abs_err": "9.98e-05"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_RATIOS))
+def test_ratios_prints_the_pinned_text(capsys, argv):
+    rc, out = run(capsys, *argv.split())
+    assert rc == 0
+    assert out == PINNED_RATIOS[argv]
+    # no command calls ratios_integrand_abs_err, so its text is pinned here
+    rows = list(csv.DictReader(io.StringIO(out))) if "csv" in argv else [json.loads(out)]
+    for row in rows:
+        assert cli._sci(density.ratios_integrand_abs_err(float(row["t"])), 3) == row["integrand_abs_err"]
+
+
+def test_ratios_evaluates_each_height_once(capsys, monkeypatch):
+    # one zeta/L block and one Euler-product row per evaluated height; the
+    # height 0 takes the Richardson branch, which evaluates two
+    calls = {"_zeta_L_block": 0, "_ratios_rows": 0}
+
+    def counted(name, inner):
+        def call(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(density, name, counted(name, getattr(density, name)))
+    assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "3"]) == 0
+    capsys.readouterr()
+    assert calls == {"_zeta_L_block": 4, "_ratios_rows": 4}
 
 
 def test_selftest_exit_code_mapping(capsys, monkeypatch, tmp_path):

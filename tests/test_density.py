@@ -1,6 +1,7 @@
 """One-level density: explicit formula, zero statistics, ratios route."""
 
 import math
+import warnings
 from fractions import Fraction
 from sys import float_info
 
@@ -447,9 +448,11 @@ def test_ratios_A_prime_closed_form_against_mpmath():
 
 
 def test_ratios_integrand_even_and_regular():
-    assert density.ratios_one_level_integrand(1, 0.5, CTX) == pytest.approx(
-        density.ratios_one_level_integrand(1, -0.5, CTX), abs=1e-10
-    )
+    # bitwise even, on both branches (the Richardson one below |t| = 1e-4)
+    ts = [0.0, 3e-5, 9e-5, 1e-4, 2e-4, 0.013, 0.2, 0.5, 1.0, 2.7, 11.0, 37.5, 100.0, 199.9]
+    for n in (1, 2, 5, 37):
+        for t in ts:
+            assert density.ratios_one_level_integrand(n, -t) == density.ratios_one_level_integrand(n, t), (n, t)
     # the limit construction below |t| = 1e-4 joins the direct branch
     lo = density.ratios_one_level_integrand(1, 9e-5, CTX)
     hi = density.ratios_one_level_integrand(1, 1.2e-4, CTX)
@@ -459,6 +462,22 @@ def test_ratios_integrand_even_and_regular():
     )
     with pytest.raises(ValueError, match="nan"):
         density.ratios_one_level_integrand(1, float("nan"), CTX)
+
+
+def test_ratios_heights_must_be_numbers():
+    # the bound shares the integrand's height check; A' refuses a
+    # non-finite height before any numpy arithmetic
+    with pytest.raises(ValueError, match="nan"):
+        density.ratios_integrand_abs_err(float("nan"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not finite"):
+                density.ratios_A_prime(t)
+        # an infinite height is past the zeta/L block's cap, refused before
+        # the Euler-product row can warn
+        with pytest.raises(ConvergenceError, match="inf"):
+            density.ratios_integrand_abs_err(float("inf"))
 
 
 def _zeta_L_block_mp(t):

@@ -316,6 +316,22 @@ def test_brute_oracle_refuses_outside_its_domain():
         moments.local_factor(2, 0, 0, mode="brute", cutoff=-1)
 
 
+def test_shift_domain_refuses_non_finite_parts():
+    # an infinite or nan imaginary part passes |Re| < 1/4, and each entry
+    # refuses it all the same, before any arithmetic on it
+    inf, nan = float("inf"), float("nan")
+    entries = (
+        lambda: density.ratios_A(0, complex(0, inf)),
+        lambda: moments.local_factor(2, complex(0, inf), 0).closed,
+        lambda: moments.delta_series_product(complex(0, nan), 0, 100),
+        lambda: density.ratios_local_brute(2, complex(0, nan), 0),
+        lambda: moments.F_shift(complex(0, nan), 0),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match="not finite"):
+            entry()
+
+
 def test_delta_oracle_agrees_with_closed_forms():
     # family averages of coefficients read from the shared prime table
     for m, l in ((2, 2), (3, 3), (4, 2), (9, 9), (11, 11), (6, 6)):
