@@ -23,7 +23,7 @@ for t, zf in zip(ts, central.get_engine(1).z_many(ts)):
     zm = float(central.hardy_Z(1, t, ctx))
     print(f"Z_1({t}) = {zf:+.12f}   (mp route {zm:+.12f})")
 
-# A grid scan plus Illinois (regula falsi) refinement of each sign change
+# A grid scan plus Anderson-Bjorck (regula falsi) refinement of each sign change
 # returns ordinates; scaled by log(2n)/pi the mean spacing is 1.
 print("\nfamily n = 1, zeros up to T = 10:")
 rec = central.zeros_up_to(1, 10.0, ctx)

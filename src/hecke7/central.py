@@ -24,21 +24,24 @@ c = 2n - 1 and Q = 7/(2pi), it is the smoothed approximate functional
 equation (Rubinstein 2005): Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t).
 Its terms x^(-s) Gamma(s, x) come from specfun's fixed-point kernel:
 the finite Poisson sum at t = 0, the lower series or Legendre's
-continued fraction on the critical line.  Zero scans run on a float64 engine that factorizes the t-dependence of
+continued fraction on the critical line.
+
+Zero scans run on a float64 engine that factorizes the t-dependence of
 the theta integral into one cosine dot product over precomputed,
-log-rescaled quadrature data.  Its nodes sit on geometric panels with
-one rule per panel, so each phase t log y splits into a panel phase and
-an in-panel phase, and a Z value costs 2 (P + d) sines and cosines for
-P panels of degree d, not P d cosines.  The mpmath route shares no
-quadrature code with it.
+log-rescaled quadrature data.  Its nodes sit on panels of one width in
+x = log y, each with the Gauss-Legendre rule in x, so each phase t x
+splits into a panel phase, products of powers of one complex
+exponential, and an in-panel phase symmetric about the panel's
+midpoint: a Z value costs d sines and cosines for panels of degree d,
+not P d cosines.  The refinement is Anderson-Bjorck regula falsi.  The
+mpmath route shares no quadrature code with it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from math import ceil, lgamma, log, exp, pi as fpi
+from math import ceil, lgamma, log, pi as fpi
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +56,7 @@ from .specfun import (
     ComputeCapError,
     ConvergenceError,
     loggamma_f64,
+    _loggamma_re_f64,
     _series_index,
     _upper_gamma_scaled,
 )
@@ -206,35 +210,46 @@ def _integral_Y(a: float, drop: float) -> float:
 _GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _panel_rule(edges, degree: int):
-    """Nodes and weights of the degree-point Gauss-Legendre rule on each
-    panel [edges[i], edges[i+1]], flattened panel by panel, from the
-    base rule on [-1, 1] computed once per degree and kept in _GL_RULES."""
+def _gl_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending, and symmetric: node d-1-k is minus node k) and
+    weights of the degree-point Gauss-Legendre rule on [-1, 1], computed
+    once per degree and kept read-only in _GL_RULES."""
     rule = _GL_RULES.get(degree)
     if rule is None:
         rule = legendre.leggauss(degree)
         for arr in rule:
             arr.setflags(write=False)
         rule = _GL_RULES.setdefault(degree, rule)
-    nodes, weights = rule
+    return rule
+
+
+def _panel_rule(edges, degree: int):
+    """Nodes and weights of the degree-point Gauss-Legendre rule on each
+    panel [edges[i], edges[i+1]], flattened panel by panel."""
+    nodes, weights = _gl_rule(degree)
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     mid, rad = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
     return (mid + rad * nodes).ravel(), (rad * weights).ravel()
 
 
+_DROP = 44.0  # theta truncation drop below the peak: ~19 digits of headroom
 _WINDOW_PANELS = 2  # panels per (node x coefficient) window of the build
 
 
-def _assembler(n: int, width: float):
-    """Member n's theta coefficients, truncation M, endpoint Y, panel
-    edges 1, e^width, e^(2 width), ... and coefficient windows, computed
-    once; returns the map degree -> quadrature data (u, l, G, lgnorm) of
-    member n's engine (see ZEngine) under the degree-point
-    Gauss-Legendre rule on those panels.  Node k of panel p is
-    y = e^(u_p) c_k to a few ulps, with u_p the log of the panel's left
-    edge and c_k the nodes of the first panel [1, e^width]: l_k = log c_k,
-    and G[p, k] is the node's rescaled weight, the value at _panel_rule's
-    node.
+def _assembler(n: int, width: float, coeff=None):
+    """Member n's theta coefficients, truncation M, endpoint Y, panels
+    and coefficient windows, computed once; returns assemble(*degrees),
+    the list of quadrature data (u, l, G, lgnorm) of member n's engine
+    (see ZEngine) under the degree-point Gauss-Legendre rule in x = log y
+    on each panel, every degree's nodes summed in the same pass over the
+    windows.  coeff, when given, is a_k(m) for m = 0..M (a row of one
+    PrimeTable.coeffs call over a scan block); otherwise it is read here.
+
+    The panels are [u_p, u_p + width] in x, u_p = p width exactly, the
+    first P of them with P width >= log Y.  Each carries the rule in x,
+    so node k of panel p is y = e^(u_p + l_k) with the in-panel offsets
+    l_k = width/2 + (width/2) xi_k, symmetric about the panel's midpoint,
+    and weight (width/2) w_k y; G[p, k] is that node's rescaled weight.
 
     The nodes are summed in windows of _WINDOW_PANELS panels [y0, y1],
     each over the columns [lo, hi) of the nonzero m whose term can pass
@@ -246,42 +261,57 @@ def _assembler(n: int, width: float):
     distance grows, so lo is set at y1 and hi at y0.  Every node thus
     carries the same e^(-44) bound that M carries at y = 1."""
     k, _, a = _member(n)
-    drop = 44.0  # ~19 digits of headroom in the truncations
-    M = _theta_m_cutoff(a, 1.0, drop)
-    coeff = field.prime_table(M).coeffs(k)
+    if coeff is None:
+        coeff = field.prime_table(_theta_m_cutoff(a, 1.0, _DROP)).coeffs(k)
     ms = np.nonzero(coeff)[0]
-    cs = coeff[ms]
-    lm = np.log(ms.astype(float))
-    Y = _integral_Y(a, drop)
-    edges = [1.0]  # up to the first one >= Y
-    while edges[-1] < Y:
-        edges.append(edges[-1] * exp(width))
-    u = np.log(edges[:-1])
+    cs, mf = coeff[ms], ms.astype(float)
+    lm, nmf = np.log(mf), -mf
+    alm = a * lm
+    P = max(1, ceil(log(_integral_Y(a, _DROP)) / width))
+    u = np.arange(P) * width
+    edges = np.exp(np.arange(P + 1) * width)
     # the log bound on a term at y = 0, with the drop's log(1 + m) moved over
     size = log(2.0) + (a + 0.5) * lm + np.log1p(ms)
-    windows = []  # (first panel, end panel, lo, hi)
-    for p in range(0, len(u), _WINDOW_PANELS):
-        q = min(p + _WINDOW_PANELS, len(u))
-        y0, y1 = edges[p], edges[q]
-        lo = int(np.argmax(size - BETA * y1 * ms >= _theta_log_peak(a, y1) - drop))
-        hi = len(ms) - int(np.argmax((size - BETA * y0 * ms >= _theta_log_peak(a, y0) - drop)[::-1]))
-        windows.append((p, q, lo, hi))
+    first = np.arange(0, P, _WINDOW_PANELS)
+    end = np.minimum(first + _WINDOW_PANELS, P)
 
-    def assemble(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        ys, ws = _panel_rule(edges, degree)
+    def passes(ys):  # (window x m): the terms that can pass the drop at ys
+        floor = [_theta_log_peak(a, y) - _DROP for y in ys.tolist()]
+        return size - (BETA * ys)[:, None] * ms >= np.array(floor)[:, None]
+
+    lo = np.argmax(passes(edges[end]), axis=1)
+    hi = len(ms) - np.argmax(passes(edges[first])[:, ::-1], axis=1)
+    # (first panel, end panel, lo, hi) of each window
+    windows = list(zip(first.tolist(), end.tolist(), lo.tolist(), hi.tolist()))
+    half = 0.5 * width
+
+    def assemble(*degrees: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+        rules = [_gl_rule(d) for d in degrees]
+        ls = [half + half * xi for xi, _ in rules]
+        # every degree's nodes of panel p side by side in row p
+        xs = u[:, None] + np.concatenate(ls)
+        by = np.exp(xs)
+        by *= BETA
         # phi_j = sum_m c_m e^(expo_jm - E_j) over the node's window, with
-        # the max exponent E_j factored out
-        tj = np.empty_like(ys)
-        phis = np.empty_like(ys)
+        # the max exponent E_j factored out; one (nodes x m) array a window
+        tj, phis = np.empty_like(xs), np.empty_like(xs)
         for p, q, lo, hi in windows:
-            b = slice(p * degree, q * degree)
-            expo = a * lm[lo:hi] - (BETA * ys[b])[:, None] * ms[lo:hi]
-            tj[b] = tb = expo.max(axis=1)
-            phis[b] = np.exp(expo - tb[:, None]) @ cs[lo:hi]
-        Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
-        Estar = float(Es.max())
-        G = (phis * np.exp(Es - Estar)).reshape(len(u), degree)
-        return u, np.log(ys[:degree]), G, Estar - (a + 0.5) * LOG_Q
+            expo = by[p:q].reshape(-1, 1) * nmf[lo:hi]
+            expo += alm[lo:hi]
+            tb = expo.max(axis=1)
+            expo -= tb[:, None]
+            np.exp(expo, out=expo)
+            tj[p:q] = tb.reshape(q - p, -1)
+            phis[p:q] = (expo @ cs[lo:hi]).reshape(q - p, -1)
+        logw = np.concatenate([np.log(half * w) for _, w in rules])
+        Es = tj + (a + 0.5) * xs + logw
+        out, j = [], 0
+        for d, l in zip(degrees, ls):
+            E = Es[:, j : j + d]
+            Estar = float(E.max())
+            out.append((u, l, phis[:, j : j + d] * np.exp(E - Estar), Estar - (a + 0.5) * LOG_Q))
+            j += d
+        return out
 
     return assemble
 
@@ -290,33 +320,56 @@ def _z_block(rules):
     """Z under the quadrature data rules[j] = (a, u, l, G, lgnorm) of one
     or more members (see ZEngine), as the map (member, ts) -> Z with ts[i]
     under rules[member[i]]; member is nondecreasing, so each rule's
-    points are one slice.  The panel phases come from the u rows
-    zero-padded to the most panels, each slice makes its two
-    (points x P) @ G products, and the in-panel phases and log Gamma run
-    on the flat arrays; cos(t (u_p + l_k)) splits into panel phase x
-    in-panel phase as in ZEngine."""
+    points are one slice.
+
+    Node k of panel p sits at the panel's midpoint u_p + w/2 plus the
+    offset o_k = l_k - w/2, and o_(d-1-k) = -o_k, so with the folded
+    weights Gs = G_k + G_(d-1-k) and Gd = G_k - G_(d-1-k) over the upper
+    half k >= d/2,
+
+        sum_pk G_pk cos(t (u_p + l_k)) = sum_k [cos(t o_k) (C @ Gs)_k
+                                                - sin(t o_k) (S @ Gd)_k]
+
+    with C + iS = e^(it (u_p + w/2)), the panel phases.  Those come from
+    one complex exponential e^(itw/2) per point and products with its
+    square's powers by doubling: row p + m is row p times e^(itmw) for
+    m = 1, 2, 4, ... (the panels are u_p = p w).  The phases are
+    computed for the most panels, each slice makes its two
+    (points x P) @ (P x d/2) products, and the in-panel phases and
+    log |Gamma| run on the flat arrays."""
     P = max(len(rule[1]) for rule in rules)
-    d = max(len(rule[2]) for rule in rules)
-    U, L = np.zeros((len(rules), P)), np.zeros((len(rules), d))
-    for j, (_, u, l, _, _) in enumerate(rules):
-        U[j, : len(u)], L[j, : len(l)] = u, l
+    hd = max(len(rule[2]) for rule in rules) // 2
+    half = np.array([0.5 * rule[1][1] for rule in rules])  # w/2: u_1 = w, and every engine has P >= 2
+    O = np.zeros((len(rules), hd))
+    folded = []
+    for j, (_, u, l, G, _) in enumerate(rules):
+        k = len(l) // 2
+        O[j, :k] = l[k:] - half[j]
+        lo = G[:, k - 1 :: -1]
+        folded.append((G[:, k:] + lo, G[:, k:] - lo))
     c = np.array([rule[0] + 0.5 for rule in rules])
     lgnorm = np.array([rule[4] for rule in rules])
     cuts = np.arange(len(rules) + 1)
 
     def z(member: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        tu = ts[:, None] * U[member]
-        cu, su = np.cos(tu), np.sin(tu)
-        cg, sg = np.zeros((len(ts), d)), np.zeros((len(ts), d))
+        E = np.empty((P, len(ts)), dtype=complex)
+        E[0] = np.exp(1j * (ts * half[member]))
+        step, m = E[0] * E[0], 1  # e^(itmw): rows m.. are rows 0.. times it
+        while m < P:
+            k = min(m, P - m)
+            np.multiply(E[:k], step, out=E[m : m + k])
+            step, m = step * step, m + k
+        C, S = np.ascontiguousarray(E.real), np.ascontiguousarray(E.imag)
+        cg, sg = np.zeros((len(ts), hd)), np.zeros((len(ts), hd))
         bounds = np.searchsorted(member, cuts).tolist()
-        for (_, _, _, G, _), i, j in zip(rules, bounds, bounds[1:]):
+        for (Gs, Gd), i, j in zip(folded, bounds, bounds[1:]):
             if i < j:
-                p, k = G.shape
-                cg[i:j, :k] = cu[i:j, :p] @ G
-                sg[i:j, :k] = su[i:j, :p] @ G
-        tl = ts[:, None] * L[member]
-        dots = (np.cos(tl) * cg).sum(axis=1) - (np.sin(tl) * sg).sum(axis=1)
-        return 2.0 * dots * np.exp(lgnorm[member] - loggamma_f64(c[member], ts).real)
+                p, k = Gs.shape
+                cg[i:j, :k] = C[:p, i:j].T @ Gs
+                sg[i:j, :k] = S[:p, i:j].T @ Gd
+        to = ts[:, None] * O[member]
+        dots = (np.cos(to) * cg).sum(axis=1) - (np.sin(to) * sg).sum(axis=1)
+        return 2.0 * dots * np.exp(lgnorm[member] - _loggamma_re_f64(c[member], ts))
 
     return z
 
@@ -324,6 +377,17 @@ def _z_block(rules):
 def _z_values(a: float, u: np.ndarray, l: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
     """Z at the points ts from one member's quadrature data (u, l, G, lgnorm)."""
     return _z_block([(a, u, l, G, lgnorm)])(np.zeros(len(ts), dtype=np.intp), ts)
+
+
+def _probe_gaps(pairs, probes) -> list[float]:
+    """For each member j, pairs[j] = (a, rule, finer rule) and its probe
+    points probes[j]: the largest |Z - Z_finer| / max(1, |Z_finer|) over
+    the probes, every member's Z under both rules from one _z_block call."""
+    z = _z_block([(a, *rule) for a, *both in pairs for rule in both])
+    sizes = [len(p) for p in probes for _ in (0, 1)]
+    vals = z(np.repeat(np.arange(len(sizes)), sizes), np.concatenate([p for p in probes for _ in (0, 1)]))
+    parts = np.split(vals, np.cumsum(sizes)[:-1])
+    return [float(np.max(np.abs(zc - zf) / np.maximum(1.0, np.abs(zf)))) for zc, zf in zip(parts[::2], parts[1::2])]
 
 
 class ZEngine:
@@ -335,59 +399,64 @@ class ZEngine:
         Z(t) = 2 [sum_j G_j cos(t log y_j)] * exp(E* - (a+1/2) ln Q
                                                   - Re log Gamma(a+1/2+it)).
 
-    The panels have one width in log y, PANEL_WIDTH = 16/(1 + T_CAP),
-    about 2.5 periods of cos(T_CAP ln y), so one engine serves every scan
-    height of its member.  They are geometric and carry the same rule, so
-    node k of panel p has log y = u_p + l_k (see _assembler), and with G
-    as a (panels x degree) array
+    The panels have one width w in x = log y, PANEL_WIDTH = 16/(1 + T_CAP),
+    about 2.5 periods of cos(T_CAP x), so one engine serves every scan
+    height of its member.  They are u_p = p w and each carries the rule in
+    x, so node k of panel p has log y = u_p + l_k with offsets l_k
+    symmetric about the midpoint w/2 (see _assembler), and with G as a
+    (panels x degree) array
 
         sum_j G_j cos(t log y_j) = sum_k [cos(t l_k) (cos(t u) @ G)_k
-                                          - sin(t l_k) (sin(t u) @ G)_k]:
+                                          - sin(t l_k) (sin(t u) @ G)_k].
 
-    2 (P + d) sines and cosines per Z value for P panels of degree d, in
-    place of P d cosines (8,032 against 41,088 nodes over n <= 96).  Each
-    node's weight sums only the coefficients of its window of panels
-    whose terms can pass the truncation drop there, so every node keeps
-    the e^(-44) bound of the truncation M (see _assembler).  A zero scan
-    refines the brackets of several members in one run (_zeros_block),
-    with Z of every engine evaluated by _z_block, the formula above.
+    _z_block evaluates it with one complex exponential and about P complex
+    products for the panel phases, and d/2 sines and d/2 cosines for the
+    in-panel phases, each +-l pair's weights folded into their sum and
+    difference: about 1.0 us per Z value at degree 24 on a 2-vCPU host
+    (4,096 points over members 41-48), half of it the in-panel sines and
+    cosines.  Each node's weight sums only the coefficients of its window
+    of panels whose terms can pass the truncation drop there, so every
+    node keeps the e^(-44) bound of the truncation M (see _assembler).  A
+    zero scan refines the brackets of several members in one run
+    (_zeros_block), with Z of every engine evaluated by _z_block.
 
     The rule's degree per panel is chosen when the engine is built: the
     data at degree d and at 2d are assembled on the same panels and
     evaluated at 16 probe points of (0, t_reliable(n)/2]; the first d of
     24, 48, 96 whose two rules agree within PROBE_TOL relative to
     max(1, |Z|) is kept (`degree`), otherwise ConvergenceError.  Degree
-    24 passes for every member n <= 100 (43,008 nodes over them, about
-    10 per period of cos(T_CAP ln y)), and degree 48 for six of the
-    members 101 <= n <= 200.  The probes stop at t_reliable(n)/2 because
-    nearer the ceiling any two rules differ by float64 noise of up to
-    about 1e-5.  Reliable while the Gamma-modulus suppression stays above
-    the float64 cancellation floor; the engine keeps that ceiling,
-    t_reliable(n), as its float `t_reliable`.
+    24 passes for every member n <= 149; of the members up to 200, five
+    take degree 48 and n = 191 takes 96, where the gaps sit at the
+    float64 rounding of G, near 1e-10.  The probes stop at
+    t_reliable(n)/2 because nearer the ceiling any two rules differ by
+    float64 noise of up to about 1e-5.  Reliable while the Gamma-modulus
+    suppression stays above the float64 cancellation floor; the engine
+    keeps that ceiling, t_reliable(n), as its float `t_reliable`.
+
+    The members of a scan block are built together (_ladder_starts): one
+    coefficient table call, both first rules of each member in one pass,
+    every probe in one _z_block call; `_start(n)` gives the member's entry
+    of that build, which runs in the block's first __init__.  A member
+    whose first two rules disagree climbs the rest of the ladder alone.
     """
 
     PANEL_WIDTH = 16.0 / (1.0 + T_CAP)  # in log y; 0.314 at T_CAP = 50
     DEGREES = (24, 48, 96)  # each twice the last: a rejected 2d rule is the next d rule
     PROBE_TOL = 1e-10
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, _start=None):
         self.a = _member(n).a
         self.n = n
-        self.t_reliable = t_reliable(n)
-        probe = np.linspace(0.0, 0.5 * self.t_reliable, 17)[1:]
-        assemble = _assembler(n, self.PANEL_WIDTH)
-        data = assemble(self.DEGREES[0])
-        for degree in self.DEGREES:
-            finer = assemble(2 * degree)
-            z, zf = (_z_values(self.a, *rule, probe) for rule in (data, finer))
-            gap = float(np.max(np.abs(z - zf) / np.maximum(1.0, np.abs(zf))))
-            if gap <= self.PROBE_TOL:
-                break
-            data = finer
-        else:
-            raise ConvergenceError(
-                f"ZEngine n={n}: Gauss-Legendre degrees {degree} and {2 * degree} differ by {gap:.1e}"
-            )
+        self.t_reliable, assemble, data, finer, gap = _start(n) if _start else _ladder_starts([n])[0]
+        degree = self.DEGREES[0]
+        while gap > self.PROBE_TOL:
+            if degree == self.DEGREES[-1]:
+                raise ConvergenceError(
+                    f"ZEngine n={n}: Gauss-Legendre degrees {degree} and {2 * degree} differ by {gap:.1e}"
+                )
+            degree *= 2
+            data, (finer,) = finer, assemble(2 * degree)
+            (gap,) = _probe_gaps([(self.a, data, finer)], [_probes(self.t_reliable)])
         self.degree = degree
         self.u, self.l, self.G, self.lgnorm = data
         for arr in (self.u, self.l, self.G):
@@ -395,6 +464,32 @@ class ZEngine:
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
         return _z_values(self.a, self.u, self.l, self.G, self.lgnorm, ts)
+
+
+def _probes(t_rel: float) -> np.ndarray:
+    """The 16 probe heights of the degree check, on (0, t_rel/2]."""
+    return np.linspace(0.0, 0.5 * t_rel, 17)[1:]
+
+
+def _ladder_starts(ns) -> list[tuple]:
+    """(t_reliable, assemble, rule at DEGREES[0], rule at twice that, their
+    probe gap) of each member of ns, built together: one PrimeTable.coeffs
+    call on their k at the largest truncation M, each member's two rules
+    in one pass over its coefficient windows (_assembler), and one
+    _z_block call for every member's probes under both rules.  A
+    member's rules are the same bits whichever members share the block;
+    its gap can differ in rounding only."""
+    members = _member(np.array(ns))
+    Ms = [_theta_m_cutoff(a, 1.0, _DROP) for a in members.a.tolist()]
+    rows = field.prime_table(max(Ms)).coeffs(members.k)
+    d = ZEngine.DEGREES[0]
+    starts = []
+    for n, M, row in zip(ns, Ms, rows):
+        assemble = _assembler(n, ZEngine.PANEL_WIDTH, row[: M + 1])
+        starts.append((t_reliable(n), assemble, *assemble(d, 2 * d)))
+    pairs = [(a, data, finer) for a, (*_, data, finer) in zip(members.a.tolist(), starts)]
+    gaps = _probe_gaps(pairs, [_probes(start[0]) for start in starts])
+    return [(*start, gap) for start, gap in zip(starts, gaps)]
 
 
 def t_reliable(n: int) -> float:
@@ -413,13 +508,62 @@ def get_engine(n: int) -> ZEngine:
     """The shared engine of member n, built once; it serves every scan
     height up to T_CAP.  n is read through _member before the cache, so a
     numpy integer finds the engine of the equal int."""
-    return _engine((_member(n).c + 1) // 2)
+    return _engine((_member(n).c + 1) // 2)[0]
 
 
-@lru_cache(maxsize=256)
-def _engine(n: int) -> ZEngine:
-    """get_engine's cache, keyed on the int n."""
-    return ZEngine(n)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _engine_cache(maxsize: int):
+    """get_engine's cache: engines(*ns) returns the ZEngine of each int
+    family index of ns, keeping the maxsize most recently used members,
+    with lru_cache's cache_info and cache_clear.  When several members
+    of a call are missing they are built together (_ladder_starts), as a
+    scan block of empirical_one_level asks; a single missing member is
+    built alone."""
+    store: dict[int, ZEngine] = {}
+    counts = {"hits": 0, "misses": 0}
+
+    def engines(*ns: int) -> list[ZEngine]:
+        missing = [n for n in dict.fromkeys(ns) if n not in store]
+        if len(missing) == 1:
+            store[missing[0]] = ZEngine(missing[0])
+        elif missing:
+            starts = {}
+
+            def start(n: int) -> tuple:
+                # the block's build runs inside its first ZEngine.__init__
+                if not starts:
+                    starts.update(zip(missing, _ladder_starts(missing)))
+                return starts[n]
+
+            for n in missing:
+                store[n] = ZEngine(n, start)
+        counts["hits"] += len(ns) - len(missing)
+        counts["misses"] += len(missing)
+        for n in ns:  # most recently used last
+            store[n] = store.pop(n)
+        out = [store[n] for n in ns]
+        while len(store) > maxsize:
+            del store[next(iter(store))]
+        return out
+
+    def cache_info() -> _CacheInfo:
+        return _CacheInfo(counts["hits"], counts["misses"], maxsize, len(store))
+
+    def cache_clear() -> None:
+        store.clear()
+        counts.update(hits=0, misses=0)
+
+    engines.cache_info, engines.cache_clear = cache_info, cache_clear
+    return engines
+
+
+_engine = _engine_cache(maxsize=256)
 
 
 def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -460,18 +604,21 @@ def zero_count_main_term(n: int, T: float) -> float:
 ZERO_WIDTH = 1e-11  # bracket width at which a zero counts as isolated
 
 
-def _illinois(z, lo, hi, flo, fhi) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] (Z(lo) Z(hi) < 0), shrunk below
-    ZERO_WIDTH by the Illinois variant of regula falsi, all brackets at
-    once with one call z(live, x) per step: Z at the points x of the
-    brackets whose indices are live, in increasing order.
+def _regula_falsi(z, lo, hi, flo, fhi) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets [lo, hi] (Z(lo) Z(hi) < 0), shrunk below ZERO_WIDTH by
+    the Anderson-Bjorck variant of regula falsi (N. Anderson and
+    A. Bjorck, BIT 13 (1973)), all brackets at once with one call
+    z(live, x) per step: Z at the points x of the brackets whose indices
+    are live, in increasing order.  A bracket whose point x has Z exactly 0
+    closes on it (lo = hi = x).
 
     Each step keeps a sign change inside every bracket.  When the same
-    end is kept twice running, its Z value is halved (Illinois), which
-    pulls the next secant point across the zero.  A secant point stays
-    at least 0.4 ZERO_WIDTH inside the bracket, so once it has converged
-    the next step closes the bracket around it.  A bracket whose width
-    has not halved in three steps takes one bisection step.
+    end is kept twice running, its Z value is scaled by
+    m = 1 - Z(x)/Z(replaced end), or by 1/2 where m <= 0, which pulls the
+    next secant point across the zero.  A secant point stays at least
+    0.4 ZERO_WIDTH inside the bracket, so once it has converged the next
+    step closes the bracket around it.  A bracket whose width has not
+    halved in three steps takes one bisection step.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
@@ -488,9 +635,13 @@ def _illinois(z, lo, hi, flo, fhi) -> np.ndarray:
         root = fx == 0.0
         left = (np.sign(fx) == np.sign(fl)) & ~root  # zero lies in [x, h]
         right = ~left & ~root  # zero lies in [l, x]
-        # Illinois: halve the value at the end kept for a second step
-        fh[left & (kept[live] == 1)] *= 0.5
-        fl[right & (kept[live] == -1)] *= 0.5
+        # Anderson-Bjorck: scale the value at the end kept for a second step
+        m = 1.0 - fx / np.where(left, fl, fh)
+        m[m <= 0.0] = 0.5
+        again = left & (kept[live] == 1)
+        fh[again] *= m[again]
+        again = right & (kept[live] == -1)
+        fl[again] *= m[again]
         l[left], fl[left] = x[left], fx[left]
         h[right], fh[right] = x[right], fx[right]
         l[root] = h[root] = x[root]
@@ -501,19 +652,20 @@ def _illinois(z, lo, hi, flo, fhi) -> np.ndarray:
         ref[live] = np.where(halved, w, ref[live])
         stalled[live] = np.where(halved, 0, stalled[live] + 1)
         live = live[w >= ZERO_WIDTH]
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRecord:
     """All sign changes of Z on (0, T]: a grid scan, then vectorised
-    Illinois refinement (`_illinois`) of every sign-change bracket; the
-    one-member case of `_zeros_block`.
+    Anderson-Bjorck refinement (`_regula_falsi`) of every sign-change
+    bracket; the one-member case of `_zeros_block`.
 
     Each returned ordinate is the midpoint of a bracket narrower than
     ZERO_WIDTH = 1e-11 across which the engine's Z changes sign, or a
-    grid point where Z is exactly 0.  The scan uses the member's one
-    shared engine (`get_engine(n)`), whatever T is; past its float64
-    ceiling t_reliable(n) the scan is truncated there with a warning.
+    point of the grid or of the refinement where Z is exactly 0.  The
+    scan uses the member's one shared engine (`get_engine(n)`), whatever
+    T is; past its float64 ceiling t_reliable(n) the scan is truncated
+    there with a warning.
 
     The scan step refines the quarter-mean-spacing rule pi/(4 log(2n+4))
     with the local density log((7/2pi)(2n+t)) so tall scans at small n
@@ -528,10 +680,12 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
 
 def _zeros_block(ns, Ts) -> list[ZeroRecord]:
     """zeros_up_to(ns[i], Ts[i]) for every i, with its errors and
-    warnings: each member's grid scan on its own engine, then one
-    Illinois run over the sign-change brackets of all the members, Z
-    evaluated for every live point at once (`_z_block`).  Every T and n
-    is checked before any member is scanned."""
+    warnings: each member's grid scan on its own engine (get_engine; the
+    caller builds a block's engines together first, see _engine_cache),
+    then one Anderson-Bjorck run (`_regula_falsi`) over the sign-change
+    brackets of all the members, Z evaluated for every live point at once
+    by one _z_block over their engines.  Every T and n is checked before
+    any member is scanned."""
     for T in Ts:
         if not T > 0:  # also refuses nan
             raise ValueError("T must be positive")
@@ -559,7 +713,8 @@ def _zeros_block(ns, Ts) -> list[ZeroRecord]:
     owner = np.repeat(np.arange(len(scans)), counts)
     lo, hi, flo, fhi = (np.concatenate(ends) for ends in zip(*[(ts[b], ts[b + 1], zs[b], zs[b + 1]) for _, ts, zs, _, b in scans]))
     z = _z_block([(eng.a, eng.u, eng.l, eng.G, eng.lgnorm) for eng in engines])
-    refined = _illinois(lambda live, x: z(owner[live], x), lo, hi, flo, fhi)
+    lo, hi = _regula_falsi(lambda live, x: z(owner[live], x), lo, hi, flo, fhi)
+    refined = 0.5 * (lo + hi)
     records = []
     for n, c, (T, ts, _, exact, brackets), part in zip(ns, cs, scans, np.split(refined, np.cumsum(counts)[:-1])):
         order = np.argsort(np.concatenate([exact, brackets]))

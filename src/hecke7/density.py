@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, factorial, inf, isnan, log, pi as fpi, sqrt as fsqrt
+from math import ceil, exp, factorial, inf, isfinite, log, pi as fpi, sqrt as fsqrt
 from sys import float_info
 
 import numpy as np
@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import LOG_Q, T_CAP, _member, _panel_rule, _zeros_block, get_engine, zeros_up_to
+from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _zeros_block, get_engine, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _series_index, digamma_f64, loggamma_f64
 
@@ -297,8 +297,9 @@ def empirical_one_level(
 
     Zeros enter up to height min(T, per-n float64 reliability ceiling);
     the report records the discarded-mass bound for the dropped tail.
-    The members are walked in blocks of _SCAN_BLOCK: each block makes one
-    zero scan (`central._zeros_block`, one Illinois run over its
+    The members are walked in blocks of _SCAN_BLOCK: each block builds
+    its missing engines together (one `central._engine` call), makes one
+    zero scan (`central._zeros_block`, one refinement run over its
     brackets) and one PrimeTable.powers call for its prime sums, on the
     prime table read once before the loop.
     """
@@ -317,6 +318,7 @@ def empirical_one_level(
     t_min = float("inf")
     for first in range(1, N + 1, _SCAN_BLOCK):
         ns = range(first, min(first + _SCAN_BLOCK, N + 1))
+        _engine(*ns)  # the block's missing engines, built together
         ts = [min(T, get_engine(n).t_reliable) for n in ns]
         records = _zeros_block(ns, ts)
         psums = _prime_sums(table, _member(np.array(ns)).k, phihat)
@@ -598,16 +600,18 @@ def _ratios_record(t, P: int):
 
 def _ratios_point(n: int, t: float, P: int = 100_000) -> tuple[float, float]:
     """(integrand I, error bound E) of member n at height t, both from one
-    _ratios_record per evaluated height and both even in t (nan: ValueError).
+    _ratios_record per evaluated height and both even in t (nan or +-inf:
+    ValueError).
     Below |t| = 1e-4 the limit is Richardson's (4 I(t0/2) - I(t0))/3 from
     t0 = 2e-4 (error O(t0^4)), with the bound (4 E(t0/2) + E(t0))/3.  E is
     twice the A'(it,it) tail, at most sum_{p>P} 2 log p/(p^2 - 1) < 4.08/P
     for P >= 17 by partial summation with theta(x) < 1.01624 x, plus twice
     ratios_A's tail estimate times |zeta(1+2it) L(1-2it)/L(1) A(-it,it)|."""
     c = _member(n).c
-    t = abs(float(t))
-    if isnan(t):
-        raise ValueError("height t must be a number, got nan")
+    t = float(t)
+    if not isfinite(t):
+        raise ValueError(f"height t must be a finite number, got {t}")
+    t = abs(t)
 
     def at(h: float) -> tuple[float, float]:
         rec = _ratios_record(h, P)

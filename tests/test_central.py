@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from scipy.special import loggamma as c_loggamma
 
 from hecke7 import central, field, moments, vz
-from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, loggamma_f64
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, _loggamma_re_f64
 
 CTX20 = PrecisionContext(20)
 CTX25 = PrecisionContext(25)
@@ -140,6 +140,19 @@ def test_one_engine_per_member(monkeypatch):
     assert central.t_reliable(1) == pytest.approx(16.5, abs=0.6)
 
 
+def test_module_caches_read_like_lru_cache():
+    # per-layer tracing reads cache_info() of every module-level object
+    # that has one, with no argument; the engine cache counts as
+    # lru_cache does
+    for obj in vars(central).values():
+        info = getattr(obj, "cache_info", None)
+        if callable(info):
+            assert {"hits", "misses"} <= set(info()._fields), obj
+    central._engine.cache_clear()
+    central._engine(3, 4, 3)
+    assert central._engine.cache_info()[:2] == (1, 2)
+
+
 def test_shared_engine_read_only():
     engine = central.get_engine(1)
     for arr in (engine.u, engine.l, engine.G):
@@ -147,50 +160,69 @@ def test_shared_engine_read_only():
             arr[0] = 0.0
 
 
-def _engine_edges(n):
-    """Panel edges 1, e^w, e^(2w), ... of member n's engine, up to the
-    first one past the theta integral's endpoint Y."""
-    Y = central._integral_Y(2.0 * n - 1.5, 44.0)
-    edges = [1.0]
-    while edges[-1] < Y:
-        edges.append(edges[-1] * math.exp(central.ZEngine.PANEL_WIDTH))
-    return edges
+def _engine_panels(n):
+    """Panel count P of member n's engine, the first with P w past log Y
+    (w = PANEL_WIDTH, Y the theta integral's endpoint), and the panel
+    edges 0, w, ..., P w in x = log y."""
+    w = central.ZEngine.PANEL_WIDTH
+    P = math.ceil(math.log(central._integral_Y(2.0 * n - 1.5, 44.0)) / w)
+    return P, np.arange(P + 1) * w
 
 
 @pytest.mark.parametrize("n", [1, 24, 96, 200])
 def test_engine_nodes_factor_by_panel(n):
-    # node k of panel p is e^(u_p) c_k: the identity that lets the engine
-    # split each phase t log y into t u_p + t l_k
-    edges = _engine_edges(n)
+    # node k of panel p is y = e^(u_p + l_k), with u_p + l_k within 8 ulps
+    # of _panel_rule's node of the Gauss-Legendre rule in x = log y on
+    # [p w, (p + 1) w]; u_p = p w exactly and l_k + l_(d-1-k) = w: the
+    # identities that let the engine split each phase t log y into a panel
+    # phase from powers of one exponential and an in-panel phase folded
+    # about the midpoint
+    w = central.ZEngine.PANEL_WIDTH
+    P, edges = _engine_panels(n)
+    assert (P - 1) * w < math.log(central._integral_Y(2.0 * n - 1.5, 44.0)) <= P * w
     for d in central.ZEngine.DEGREES:
-        u, l, G, _ = central._assembler(n, central.ZEngine.PANEL_WIDTH)(d)
-        ys = central._panel_rule(edges, d)[0].reshape(len(edges) - 1, d)
-        assert G.shape == ys.shape
-        assert np.all(np.abs(np.exp(u)[:, None] * np.exp(l) - ys) <= 8 * np.spacing(ys)), d
+        ((u, l, G, _),) = central._assembler(n, w)(d)
+        xs = central._panel_rule(edges, d)[0].reshape(P, d)
+        assert G.shape == xs.shape
+        assert np.array_equal(u, np.arange(P) * w), d
+        assert np.all(np.abs(u[:, None] + l - xs) <= 8 * np.spacing(xs)), d
+        assert np.all(np.abs(l + l[::-1] - w) <= np.spacing(w)), d
+
+
+def _rounding_bound(engine, ts):
+    """Float64 bound on |z_many(t) - Z(t)|, Z the node-by-node sum over the
+    engine's own data (see test_engine_matches_direct_cosine_sum)."""
+    logy = engine.u[-1] + engine.l[-1]
+    amp = np.exp(engine.lgnorm - _loggamma_re_f64(engine.a + 0.5, ts))
+    P, d = engine.G.shape
+    eps = np.finfo(float).eps
+    return eps * 2.0 * np.sum(np.abs(engine.G)) * amp * (20 * np.maximum(1.0, ts * logy) + 7 * P + P * d + P + d)
 
 
 @pytest.mark.parametrize("n", [1, 10, 24, 45, 96, 150, 200])
 def test_engine_matches_direct_cosine_sum(n):
-    # z_many against Z = 2 sum_j G_j cos(t log y_j) exp(lgnorm - Re log
-    # Gamma(a + 1/2 + it)) summed node by node over _panel_rule's nodes.
-    # Float64 bound, with S = 2 sum |G_j| and amp the exp factor: per term
-    # at most 20 roundings of size eps max(1, t max log y) (the logs of the
-    # node, the edge and the first-panel node, up to 8 ulps between
-    # e^(u_p) c_k and y as above, the three products with t, four sines
-    # and cosines and their product), and the summations at most
-    # P d + P + d roundings of size eps S (the direct sum, the panel matmul
-    # and the in-panel sum).  Worst measured: 2.1 eps S amp max(1, t max
-    # log y), 0.6% of the bound.
+    # z_many against Z = 2 sum_j G_j cos(t x_j) exp(lgnorm - Re log
+    # Gamma(a + 1/2 + it)) summed node by node over the engine's own nodes
+    # x_j = u_p + l_k, with the engine's Re log Gamma.  Float64 bound, with
+    # S = 2 sum |G_j| and amp the exp factor: per term at most 20
+    # roundings of size eps max(1, t max x) (the node's sum u_p + l_k, the
+    # products with t, the in-panel offset l_k - w/2 and its mirror, which
+    # is off by up to an ulp of w, the sines and cosines and their
+    # products), and the summations at most P d + P + d roundings of size
+    # eps S (the direct sum, the panel matmul and the in-panel sum).  The
+    # panel phase e^(it(u_p + w/2)) is e^(itw/2) times the p-th power of
+    # its square, formed from powers by doubling: an argument rounding of
+    # eps t w/2 grows to eps t (u_p + w/2), inside the 20 above, and the
+    # exponential (1 ulp), each product and each squaring (sqrt(5) eps,
+    # doubled by every later squaring) add at most (2p + 1) + 2p sqrt(5)
+    # eps, below 7 P eps per term.  Worst measured: 0.78% of the bound
+    # (n = 24); 4.0 eps S amp max(1, t max x) at n = 45.
     engine = central.get_engine(n)
     ts = np.linspace(0.0, min(central.T_CAP, engine.t_reliable), 2001)
-    ys = central._panel_rule(_engine_edges(n), engine.degree)[0]
-    logy, G = np.log(ys), engine.G.ravel()
-    amp = np.exp(engine.lgnorm - loggamma_f64(engine.a + 0.5, ts).real)
+    logy, G = (engine.u[:, None] + engine.l).ravel(), engine.G.ravel()
+    amp = np.exp(engine.lgnorm - _loggamma_re_f64(engine.a + 0.5, ts))
     direct = 2.0 * (np.cos(np.outer(ts, logy)) @ G) * amp
-    P, d = engine.G.shape
-    eps = np.finfo(float).eps
-    bound = eps * 2.0 * np.sum(np.abs(G)) * amp * (20 * np.maximum(1.0, ts * logy.max()) + P * d + P + d)
-    assert np.all(np.abs(engine.z_many(ts) - direct) <= bound)
+    assert np.all(np.abs(engine.z_many(ts) - direct) <= _rounding_bound(engine, ts))
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 45, 96])
@@ -208,15 +240,15 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
     # against a reference independent of the engine's panels: degree 32
     # on panels of width 2/(1 + T_CAP), an eighth of PANEL_WIDTH.  The
     # same zero count up to min(T_CAP, t_reliable), and zeros below half
-    # the ceiling move by less than 1e-10 (worst over n <= 100: 1.8e-11,
-    # n = 80 at t = 41.931; degree 8 on the reference panels: 4.9e-11,
-    # n = 91 at t = 45.748)
+    # the ceiling move by less than 1e-10 (worst over n <= 100: 2.3e-11,
+    # n = 91 at t = 45.748; degree 8 on the reference panels: 4.9e-11,
+    # also n = 91 at t = 45.748)
     zeros = {}
     for n in (1, 45, 80, 91, 96):
         t_rel = central.t_reliable(n)
         T = min(central.T_CAP, t_rel)
         ref = copy.copy(central.get_engine(n))
-        ref.u, ref.l, ref.G, ref.lgnorm = central._assembler(n, 2.0 / (1.0 + central.T_CAP))(32)
+        ((ref.u, ref.l, ref.G, ref.lgnorm),) = central._assembler(n, 2.0 / (1.0 + central.T_CAP))(32)
         got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
         monkeypatch.setattr(central, "get_engine", lambda m: ref)
         want = np.array(central.zeros_up_to(n, T).gammas)
@@ -225,9 +257,9 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
         low = want < 0.5 * t_rel
         assert np.max(np.abs(got - want)[low]) < 1e-10, n
     # the mpmath Z changes sign across the chosen-degree zero that moved most
-    g = zeros[80][np.argmin(np.abs(zeros[80] - 41.931))]
+    g = zeros[91][np.argmin(np.abs(zeros[91] - 45.748))]
     ctx = PrecisionContext(15)
-    assert central.hardy_Z(80, g - 1e-10, ctx) * central.hardy_Z(80, g + 1e-10, ctx) < 0
+    assert central.hardy_Z(91, g - 1e-10, ctx) * central.hardy_Z(91, g + 1e-10, ctx) < 0
 
 
 @pytest.mark.parametrize("n", [101, 115, 126, 150, 178, 200])
@@ -249,37 +281,38 @@ def _full_window_data(n, width, degree):
     coeff = field.prime_table(central._theta_m_cutoff(a, 1.0, 44.0)).coeffs(k)
     ms = np.nonzero(coeff)[0]
     cs, lm = coeff[ms], np.log(ms.astype(float))
-    Y = central._integral_Y(a, 44.0)
-    edges = [1.0]
-    while edges[-1] < Y:
-        edges.append(edges[-1] * math.exp(width))
-    ys, ws = central._panel_rule(edges, degree)
+    P = math.ceil(math.log(central._integral_Y(a, 44.0)) / width)
+    xi, wts = np.polynomial.legendre.leggauss(degree)
+    u, l = np.arange(P) * width, 0.5 * width + 0.5 * width * xi
+    xs = (u[:, None] + l).ravel()
+    ys = np.exp(xs)
     tj, phis = np.empty_like(ys), np.empty_like(ys)
     for b in range(0, len(ys), 256):
         expo = a * lm - (central.BETA * ys[b : b + 256])[:, None] * ms
         tj[b : b + 256] = tb = expo.max(axis=1)
         phis[b : b + 256] = np.exp(expo - tb[:, None]) @ cs
-    Es = tj + (a - 0.5) * np.log(ys) + np.log(ws)
+    # weight (w/2) w_k y of the rule in x = log y, y^(a - 1/2) folded in
+    Es = tj + (a + 0.5) * xs + np.tile(np.log(0.5 * width * wts), P)
     Estar = float(Es.max())
-    G = (phis * np.exp(Es - Estar)).reshape(len(edges) - 1, degree)
-    return np.log(edges[:-1]), np.log(ys[:degree]), G, Estar - (a + 0.5) * central.LOG_Q
+    G = (phis * np.exp(Es - Estar)).reshape(P, degree)
+    return u, l, G, Estar - (a + 0.5) * central.LOG_Q
 
 
 @pytest.mark.parametrize("n", [1, 2, 45, 96, 150, 200])
 def test_windowed_assembly_matches_full_window(n):
     # each window drops only terms e^-44 below its nodes' peaks, so G moves
-    # by rounding alone (worst 1.7e-16 max|G| here, n = 45 at degree 48)
+    # by rounding alone (worst 1.7e-16 max|G| here, n = 45 at degree 48);
+    # both degrees come from one pass over the windows
     assemble = central._assembler(n, central.ZEngine.PANEL_WIDTH)
-    for degree in (24, 48):
-        u, l, G, lgnorm = assemble(degree)
+    for degree, (u, l, G, lgnorm) in zip((24, 48), assemble(24, 48)):
         u0, l0, G0, lgnorm0 = _full_window_data(n, central.ZEngine.PANEL_WIDTH, degree)
         assert np.array_equal(u, u0) and np.array_equal(l, l0) and lgnorm == lgnorm0
         assert np.max(np.abs(G - G0)) <= 4e-16 * np.max(np.abs(G0)), (n, degree)
 
 
 def test_block_scan_matches_one_member_scans():
-    # one Illinois run over eight members of different panel counts and
-    # degrees (115 and 150 take 48) against eight zeros_up_to calls
+    # one refinement run over eight members of different panel counts and
+    # degrees (150 and 200 take 48) against eight zeros_up_to calls
     ns = [1, 2, 24, 45, 96, 115, 150, 200]
     Ts = [min(central.T_CAP, central.t_reliable(n)) for n in ns]
     for n, T, rec in zip(ns, Ts, central._zeros_block(ns, Ts)):
@@ -289,6 +322,86 @@ def test_block_scan_matches_one_member_scans():
         got, want = np.array(rec.gammas), np.array(one.gammas)
         low = want < 0.5 * central.t_reliable(n)
         assert np.all(np.abs(got - want)[low] <= central.ZERO_WIDTH), n
+
+
+# zero counts of members 1..96 up to min(T_CAP, t_reliable(n)), recorded
+# with the Illinois refinement on Gauss-Legendre panels in y
+ZERO_COUNTS_96 = (
+    10, 14, 18, 20, 24, 26, 29, 32, 34, 38, 39, 42, 44, 45, 47, 50, 52, 54, 56, 58, 60, 62, 64, 65,
+    64, 66, 67, 65, 68, 68, 68, 69, 69, 70, 70, 71, 71, 71, 72, 72, 72, 73, 73, 72, 70, 72, 74, 73,
+    75, 75, 76, 76, 76, 77, 77, 75, 77, 77, 78, 78, 79, 79, 79, 79, 79, 79, 80, 80, 80, 81, 81, 81,
+    82, 81, 82, 80, 82, 82, 80, 82, 83, 81, 81, 83, 84, 82, 82, 82, 84, 84, 84, 85, 85, 85, 83, 85,
+)
+
+
+def _scan_blocks_96():
+    """(engines, records) of each scan block of empirical_one_level at
+    N = 96: eight members, each up to min(T_CAP, t_reliable(n))."""
+    for first in range(1, 97, 8):
+        ns = list(range(first, first + 8))
+        engines = [central.get_engine(n) for n in ns]
+        yield engines, central._zeros_block(ns, [min(central.T_CAP, e.t_reliable) for e in engines])
+
+
+def test_zero_side_counts_pinned():
+    # the zero side of the one-level density at N = 96: every engine at
+    # degree 24 and every member's zero count as recorded, 6,521 in all
+    counts = []
+    for engines, records in _scan_blocks_96():
+        assert [e.degree for e in engines] == [24] * 8
+        counts += [len(rec.gammas) for rec in records]
+    assert tuple(counts) == ZERO_COUNTS_96 and sum(counts) == 6521
+
+
+def test_block_build_matches_single_builds(monkeypatch):
+    # engines built together (one coefficient call, both first rules of a
+    # member in one pass, one probe call) equal the engines built alone
+    # bit for bit, across panel counts and degrees; a member whose first
+    # two rules disagree climbs the ladder alone
+    ns = [1, 2, 45, 96, 150, 191]
+    blocks = []
+    ladder = central._ladder_starts
+    monkeypatch.setattr(central, "_ladder_starts", lambda ms: blocks.append(list(ms)) or ladder(ms))
+    central._engine.cache_clear()
+    built = central._engine(*ns)
+    assert blocks == [ns]
+    assert {24, 48} <= {e.degree for e in built}
+    for e in built:
+        alone = central.ZEngine(e.n)
+        assert (e.degree, e.lgnorm, e.t_reliable) == (alone.degree, alone.lgnorm, alone.t_reliable)
+        for got, want in ((e.u, alone.u), (e.l, alone.l), (e.G, alone.G)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), e.n
+    info = central._engine.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 6, 6)
+    assert central._engine(*ns) == built and central._engine.cache_info().hits == 6
+
+
+def test_block_zeros_are_sign_change_brackets(monkeypatch):
+    # every zero of members 1..96 that a scan block returns is the midpoint
+    # of a bracket narrower than ZERO_WIDTH across which z_many changes
+    # sign.  z_many and the refinement's block call can round a point
+    # differently (BLAS rounds a product by its shape), each within the
+    # kernel's bound B(t) of the exact sum (_rounding_bound), so an end
+    # where |z_many| <= 2 B may show either sign: a point where the
+    # refinement's Z was exactly 0 (lo == hi), or an end within rounding of
+    # the zero (measured: 6,352 strict sign changes, 157 exact zeros, 12
+    # such ends, all above 0.59 t_reliable)
+    brackets = []
+    refine = central._regula_falsi
+    monkeypatch.setattr(central, "_regula_falsi", lambda *args: brackets.append(refine(*args)) or brackets[-1])
+    total = strict = 0
+    for engines, records in _scan_blocks_96():
+        lo, hi = brackets[-1]
+        parts = np.cumsum([len(rec.gammas) for rec in records])[:-1]
+        for e, rec, l, h in zip(engines, records, np.split(lo, parts), np.split(hi, parts)):
+            assert np.all(h - l < central.ZERO_WIDTH) and np.array_equal(0.5 * (l + h), rec.gammas), e.n
+            zl, zh = e.z_many(l), e.z_many(h)
+            sign_change = zl * zh < 0
+            noise = np.minimum(np.abs(zl) - 2 * _rounding_bound(e, l), np.abs(zh) - 2 * _rounding_bound(e, h)) <= 0
+            assert np.all(sign_change | noise), e.n
+            strict += int(np.sum(sign_change))
+            total += len(l)
+    assert total == 6521 and strict >= 0.95 * total
 
 
 def test_t_reliable_matches_scalar_loop():

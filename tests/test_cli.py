@@ -338,6 +338,17 @@ def test_exit_codes(capsys):
         assert capsys.readouterr().err.startswith("usage error:"), argv
 
 
+def test_ratios_refuses_non_finite_heights(capsys):
+    # +-inf is a usage error like nan (exit 2), refused before the zeta/L
+    # block's height cap; a finite height past that cap stays a
+    # convergence error (exit 3)
+    for argv in (["ratios", "--n", "1", "--t", "inf"], ["ratios", "--n", "1", "--t=-inf"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage error: height t must be a finite number"), argv
+    assert cli.main(["ratios", "--n", "1", "--t", "2e5"]) == 3
+
+
 def test_float_outputs_state_their_error(capsys):
     # rmt, predicted_main and predicted_constant_form print float64
     # roundings of exact or mp values: each printed error must cover the

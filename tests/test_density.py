@@ -474,10 +474,13 @@ def test_ratios_heights_must_be_numbers():
         for t in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="not finite"):
                 density.ratios_A_prime(t)
-        # an infinite height is past the zeta/L block's cap, refused before
-        # the Euler-product row can warn
-        with pytest.raises(ConvergenceError, match="inf"):
-            density.ratios_integrand_abs_err(float("inf"))
+        # an infinite height is refused as an input, before the zeta/L
+        # block's cap and before the Euler-product row can warn
+        for t in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                density.ratios_integrand_abs_err(t)
+            with pytest.raises(ValueError, match="finite"):
+                density.ratios_one_level_integrand(1, t)
 
 
 def _zeta_L_block_mp(t):
