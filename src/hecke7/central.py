@@ -56,7 +56,6 @@ from .specfun import (
     ComputeCapError,
     ConvergenceError,
     loggamma_f64,
-    _loggamma_re_f64,
     _series_index,
     _upper_gamma_scaled,
 )
@@ -267,7 +266,7 @@ def _assembler(n: int, width: float, coeff=None):
     cs, mf = coeff[ms], ms.astype(float)
     lm, nmf = np.log(mf), -mf
     alm = a * lm
-    P = max(1, ceil(log(_integral_Y(a, _DROP)) / width))
+    P = ceil(log(_integral_Y(a, _DROP)) / width)  # Y >= 2 > e^(2 width): P >= 3
     u = np.arange(P) * width
     edges = np.exp(np.arange(P + 1) * width)
     # the log bound on a term at y = 0, with the drop's log(1 + m) moved over
@@ -320,7 +319,8 @@ def _z_block(rules):
     """Z under the quadrature data rules[j] = (a, u, l, G, lgnorm) of one
     or more members (see ZEngine), as the map (member, ts) -> Z with ts[i]
     under rules[member[i]]; member is nondecreasing, so each rule's
-    points are one slice.
+    points are one slice.  Every engine has P >= 3 panels (see _assembler)
+    and an even degree d.
 
     Node k of panel p sits at the panel's midpoint u_p + w/2 plus the
     offset o_k = l_k - w/2, and o_(d-1-k) = -o_k, so with the folded
@@ -339,7 +339,7 @@ def _z_block(rules):
     log |Gamma| run on the flat arrays."""
     P = max(len(rule[1]) for rule in rules)
     hd = max(len(rule[2]) for rule in rules) // 2
-    half = np.array([0.5 * rule[1][1] for rule in rules])  # w/2: u_1 = w, and every engine has P >= 2
+    half = np.array([0.5 * rule[1][1] for rule in rules])  # w/2, from u_1 = w
     O = np.zeros((len(rules), hd))
     folded = []
     for j, (_, u, l, G, _) in enumerate(rules):
@@ -369,7 +369,7 @@ def _z_block(rules):
                 sg[i:j, :k] = S[:p, i:j].T @ Gd
         to = ts[:, None] * O[member]
         dots = (np.cos(to) * cg).sum(axis=1) - (np.sin(to) * sg).sum(axis=1)
-        return 2.0 * dots * np.exp(lgnorm[member] - _loggamma_re_f64(c[member], ts))
+        return 2.0 * dots * np.exp(lgnorm[member] - loggamma_f64(c[member], ts).real)
 
     return z
 
@@ -422,21 +422,23 @@ class ZEngine:
 
     The rule's degree per panel is chosen when the engine is built: the
     data at degree d and at 2d are assembled on the same panels and
-    evaluated at 16 probe points of (0, t_reliable(n)/2]; the first d of
-    24, 48, 96 whose two rules agree within PROBE_TOL relative to
-    max(1, |Z|) is kept (`degree`), otherwise ConvergenceError.  Degree
-    24 passes for every member n <= 149; of the members up to 200, five
-    take degree 48 and n = 191 takes 96, where the gaps sit at the
-    float64 rounding of G, near 1e-10.  The probes stop at
-    t_reliable(n)/2 because nearer the ceiling any two rules differ by
-    float64 noise of up to about 1e-5.  Reliable while the Gamma-modulus
-    suppression stays above the float64 cancellation floor; the engine
-    keeps that ceiling, t_reliable(n), as its float `t_reliable`.
+    evaluated at 16 probe points of (0, min(t_reliable(n)/2, T_CAP)]; the
+    first d of 24, 48, 96 whose two rules agree within PROBE_TOL relative
+    to max(1, |Z|) is kept (`degree`), otherwise ConvergenceError.
+    Degree 24 passes for every member n <= 414 (gaps at most 4.6e-11 for
+    n <= 300), and degree 48 for every other member up to 2,000.  The
+    probes stop at t_reliable(n)/2 because nearer the ceiling any two
+    rules differ by float64 noise of up to about 1e-5, and at T_CAP, the
+    highest scan height: above it, from n = 105, the gaps are the float64
+    rounding of G (up to 2.2e-8 at n <= 300), not the quadrature.
+    Reliable while the Gamma-modulus suppression stays above the float64
+    cancellation floor; the engine keeps that ceiling, t_reliable(n), as
+    its float `t_reliable`.
 
-    The members of a scan block are built together (_ladder_starts): one
-    coefficient table call, both first rules of each member in one pass,
-    every probe in one _z_block call; `_start(n)` gives the member's entry
-    of that build, which runs in the block's first __init__.  A member
+    The missing members of an _engine call are built together
+    (_ladder_starts: one coefficient table call, both first rules of each
+    member in one pass, every probe in one _z_block call), and each
+    member's entry of that build is passed in as `_start`.  A member
     whose first two rules disagree climbs the rest of the ladder alone.
     """
 
@@ -444,10 +446,10 @@ class ZEngine:
     DEGREES = (24, 48, 96)  # each twice the last: a rejected 2d rule is the next d rule
     PROBE_TOL = 1e-10
 
-    def __init__(self, n: int, _start=None):
+    def __init__(self, n: int, _start: tuple | None = None):
         self.a = _member(n).a
         self.n = n
-        self.t_reliable, assemble, data, finer, gap = _start(n) if _start else _ladder_starts([n])[0]
+        self.t_reliable, assemble, data, finer, gap = _start or _ladder_starts([n])[0]
         degree = self.DEGREES[0]
         while gap > self.PROBE_TOL:
             if degree == self.DEGREES[-1]:
@@ -467,8 +469,8 @@ class ZEngine:
 
 
 def _probes(t_rel: float) -> np.ndarray:
-    """The 16 probe heights of the degree check, on (0, t_rel/2]."""
-    return np.linspace(0.0, 0.5 * t_rel, 17)[1:]
+    """The 16 probe heights of the degree check, on (0, min(t_rel/2, T_CAP)]."""
+    return np.linspace(0.0, min(0.5 * t_rel, T_CAP), 17)[1:]
 
 
 def _ladder_starts(ns) -> list[tuple]:
@@ -523,8 +525,9 @@ def _engine_cache(maxsize: int):
     family index of ns, keeping the maxsize most recently used members,
     with lru_cache's cache_info and cache_clear.  When several members
     of a call are missing they are built together (_ladder_starts), as a
-    scan block of empirical_one_level asks; a single missing member is
-    built alone."""
+    scan block of empirical_one_level asks: members 1-96 take 0.06 s so,
+    against 0.09 s built one by one (medians, 2-vCPU host).  A single
+    missing member is built alone, by ZEngine(n)."""
     store: dict[int, ZEngine] = {}
     counts = {"hits": 0, "misses": 0}
 
@@ -533,15 +536,7 @@ def _engine_cache(maxsize: int):
         if len(missing) == 1:
             store[missing[0]] = ZEngine(missing[0])
         elif missing:
-            starts = {}
-
-            def start(n: int) -> tuple:
-                # the block's build runs inside its first ZEngine.__init__
-                if not starts:
-                    starts.update(zip(missing, _ladder_starts(missing)))
-                return starts[n]
-
-            for n in missing:
+            for n, start in zip(missing, _ladder_starts(missing)):
                 store[n] = ZEngine(n, start)
         counts["hits"] += len(ns) - len(missing)
         counts["misses"] += len(missing)

@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _zeros_block, get_engine, zeros_up_to
+from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _zeros_block, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _series_index, digamma_f64, loggamma_f64
 
@@ -318,8 +318,8 @@ def empirical_one_level(
     t_min = float("inf")
     for first in range(1, N + 1, _SCAN_BLOCK):
         ns = range(first, min(first + _SCAN_BLOCK, N + 1))
-        _engine(*ns)  # the block's missing engines, built together
-        ts = [min(T, get_engine(n).t_reliable) for n in ns]
+        # the block's engines, its missing ones built together
+        ts = [min(T, engine.t_reliable) for engine in _engine(*ns)]
         records = _zeros_block(ns, ts)
         psums = _prime_sums(table, _member(np.array(ns)).k, phihat)
         for n, t_n, rec, ps in zip(ns, ts, records, psums):

@@ -18,8 +18,7 @@ Float64, in plain numpy, for the float64 stages (zero engine, one-level
 density, ratios integrand, central-value sweep):
   * loggamma_f64(c, t) = log Gamma(c+it) and digamma_f64(c, t) =
     psi(c+it) for real c >= 1: Stirling's series with 7 Bernoulli terms
-    after an upward shift to Re >= 12; _loggamma_re_f64(c, t), its real
-    part log |Gamma(c+it)| alone, for the zero engine;
+    after an upward shift to Re >= 12;
   * reg_gamma_Q_f64(c_max, x): Q(c, x) for c = 1, ..., c_max as a running
     sum of Poisson masses e^(-x) x^c/c!, each in the saddle-point form of
     C. Loader, "Fast and accurate computation of binomial probabilities"
@@ -462,27 +461,6 @@ def loggamma_f64(c, t):
     |w log w| and of each shift log."""
     z, k, w, terms = _stirling_setup(c, t)
     return _shifted((w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + _stirling_sum(w, terms), np.log, z, k)
-
-
-def _loggamma_re_f64(c, t):
-    """Re log Gamma(c + it) = log |Gamma(c + it)| in float64, for real
-    c >= 1 and the shapes of loggamma_f64: its series at the same
-    w = x + it, x = c + k, with the same shift k and terms, but only the
-    real parts formed.  Re (w - 1/2) log w - w is
-    (x - 1/2) log|w| - t arg w - x, and the shifts' sum
-    sum_{j<k} log|z + j| is the log of the modulus of their product (at
-    most 11 factors below 12 + |t| each: no overflow for |t| below 1e27).
-    Each part rounds about as loggamma_f64's does, so the two agree
-    within a few ulp of |w log w| and of the shift logs."""
-    z, k, w, terms = _stirling_setup(c, t)
-    x = w.real
-    value = (x - 0.5) * np.log(np.abs(w)) - t * np.arctan2(t, x) - x + _HALF_LOG_2PI + _stirling_sum(w, terms).real
-    if k:
-        prod = z
-        for j in range(1, k):
-            prod = prod * (z + j)
-        value = value - np.log(np.abs(prod))
-    return value
 
 
 def digamma_f64(c, t=0.0):

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from scipy.special import loggamma as c_loggamma
 
 from hecke7 import central, field, moments, vz
-from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, _loggamma_re_f64
+from hecke7.specfun import ComputeCapError, ConvergenceError, PrecisionContext, loggamma_f64
 
 CTX20 = PrecisionContext(20)
 CTX25 = PrecisionContext(25)
@@ -193,7 +193,7 @@ def _rounding_bound(engine, ts):
     """Float64 bound on |z_many(t) - Z(t)|, Z the node-by-node sum over the
     engine's own data (see test_engine_matches_direct_cosine_sum)."""
     logy = engine.u[-1] + engine.l[-1]
-    amp = np.exp(engine.lgnorm - _loggamma_re_f64(engine.a + 0.5, ts))
+    amp = np.exp(engine.lgnorm - loggamma_f64(engine.a + 0.5, ts).real)
     P, d = engine.G.shape
     eps = np.finfo(float).eps
     return eps * 2.0 * np.sum(np.abs(engine.G)) * amp * (20 * np.maximum(1.0, ts * logy) + 7 * P + P * d + P + d)
@@ -203,9 +203,9 @@ def _rounding_bound(engine, ts):
 def test_engine_matches_direct_cosine_sum(n):
     # z_many against Z = 2 sum_j G_j cos(t x_j) exp(lgnorm - Re log
     # Gamma(a + 1/2 + it)) summed node by node over the engine's own nodes
-    # x_j = u_p + l_k, with the engine's Re log Gamma.  Float64 bound, with
-    # S = 2 sum |G_j| and amp the exp factor: per term at most 20
-    # roundings of size eps max(1, t max x) (the node's sum u_p + l_k, the
+    # x_j = u_p + l_k.  Float64 bound, with S = 2 sum |G_j| and amp the
+    # exp factor: per term at most 20 roundings of size
+    # eps max(1, t max x) (the node's sum u_p + l_k, the
     # products with t, the in-panel offset l_k - w/2 and its mirror, which
     # is off by up to an ulp of w, the sines and cosines and their
     # products), and the summations at most P d + P + d roundings of size
@@ -220,7 +220,7 @@ def test_engine_matches_direct_cosine_sum(n):
     engine = central.get_engine(n)
     ts = np.linspace(0.0, min(central.T_CAP, engine.t_reliable), 2001)
     logy, G = (engine.u[:, None] + engine.l).ravel(), engine.G.ravel()
-    amp = np.exp(engine.lgnorm - _loggamma_re_f64(engine.a + 0.5, ts))
+    amp = np.exp(engine.lgnorm - loggamma_f64(engine.a + 0.5, ts).real)
     direct = 2.0 * (np.cos(np.outer(ts, logy)) @ G) * amp
     assert np.all(np.abs(engine.z_many(ts) - direct) <= _rounding_bound(engine, ts))
 
@@ -264,14 +264,35 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
 
 @pytest.mark.parametrize("n", [101, 115, 126, 150, 178, 200])
 def test_engines_beyond_100_build(n):
-    # empirical_one_level accepts N <= 200, and from n = 105 the top probe
-    # t_reliable(n)/2 is at or above T_CAP; each engine must pass the
-    # degree check (24 or 48 here), and its Z(0) = L(1/2, chi^(4n-3))
+    # empirical_one_level accepts N <= 200, and from n = 105 the probes
+    # stop at T_CAP below t_reliable(n)/2; each engine must pass the
+    # degree check (24 here), and its Z(0) = L(1/2, chi^(4n-3))
     # must match the sweep's independent series (1.4e-12 at worst, n = 115)
     engine = central.ZEngine(n)
     assert engine.degree in central.ZEngine.DEGREES
     z0 = engine.z_many(np.array([0.0]))[0]
     assert abs(z0 - moments.sweep_central_values(n)[n - 1]) < moments._VALIDATION_TOL
+
+
+# the members in (300, 1000] whose every degree failed while the degree
+# check probed up to t_reliable(n)/2, above T_CAP; the first 29 build at
+# degree 24 now, and 467, 500, 591 and 682 at 48
+LADDER_ONCE_FAILED = (
+    304, 319, 328, 332, 356, 365, 369, 371, 372, 376, 379, 380, 381, 384, 385, 389, 392,
+    402, 404, 408, 421, 425, 426, 432, 443, 445, 447, 452, 465, 467, 500, 591, 682,
+)
+
+
+def test_engine_ladder_pinned():
+    # the degree check probes only heights the scan evaluates, up to
+    # min(t_reliable/2, T_CAP), where the degree-24 and degree-48 rules of
+    # every member n <= 300 agree within 4.6e-11 (n = 123): each builds at
+    # degree 24, n = 206, 217, 226, 243, 248, 278, 283 and 295 too, whose
+    # gaps above T_CAP (up to 2.2e-8 at n <= 300) once failed every degree
+    assert [central.ZEngine(n).degree for n in range(1, 301)] == [24] * 300
+    degrees = [central.ZEngine(n).degree for n in LADDER_ONCE_FAILED]
+    assert degrees == [24] * 29 + [48] * 4
+    assert all(central._probes(central.t_reliable(n)).max() == central.T_CAP for n in (105, 300, 682))
 
 
 def _full_window_data(n, width, degree):
@@ -311,9 +332,9 @@ def test_windowed_assembly_matches_full_window(n):
 
 
 def test_block_scan_matches_one_member_scans():
-    # one refinement run over eight members of different panel counts and
-    # degrees (150 and 200 take 48) against eight zeros_up_to calls
-    ns = [1, 2, 24, 45, 96, 115, 150, 200]
+    # one refinement run over nine members of different panel counts and
+    # degrees (415 takes 48) against nine zeros_up_to calls
+    ns = [1, 2, 24, 45, 96, 115, 150, 200, 415]
     Ts = [min(central.T_CAP, central.t_reliable(n)) for n in ns]
     for n, T, rec in zip(ns, Ts, central._zeros_block(ns, Ts)):
         one = central.zeros_up_to(n, T)
@@ -357,8 +378,8 @@ def test_block_build_matches_single_builds(monkeypatch):
     # engines built together (one coefficient call, both first rules of a
     # member in one pass, one probe call) equal the engines built alone
     # bit for bit, across panel counts and degrees; a member whose first
-    # two rules disagree climbs the ladder alone
-    ns = [1, 2, 45, 96, 150, 191]
+    # two rules disagree (415 here) climbs the ladder alone
+    ns = [1, 2, 45, 96, 150, 191, 415]
     blocks = []
     ladder = central._ladder_starts
     monkeypatch.setattr(central, "_ladder_starts", lambda ms: blocks.append(list(ms)) or ladder(ms))
@@ -372,8 +393,8 @@ def test_block_build_matches_single_builds(monkeypatch):
         for got, want in ((e.u, alone.u), (e.l, alone.l), (e.G, alone.G)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), e.n
     info = central._engine.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 6, 6)
-    assert central._engine(*ns) == built and central._engine.cache_info().hits == 6
+    assert (info.hits, info.misses, info.currsize) == (0, 7, 7)
+    assert central._engine(*ns) == built and central._engine.cache_info().hits == 7
 
 
 def test_block_zeros_are_sign_change_brackets(monkeypatch):
@@ -384,8 +405,8 @@ def test_block_zeros_are_sign_change_brackets(monkeypatch):
     # kernel's bound B(t) of the exact sum (_rounding_bound), so an end
     # where |z_many| <= 2 B may show either sign: a point where the
     # refinement's Z was exactly 0 (lo == hi), or an end within rounding of
-    # the zero (measured: 6,352 strict sign changes, 157 exact zeros, 12
-    # such ends, all above 0.59 t_reliable)
+    # the zero (measured: 6,359 strict sign changes, 152 exact zeros, 10
+    # such ends, all above 0.53 t_reliable)
     brackets = []
     refine = central._regula_falsi
     monkeypatch.setattr(central, "_regula_falsi", lambda *args: brackets.append(refine(*args)) or brackets[-1])

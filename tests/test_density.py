@@ -93,7 +93,7 @@ def test_explicit_formula_refuses_other_kinds(monkeypatch):
     # refused before any member is scanned
     g = density.gaussian(2.0)
     other = density.TestFunction(kind="box", f=g.f, fhat=g.fhat, param=1.0)
-    monkeypatch.setattr(density, "get_engine", lambda n: pytest.fail("scanned a member"))
+    monkeypatch.setattr(density, "_engine", lambda *ns: pytest.fail("scanned a member"))
     for call in (
         lambda: density.empirical_one_level(2, other, ctx=CTX),
         lambda: density.explicit_formula_sum(1, other, CTX),
@@ -328,7 +328,7 @@ def test_empirical_T_checked_before_scanning(monkeypatch):
         raise AssertionError("a member was scanned")
 
     monkeypatch.setattr(density, "zero_side_sum", no_scan)
-    monkeypatch.setattr(density, "get_engine", no_scan)
+    monkeypatch.setattr(density, "_engine", no_scan)
     monkeypatch.setattr(density, "_zeros_block", no_scan)
     with pytest.raises(ValueError, match="T=60.0 beyond desk-scale cap 50.0"):
         density.empirical_one_level(25, density.fejer(1.0), T=60.0)

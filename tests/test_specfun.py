@@ -27,7 +27,6 @@ from hecke7.specfun import (
     tricomi_lhs,
     tricomi_rhs,
     _STIRLERR,
-    _loggamma_re_f64,
     _stirling_sum,
     _upper_gamma_scaled,
 )
@@ -292,30 +291,6 @@ def test_digamma_f64_against_scipy_and_mpmath():
             for t in (0.0, 0.5, 2.5, T_CAP, 200.0):
                 want = complex(mpmath.digamma(mpmath.mpc(c, t)))
                 assert abs(complex(digamma_f64(c, t)) - want) <= 4 * EPS * float(_digamma_scale(c, t)), (c, t)
-
-
-def test_real_loggamma_matches_the_complex_kernel():
-    # the Z kernel's real-only log|Gamma(c + it)| against
-    # loggamma_f64(c, t).real, for c = 2n - 1 (n <= 200) and t on
-    # [0, 4 T_CAP): both are within 4 ulp of the scale of the truth, so 8
-    # bound their difference (worst measured: 0.21 of that bound)
-    cs = np.arange(1, 400, 2).astype(float)
-    ts = np.arange(0.0, 4 * T_CAP, 0.25)
-    for c in cs.tolist():
-        err = np.abs(_loggamma_re_f64(c, ts) - loggamma_f64(c, ts).real)
-        assert np.all(err <= 8 * EPS * _loggamma_scale(c, ts)), (c, err.max())
-    with mp.workdps(30):
-        for c in (1, 3, 11, 13, 191, 399):
-            for t in (0.0, 2.5, T_CAP, 199.75):
-                want = float(mpmath.re(mpmath.loggamma(mpmath.mpc(c, t))))
-                assert abs(_loggamma_re_f64(float(c), t) - want) <= 4 * EPS * float(_loggamma_scale(c, t)), (c, t)
-    # an array of c takes the one shift and the terms its smallest entry
-    # needs, as loggamma_f64 does: within the same bound of the scalar calls
-    for t in (0.0, 7.5, 199.75):
-        err = np.abs(_loggamma_re_f64(cs, t) - [_loggamma_re_f64(c, t) for c in cs.tolist()])
-        assert np.all(err <= 8 * EPS * _loggamma_scale(cs, t)), t
-    with pytest.raises(ValueError):
-        _loggamma_re_f64(np.array([3.0, 0.9]), 1.0)
 
 
 def test_f64_kernels_array_c_matches_scalar_c():
