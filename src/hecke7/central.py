@@ -39,6 +39,7 @@ mpmath route shares no quadrature code with it.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from math import ceil, lgamma, log, pi as fpi
@@ -374,22 +375,6 @@ def _z_block(rules):
     return z
 
 
-def _z_values(a: float, u: np.ndarray, l: np.ndarray, G: np.ndarray, lgnorm: float, ts: np.ndarray) -> np.ndarray:
-    """Z at the points ts from one member's quadrature data (u, l, G, lgnorm)."""
-    return _z_block([(a, u, l, G, lgnorm)])(np.zeros(len(ts), dtype=np.intp), ts)
-
-
-def _probe_gaps(pairs, probes) -> list[float]:
-    """For each member j, pairs[j] = (a, rule, finer rule) and its probe
-    points probes[j]: the largest |Z - Z_finer| / max(1, |Z_finer|) over
-    the probes, every member's Z under both rules from one _z_block call."""
-    z = _z_block([(a, *rule) for a, *both in pairs for rule in both])
-    sizes = [len(p) for p in probes for _ in (0, 1)]
-    vals = z(np.repeat(np.arange(len(sizes)), sizes), np.concatenate([p for p in probes for _ in (0, 1)]))
-    parts = np.split(vals, np.cumsum(sizes)[:-1])
-    return [float(np.max(np.abs(zc - zf) / np.maximum(1.0, np.abs(zf)))) for zc, zf in zip(parts[::2], parts[1::2])]
-
-
 class ZEngine:
     """Fast Hardy-Z evaluator for the family member chi^(4n-3).
 
@@ -420,8 +405,8 @@ class ZEngine:
     zero scan refines the brackets of several members in one run
     (_zeros_block), with Z of every engine evaluated by _z_block.
 
-    The rule's degree per panel is chosen when the engine is built: the
-    data at degree d and at 2d are assembled on the same panels and
+    The rule's degree per panel is chosen by the degree ladder (_ladder):
+    the data at degree d and at 2d are assembled on the same panels and
     evaluated at 16 probe points of (0, min(t_reliable(n)/2, T_CAP)]; the
     first d of 24, 48, 96 whose two rules agree within PROBE_TOL relative
     to max(1, |Z|) is kept (`degree`), otherwise ConvergenceError.
@@ -435,37 +420,24 @@ class ZEngine:
     cancellation floor; the engine keeps that ceiling, t_reliable(n), as
     its float `t_reliable`.
 
-    The missing members of an _engine call are built together
-    (_ladder_starts: one coefficient table call, both first rules of each
-    member in one pass, every probe in one _z_block call), and each
-    member's entry of that build is passed in as `_start`.  A member
-    whose first two rules disagree climbs the rest of the ladder alone.
+    The constructor only stores: `_built` is member n's (t_reliable,
+    degree, rule) from a _ladder call over a block of members (as _engine
+    makes), and ZEngine(n) runs the ladder on member n alone.
     """
 
     PANEL_WIDTH = 16.0 / (1.0 + T_CAP)  # in log y; 0.314 at T_CAP = 50
     DEGREES = (24, 48, 96)  # each twice the last: a rejected 2d rule is the next d rule
     PROBE_TOL = 1e-10
 
-    def __init__(self, n: int, _start: tuple | None = None):
+    def __init__(self, n: int, _built: tuple | None = None):
         self.a = _member(n).a
         self.n = n
-        self.t_reliable, assemble, data, finer, gap = _start or _ladder_starts([n])[0]
-        degree = self.DEGREES[0]
-        while gap > self.PROBE_TOL:
-            if degree == self.DEGREES[-1]:
-                raise ConvergenceError(
-                    f"ZEngine n={n}: Gauss-Legendre degrees {degree} and {2 * degree} differ by {gap:.1e}"
-                )
-            degree *= 2
-            data, (finer,) = finer, assemble(2 * degree)
-            (gap,) = _probe_gaps([(self.a, data, finer)], [_probes(self.t_reliable)])
-        self.degree = degree
-        self.u, self.l, self.G, self.lgnorm = data
+        self.t_reliable, self.degree, (self.u, self.l, self.G, self.lgnorm) = _built or _ladder([n])[0]
         for arr in (self.u, self.l, self.G):
-            arr.setflags(write=False)  # get_engine shares one engine per member
+            arr.setflags(write=False)  # _engine shares one engine per member
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
-        return _z_values(self.a, self.u, self.l, self.G, self.lgnorm, ts)
+        return _z_block([(self.a, self.u, self.l, self.G, self.lgnorm)])(np.zeros(len(ts), dtype=np.intp), ts)
 
 
 def _probes(t_rel: float) -> np.ndarray:
@@ -473,25 +445,46 @@ def _probes(t_rel: float) -> np.ndarray:
     return np.linspace(0.0, min(0.5 * t_rel, T_CAP), 17)[1:]
 
 
-def _ladder_starts(ns) -> list[tuple]:
-    """(t_reliable, assemble, rule at DEGREES[0], rule at twice that, their
-    probe gap) of each member of ns, built together: one PrimeTable.coeffs
-    call on their k at the largest truncation M, each member's two rules
-    in one pass over its coefficient windows (_assembler), and one
-    _z_block call for every member's probes under both rules.  A
-    member's rules are the same bits whichever members share the block;
-    its gap can differ in rounding only."""
+def _ladder(ns) -> list[tuple]:
+    """(t_reliable, degree, rule) of each member of ns, rule = (u, l, G,
+    lgnorm) its quadrature data at the chosen degree (see ZEngine), all
+    members built together: one PrimeTable.coeffs call on their k at the
+    largest truncation M, each member's rules at d = DEGREES[0] and 2d in
+    one pass over its coefficient windows (_assembler), then one rung per
+    degree d: one _z_block call for the probes of every member still
+    climbing, under its rules at d and 2d.  A member keeps the first d
+    whose probe gap, the largest |Z_d - Z_2d| / max(1, |Z_2d|), is at
+    most PROBE_TOL; one that fails at the last d (a nan gap fails)
+    raises ConvergenceError, and every other assembles its rule at 4d for
+    the next rung.  A member's rules are the same bits whichever members
+    share the block; its gaps can differ in rounding only."""
     members = _member(np.array(ns))
-    Ms = [_theta_m_cutoff(a, 1.0, _DROP) for a in members.a.tolist()]
+    a = members.a.tolist()
+    Ms = [_theta_m_cutoff(aj, 1.0, _DROP) for aj in a]
     rows = field.prime_table(max(Ms)).coeffs(members.k)
+    t_rel = [t_reliable(n) for n in ns]
     d = ZEngine.DEGREES[0]
-    starts = []
-    for n, M, row in zip(ns, Ms, rows):
-        assemble = _assembler(n, ZEngine.PANEL_WIDTH, row[: M + 1])
-        starts.append((t_reliable(n), assemble, *assemble(d, 2 * d)))
-    pairs = [(a, data, finer) for a, (*_, data, finer) in zip(members.a.tolist(), starts)]
-    gaps = _probe_gaps(pairs, [_probes(start[0]) for start in starts])
-    return [(*start, gap) for start, gap in zip(starts, gaps)]
+    assembles = [_assembler(n, ZEngine.PANEL_WIDTH, row[: M + 1]) for n, M, row in zip(ns, Ms, rows)]
+    rules = [assemble(d, 2 * d) for assemble in assembles]  # member j's rules at d and 2d
+    built = [None] * len(ns)
+    climbing = list(range(len(ns)))
+    while climbing:
+        z = _z_block([(a[j], *rule) for j in climbing for rule in rules[j]])
+        probes = [_probes(t_rel[j]) for j in climbing for _ in rules[j]]
+        zs = z(np.repeat(np.arange(len(probes)), [len(p) for p in probes]), np.concatenate(probes))
+        zs = zs.reshape(len(climbing), 2, -1)
+        gaps = np.max(np.abs(zs[:, 0] - zs[:, 1]) / np.maximum(1.0, np.abs(zs[:, 1])), axis=1)
+        above = []
+        for j, gap in zip(climbing, gaps.tolist()):
+            if gap <= ZEngine.PROBE_TOL:
+                built[j] = (t_rel[j], d, rules[j][0])
+            elif d == ZEngine.DEGREES[-1]:
+                raise ConvergenceError(f"ZEngine n={ns[j]}: Gauss-Legendre degrees {d} and {2 * d} differ by {gap:.1e}")
+            else:
+                rules[j] = (rules[j][1], *assembles[j](4 * d))
+                above.append(j)
+        climbing, d = above, 2 * d
+    return built
 
 
 def t_reliable(n: int) -> float:
@@ -506,59 +499,32 @@ def t_reliable(n: int) -> float:
     return float(ts[below[0]]) if len(below) else 4 * T_CAP
 
 
+# family index -> its member's engine, grow-only: no caller reads more than
+# moments.SWEEP_CAP = 2,000 members, whose engines hold 18.4 MB of arrays
+_ENGINES: dict[int, ZEngine] = {}
+_ENGINES_LOCK = threading.Lock()
+
+
+def _engine(*ns) -> list[ZEngine]:
+    """The shared engine of each family index of ns, in order, each built
+    once; an engine serves every scan height of its member up to T_CAP.
+    Each n is read through _member first, so a numpy integer finds the
+    engine of the equal int.  The members missing from _ENGINES are built
+    together by one _ladder call, as a scan block of empirical_one_level
+    asks: members 1-96 take 0.06 s so, against 0.09 s built one by one
+    (medians, 2-vCPU host)."""
+    ns = [(_member(n).c + 1) // 2 for n in ns]
+    with _ENGINES_LOCK:
+        missing = [n for n in dict.fromkeys(ns) if n not in _ENGINES]
+        if missing:
+            for n, built in zip(missing, _ladder(missing)):
+                _ENGINES[n] = ZEngine(n, built)
+        return [_ENGINES[n] for n in ns]
+
+
 def get_engine(n: int) -> ZEngine:
-    """The shared engine of member n, built once; it serves every scan
-    height up to T_CAP.  n is read through _member before the cache, so a
-    numpy integer finds the engine of the equal int."""
-    return _engine((_member(n).c + 1) // 2)[0]
-
-
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-def _engine_cache(maxsize: int):
-    """get_engine's cache: engines(*ns) returns the ZEngine of each int
-    family index of ns, keeping the maxsize most recently used members,
-    with lru_cache's cache_info and cache_clear.  When several members
-    of a call are missing they are built together (_ladder_starts), as a
-    scan block of empirical_one_level asks: members 1-96 take 0.06 s so,
-    against 0.09 s built one by one (medians, 2-vCPU host).  A single
-    missing member is built alone, by ZEngine(n)."""
-    store: dict[int, ZEngine] = {}
-    counts = {"hits": 0, "misses": 0}
-
-    def engines(*ns: int) -> list[ZEngine]:
-        missing = [n for n in dict.fromkeys(ns) if n not in store]
-        if len(missing) == 1:
-            store[missing[0]] = ZEngine(missing[0])
-        elif missing:
-            for n, start in zip(missing, _ladder_starts(missing)):
-                store[n] = ZEngine(n, start)
-        counts["hits"] += len(ns) - len(missing)
-        counts["misses"] += len(missing)
-        for n in ns:  # most recently used last
-            store[n] = store.pop(n)
-        out = [store[n] for n in ns]
-        while len(store) > maxsize:
-            del store[next(iter(store))]
-        return out
-
-    def cache_info() -> _CacheInfo:
-        return _CacheInfo(counts["hits"], counts["misses"], maxsize, len(store))
-
-    def cache_clear() -> None:
-        store.clear()
-        counts.update(hits=0, misses=0)
-
-    engines.cache_info, engines.cache_clear = cache_info, cache_clear
-    return engines
-
-
-_engine = _engine_cache(maxsize=256)
+    """The shared engine of member n (see _engine)."""
+    return _engine(n)[0]
 
 
 def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -658,9 +624,9 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     Each returned ordinate is the midpoint of a bracket narrower than
     ZERO_WIDTH = 1e-11 across which the engine's Z changes sign, or a
     point of the grid or of the refinement where Z is exactly 0.  The
-    scan uses the member's one shared engine (`get_engine(n)`), whatever
-    T is; past its float64 ceiling t_reliable(n) the scan is truncated
-    there with a warning.
+    scan uses the member's one shared engine (`_engine(n)`, built by the
+    degree ladder alone when missing), whatever T is; past its float64
+    ceiling t_reliable(n) the scan is truncated there with a warning.
 
     The scan step refines the quarter-mean-spacing rule pi/(4 log(2n+4))
     with the local density log((7/2pi)(2n+t)) so tall scans at small n
@@ -675,11 +641,11 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
 
 def _zeros_block(ns, Ts) -> list[ZeroRecord]:
     """zeros_up_to(ns[i], Ts[i]) for every i, with its errors and
-    warnings: each member's grid scan on its own engine (get_engine; the
-    caller builds a block's engines together first, see _engine_cache),
-    then one Anderson-Bjorck run (`_regula_falsi`) over the sign-change
-    brackets of all the members, Z evaluated for every live point at once
-    by one _z_block over their engines.  Every T and n is checked before
+    warnings: each member's grid scan on its own engine, all of them from
+    one `_engine(*ns)` call (the missing ones built together by one
+    _ladder call), then one Anderson-Bjorck run (`_regula_falsi`) over
+    the sign-change brackets of all the members, Z evaluated for every
+    live point at once by one _z_block over their engines.  Every T and n is checked before
     any member is scanned."""
     for T in Ts:
         if not T > 0:  # also refuses nan
@@ -687,7 +653,7 @@ def _zeros_block(ns, Ts) -> list[ZeroRecord]:
         if T > T_CAP:
             raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
     cs = [_member(n).c for n in ns]
-    engines = [get_engine(n) for n in ns]
+    engines = _engine(*ns)
     scans = []  # (T, grid, Z on it, exact zeros, brackets) per member
     for n, T, eng in zip(ns, Ts, engines):
         t_rel = eng.t_reliable

@@ -297,11 +297,12 @@ def empirical_one_level(
 
     Zeros enter up to height min(T, per-n float64 reliability ceiling);
     the report records the discarded-mass bound for the dropped tail.
-    The members are walked in blocks of _SCAN_BLOCK: each block builds
-    its missing engines together (one `central._engine` call), makes one
-    zero scan (`central._zeros_block`, one refinement run over its
-    brackets) and one PrimeTable.powers call for its prime sums, on the
-    prime table read once before the loop.
+    The members are walked in blocks of _SCAN_BLOCK: each block reads its
+    engines from one `central._engine` call, which builds the missing
+    ones together (one `central._ladder` call), makes one zero scan
+    (`central._zeros_block`, one refinement run over its brackets) and
+    one PrimeTable.powers call for its prime sums, on the prime table
+    read once before the loop.
     """
     if N < 2 or N > 200:
         raise ValueError("N must be in [2, 200] (desk scale)")

@@ -126,31 +126,25 @@ def test_engine_central_value_matches_sweep():
     assert np.max(np.abs(z0 - sweep)) < moments._VALIDATION_TOL
 
 
+def _count_ladders(monkeypatch):
+    """Empty the engine store and record the members of every _ladder
+    call, one list per call."""
+    calls = []
+    ladder = central._ladder
+    monkeypatch.setattr(central, "_ladder", lambda ns: calls.append(list(ns)) or ladder(ns))
+    monkeypatch.setattr(central, "_ENGINES", {})
+    return calls
+
+
 def test_one_engine_per_member(monkeypatch):
     assert central.get_engine(1) is central.get_engine(1)
-    builds = []
-    init = central.ZEngine.__init__
-    monkeypatch.setattr(central.ZEngine, "__init__", lambda self, n: builds.append(n) or init(self, n))
-    central._engine.cache_clear()
+    builds = _count_ladders(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # T = 30 is past the ceiling
         for T in (3.0, 12.0, 30.0):
             central.zeros_up_to(1, T)
-    assert builds == [1]
+    assert builds == [[1]]
     assert central.t_reliable(1) == pytest.approx(16.5, abs=0.6)
-
-
-def test_module_caches_read_like_lru_cache():
-    # per-layer tracing reads cache_info() of every module-level object
-    # that has one, with no argument; the engine cache counts as
-    # lru_cache does
-    for obj in vars(central).values():
-        info = getattr(obj, "cache_info", None)
-        if callable(info):
-            assert {"hits", "misses"} <= set(info()._fields), obj
-    central._engine.cache_clear()
-    central._engine(3, 4, 3)
-    assert central._engine.cache_info()[:2] == (1, 2)
 
 
 def test_shared_engine_read_only():
@@ -236,6 +230,21 @@ def test_engine_degree_check_refuses(monkeypatch):
         central.ZEngine(1)
 
 
+def test_engine_degree_check_refuses_nan_gaps(monkeypatch):
+    # a nan probe gap fails its rung: with every weight nan the ladder
+    # climbs to the last degree and refuses, so no engine scans to an
+    # empty zero list
+    assembler = central._assembler
+
+    def poisoned(*args):
+        assemble = assembler(*args)
+        return lambda *ds: [(u, l, np.full_like(G, np.nan), lgnorm) for u, l, G, lgnorm in assemble(*ds)]
+
+    monkeypatch.setattr(central, "_assembler", poisoned)
+    with pytest.raises(ConvergenceError, match="degrees 96 and 192 differ by nan"):
+        central.ZEngine(3)
+
+
 def test_chosen_degree_keeps_the_zeros(monkeypatch):
     # against a reference independent of the engine's panels: degree 32
     # on panels of width 2/(1 + T_CAP), an eighth of PANEL_WIDTH.  The
@@ -250,9 +259,10 @@ def test_chosen_degree_keeps_the_zeros(monkeypatch):
         ref = copy.copy(central.get_engine(n))
         ((ref.u, ref.l, ref.G, ref.lgnorm),) = central._assembler(n, 2.0 / (1.0 + central.T_CAP))(32)
         got = zeros[n] = np.array(central.zeros_up_to(n, T).gammas)
-        monkeypatch.setattr(central, "get_engine", lambda m: ref)
+        monkeypatch.setattr(central, "_engine", lambda *ms: [ref])
         want = np.array(central.zeros_up_to(n, T).gammas)
         monkeypatch.undo()
+        assert not np.array_equal(got, want), n  # the scan read the reference engine
         assert len(got) == len(want), n
         low = want < 0.5 * t_rel
         assert np.max(np.abs(got - want)[low]) < 1e-10, n
@@ -376,25 +386,21 @@ def test_zero_side_counts_pinned():
 
 def test_block_build_matches_single_builds(monkeypatch):
     # engines built together (one coefficient call, both first rules of a
-    # member in one pass, one probe call) equal the engines built alone
-    # bit for bit, across panel counts and degrees; a member whose first
-    # two rules disagree (415 here) climbs the ladder alone
-    ns = [1, 2, 45, 96, 150, 191, 415]
-    blocks = []
-    ladder = central._ladder_starts
-    monkeypatch.setattr(central, "_ladder_starts", lambda ms: blocks.append(list(ms)) or ladder(ms))
-    central._engine.cache_clear()
+    # member in one pass, one probe call per rung) equal the engines built
+    # alone bit for bit, across panel counts and degrees; the members whose
+    # first two rules disagree (415, 467 and 500) climb to 48 on one rung
+    ns = [1, 2, 45, 96, 150, 191, 415, 467, 500]
+    blocks = _count_ladders(monkeypatch)
     built = central._engine(*ns)
     assert blocks == [ns]
-    assert {24, 48} <= {e.degree for e in built}
+    assert [e.degree for e in built] == [24] * 6 + [48] * 3
+    # a second call builds nothing and returns the same engines
+    assert all(e is f for e, f in zip(central._engine(*ns), built)) and blocks == [ns]
     for e in built:
         alone = central.ZEngine(e.n)
         assert (e.degree, e.lgnorm, e.t_reliable) == (alone.degree, alone.lgnorm, alone.t_reliable)
         for got, want in ((e.u, alone.u), (e.l, alone.l), (e.G, alone.G)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), e.n
-    info = central._engine.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 7, 7)
-    assert central._engine(*ns) == built and central._engine.cache_info().hits == 7
 
 
 def test_block_zeros_are_sign_change_brackets(monkeypatch):
@@ -515,13 +521,15 @@ def test_member_reads_numpy_integers():
         central._member(np.arange(0, 3))
 
 
-def test_get_engine_reads_numpy_integers():
-    # the cache is keyed on the int: one build serves np.int64(2), 2 and np.int32(2)
-    central._engine.cache_clear()
+def test_get_engine_reads_numpy_integers(monkeypatch):
+    # the store is keyed on the int: one build serves np.int64(2), 2 and np.int32(2)
+    builds = _count_ladders(monkeypatch)
     engine = central.get_engine(np.int64(2))
     assert central.get_engine(2) is engine and central.get_engine(np.int32(2)) is engine
-    info = central._engine.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert builds == [[2]] and [type(n) for n in central._ENGINES] == [int]
+    # a member named twice in one call is built once
+    three, four, again = central._engine(3, 4, np.int64(3))
+    assert builds == [[2], [3, 4]] and again is three and four.n == 4
     with pytest.raises(ValueError, match="family index n must be an integer"):
         central.get_engine(1.5)
 

@@ -283,7 +283,7 @@ def test_gauss_legendre_rule_once_per_degree(monkeypatch):
     degrees = []
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda d: degrees.append(d) or leggauss(d))
     monkeypatch.setattr(central, "_GL_RULES", {})
-    central._engine.cache_clear()
+    monkeypatch.setattr(central, "_ENGINES", {})
     density.empirical_one_level(20, density.fejer(1.0), ctx=CTX)
     assert sorted(degrees) == sorted(set(degrees)) == [16, 24, 48]
     for nodes, weights in central._GL_RULES.values():
@@ -298,7 +298,7 @@ def test_t_reliable_once_per_member(monkeypatch):
     counted = lambda n: calls.append(n) or t_reliable(n)
     monkeypatch.setattr(central, "t_reliable", counted)
     monkeypatch.setattr(density, "t_reliable", counted, raising=False)
-    central._engine.cache_clear()
+    monkeypatch.setattr(central, "_ENGINES", {})
     density.empirical_one_level(10, density.fejer(1.0), ctx=CTX)
     assert sorted(calls) == list(range(1, 11))
 
