@@ -22,9 +22,10 @@ At t = 0 it is the central-value series
 a(m) the normalized coefficients.  On the critical line, with
 c = 2n - 1 and Q = 7/(2pi), it is the smoothed approximate functional
 equation (Rubinstein 2005): Lambda(1/2+it) = 2 Q^(1/2-c) Re S(c, t).
-Its terms x^(-s) Gamma(s, x) come from specfun's fixed-point kernel:
-the finite Poisson sum at t = 0, the lower series or Legendre's
-continued fraction on the critical line.
+specfun's fixed-point series kernel sums it in scaled ints, in units of
+Gamma(c) (2pi/7)^(-c), with every e^(-x_m) from one ladder: the finite
+Poisson sums at t = 0, and on the critical line the lower series below
+a switch placed by cost, Legendre's continued fraction above it.
 
 Zero scans run on a float64 engine that factorizes the t-dependence of
 the theta integral into one cosine dot product over precomputed,
@@ -42,7 +43,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from math import ceil, lgamma, log, pi as fpi
+from math import ceil, isfinite, lgamma, log, pi as fpi
 from typing import NamedTuple
 
 import numpy as np
@@ -58,11 +59,12 @@ from .specfun import (
     ConvergenceError,
     loggamma_f64,
     _series_index,
-    _upper_gamma_scaled,
+    _upper_gamma_series,
 )
 
 BETA = 2.0 * fpi / 7.0  # 2pi/7, the exponential rate of the theta series
 MK_CAP = 50_000_000  # cap on truncation-length x exponent for the series route
+_LOSS_CAP = 100  # cap on the digits the critical-line sum cancels: 33 at t = 50, n = 1
 T_CAP = 50.0  # desk-scale search height
 LOG_Q = log(7.0 / (2.0 * fpi))  # log of the conductor scale Q = 7/(2pi)
 
@@ -151,22 +153,19 @@ def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> Central
     wp = ctx.working_dps + 5
     S = _gamma_sum(n, 0, M, wp)
     with mp.workdps(wp):
-        value = 2 * (2 * mp.pi / 7) ** n / mpmath.factorial(n - 1) * S
+        value = 2 * S
         tail = mpmath.exp(_log_tail_bound(n, M))
         return CentralValue(n=n, value=+value, method="series", tail_bound=+tail)
 
 
 def _gamma_sum(c: int, t, M: int, wp: int):
-    """S(c, t) = sum_{m<=M} chi^(2c-1)(m) x_m^(-s) Gamma(s, x_m) with
-    s = c + it and x_m = 2pi m/7, at wp digits, by specfun's fixed-point
-    kernel for x^(-s) Gamma(s, x); real (an mpf) at t = 0, where that is
-    the finite Poisson sum."""
+    """S(c, t) / (Gamma(c) beta^(-c)), with S(c, t) truncated at m <= M
+    and beta = 2pi/7, at wp digits, by specfun's fixed-point series
+    kernel; real (an mpf) at t = 0, where it is
+    sum_m chi^(2c-1)(m) m^(-c) Q(c, x_m) = L(1/2, chi^(2c-1))/2."""
     table = field.coeff_table(2 * c - 1, M)
     with mp.workdps(wp):
-        beta = 2 * mp.pi / 7
-        ms = [m for m in range(1, M + 1) if table.exact[m]]
-        terms = _upper_gamma_scaled(c, t, [beta * m for m in ms])
-        return mpmath.fsum(table.exact[m] * w for m, w in zip(ms, terms))
+        return _upper_gamma_series(c, t, lambda: 2 * mp.pi / 7, table.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +533,21 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     |Gamma(c+it, x)| <= Gamma(c, x), so series_truncation(c, .) bounds
     the remainder at every t.  The terms cancel down by
     10^loss = Gamma(c)/|Gamma(c+it)|, so the sum is run and truncated at
-    working_dps + loss + 12 digits."""
+    working_dps + loss + 12 digits.  ValueError for a t that is not a
+    finite number; ComputeCapError, before any work, for a loss above
+    _LOSS_CAP digits (t above about 148 at n = 1), since the cost grows
+    about as loss^3."""
     c = _member(n).c
+    if not isfinite(float(t)):
+        raise ValueError(f"height t must be a finite number, got {t}")
     loss = ceil((lgamma(c) - loggamma_f64(c, float(t)).real) / log(10.0))
+    if loss > _LOSS_CAP:
+        raise ComputeCapError(f"the sum at t = {t} cancels {loss} digits, past cap {_LOSS_CAP}")
     wp = ctx.working_dps + loss + 12
     M = series_truncation(c, wp)
     S = _gamma_sum(c, t, M, wp)
     with mp.workdps(wp):
-        lam = 2 * (7 / (2 * mp.pi)) ** (mpf(1) / 2 - c) * mpmath.re(S)
+        lam = 2 * mpmath.factorial(c - 1) / mpmath.sqrt(2 * mp.pi / 7) * mpmath.re(S)  # Q^(1/2-c) Gamma(c) beta^(-c)
         return mpc(+lam, 0)
 
 

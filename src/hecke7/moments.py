@@ -357,12 +357,16 @@ def _local_double_sum(x, y, rows) -> mpc:
 
 
 def _closed_local(p: int, chi: int, a, b):
+    """local_factor's closed form at p of class chi, for mpmath shifts
+    a, b: u = p^(-1-2a), y = p^(-1-2b) and w = p^(-1-a-b) are products
+    of p^(-a) and p^(-b), one exponential of log p each."""
     if chi == 0:
         return mpf(1)
-    u = mpf(p) ** (-1 - 2 * a)
-    y = mpf(p) ** (-1 - 2 * b)
+    lp = mpmath.log(p)
+    pa, pb = mpmath.exp(-a * lp), mpmath.exp(-b * lp)
+    u, y = pa * pa / p, pb * pb / p
     if chi == 1:
-        w = mpf(p) ** (-1 - a - b)
+        w = pa * pb / p
         return (1 + w) / ((1 - u) * (1 - w) * (1 - y))
     return 1 / ((1 + u) * (1 + y))
 

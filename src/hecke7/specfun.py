@@ -5,14 +5,17 @@ guard digits) and return mpmath values rounded at the requested
 precision.  erfc, digamma, Hurwitz zeta and Gamma are mpmath's
 Euler-Maclaurin / asymptotic-series methods; this module fixes their
 working precision and the lab's conventions around them.  The incomplete
-gamma is one fixed-point kernel, _upper_gamma_scaled(c, t, xs) =
-x^(-s) Gamma(s, x) for s = c + it, which sums Python ints at the working
-precision plus guard bits:
+gamma is one fixed-point kernel (_Kernel) for x^(-s) Gamma(s, x),
+s = c + it, which sums Python ints at the working precision plus guard
+bits:
   * at integer order (t = 0), the finite Poisson sum
     e^(-x) sum_{k<c} x^k/k!, summed outward from its largest term;
-    reg_gamma_Q(n, x) rescales it to Q(n, x);
-  * at complex order, the terms of the Hardy-Z series: Gamma(s) less the
-    lower series below a switch, Legendre's continued fraction above it.
+  * at complex order, Gamma(s) less the lower series below a switch
+    placed by cost, Legendre's continued fraction above it.
+_upper_gamma_scaled runs it at single points x (reg_gamma_Q rescales it
+to Q(n, x)); _upper_gamma_series sums it over x_m = rate m with integer
+weights, the series of the central values and of the mp Hardy Z, with
+every e^(-x_m) from one ladder and no mpf formed per term at t = 0.
 
 Float64, in plain numpy, for the float64 stages (zero engine, one-level
 density, ratios integrand, central-value sweep):
@@ -112,14 +115,85 @@ def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         return x**n / mpmath.factorial(n - 1) * _upper_gamma_scaled(n, 0, [x])[0]
 
 
-# The incomplete-gamma kernel sums Python ints scaled by 2^p, p the
-# current mpmath precision plus guard bits.  Every loop stops on a bound
-# for what it leaves out and rounds by a few units of 2^-p per step; the
+# The incomplete-gamma kernel sums Python ints scaled by 2^prec, prec the
+# current precision plus guard bits.  Every loop stops on a bound for
+# what it leaves out and rounds by a few units of 2^-prec per step; the
 # open-ended ones raise ConvergenceError after _KERNEL_STEPS steps, and
 # the finite Poisson sum has fewer than c.  So _GUARD_BITS + bit_length(c)
-# guard bits cover the rounding of every run.
+# guard bits cover the rounding of one term, and bit_length(M) more that
+# of M terms.
 _KERNEL_STEPS = 1 << 16
 _GUARD_BITS = _KERNEL_STEPS.bit_length() + 3
+# The lower series takes about x - c + 1.3 sqrt(2 B x) steps at x, for
+# B = log 2 times the current precision, and Legendre's fraction about
+# B^2/(16 x) + 8 (Gautschi's exp(-4 sqrt(n x)) rate), each step costing
+# about three series steps (measured at c = 3 and 5, t = 2.4 to 10, 25 to
+# 60 digits).  At small c the two costs meet near x = B/5, past |s + 1|.
+_SERIES_REACH = 0.2
+
+
+class _Kernel:
+    """One call's fixed point for x^(-s) Gamma(s, x), s = c + it (an
+    integer c >= 1, real t), at the current precision plus guard bits
+    for `terms` terms.
+
+    term(X, lead, one) is w x^(-s) Gamma(s, x)/(Gamma(c) x^(-c)) scaled by
+    2^prec for x = X 2^-prec and a weight w > 0 of the caller's, from
+    lead = w mu, mu = e^(-x) x^(c-1)/(c-1)!, and from one(), which gives
+    w x^(-it) Gamma(s)/Gamma(c) and is called only below the cut:
+
+      * t = 0, x >= c - 1: the finite Poisson sum
+        mu sum_{j<c} (c-1)!/(c-1-j)! x^(-j) (_poisson_down);
+      * t = 0, x < c - 1: one() less mu x/c sum_j x^j c!/(c+j)!
+        (_poisson_up);
+      * t != 0, x < switch: one() less mu x sum_k x^k/(s)_(k+1)
+        (DLMF 8.7.1, _lower_series);
+      * t != 0, x >= switch: mu x times Legendre's continued fraction
+        (DLMF 8.9.2, _legendre_cf).
+
+    Each loop stops once what it leaves out is below tol units of 2^-prec,
+    absolute, so a term of small weight stops early.  As
+    |gamma(s, x)| <= gamma(c, x) <= Gamma(c), a term of weight 1 is within
+    a few units of Gamma(c) x^(-c) 2^-prec; the cancellation of a sum down
+    to |Gamma(s)| is the caller's to pay for in the current precision.
+
+    The switch is the larger of |s + 1|, below which the fraction's
+    stopping test can pass while it is still off by O(1) (at c = 191,
+    x = 30 and 60), and _SERIES_REACH B, below which the lower series is
+    the cheaper.  Up to the switch the lower series' terms can first grow,
+    by the product G of their ratios x/|s + j| > 1, and every floor
+    rounded before grows with them, so prec has log2 G more guard bits.
+    """
+
+    def __init__(self, c: int, t, terms: int = 1):
+        bits = mp.prec
+        switch = max(abs(complex(c + 1, t)), _SERIES_REACH * bits * log(2)) if t else c - 1
+        growth = sum(max(0.0, log(switch / abs(complex(c + j, t)))) for j in range(1, int(switch) + 1)) if t else 0
+        spare = _GUARD_BITS + c.bit_length()
+        self.prec = prec = bits + spare + ceil(growth / log(2)) + terms.bit_length()
+        self.tol = 1 << (spare - 2)  # truncation: 2^(-2) ulp of the current precision over all terms
+        self.c, self.T, self.cut = c, to_fixed(mpf(t)._mpf_, prec), to_fixed(mpf(switch)._mpf_, prec)
+        self.invs = []  # fixed-point 1/(s + k), k = 1, 2, ..., shared by every lower series
+
+    def term(self, X: int, lead: int, one) -> tuple[int, int]:
+        c, T, prec, tol = self.c, self.T, self.prec, self.tol
+        lx = lead * X >> prec  # w mu x
+        if X >= self.cut:
+            if T:
+                return _legendre_cf(c, T, X, lx, prec, tol)
+            return _poisson_down(c, X, lead, prec, tol), 0
+        if not T:
+            return one()[0] - _poisson_up(c, X, lx // c, prec, tol), 0
+        vr, vi = _cdiv(lx, 0, c << prec, T, prec)  # w mu x/s
+        sr, si = _lower_series(T, X, vr, vi, self.invs, c, prec, tol)
+        wr, wi = one()
+        return wr - sr, wi - si
+
+
+def _fixed(z, prec: int) -> tuple[int, int]:
+    """(re z, im z) as ints scaled by 2^prec (floored)."""
+    z = mpc(z)
+    return to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec)
 
 
 def _upper_gamma_scaled(c: int, t, xs) -> list:
@@ -127,65 +201,104 @@ def _upper_gamma_scaled(c: int, t, xs) -> list:
     each mpf x > 0 of xs, at the current precision prec: to a few ulps at
     t = 0, else within a few units of Gamma(c) x^(-c) 2^(-prec).
 
-    That absolute error is what a sum of such terms needs: |gamma(s, x)|
-    <= gamma(c, x) <= Gamma(c), and the cancellation down to |Gamma(s)|
-    is the caller's to pay for in prec.  Each regime is one loop over
-    fixed-point ints, outward from the largest term:
-
-      * t = 0, x >= c - 1: the finite Poisson sum e^(-x)/x
-        sum_{j<c} (c-1)!/(c-1-j)! x^(-j) (_poisson_down);
-      * t = 0, x < c - 1: (c-1)! x^(-c) less the upper Poisson tail
-        e^(-x)/c sum_j x^j c!/(c+j)! (_poisson_up);
-      * t != 0, x < |s + 1|: Gamma(s) x^(-s) - e^(-x) sum_k x^k/(s)_(k+1)
-        (DLMF 8.7.1, _lower_series), with Gamma(s) computed once per call;
-      * t != 0, x >= |s + 1|: e^(-x) times Legendre's continued fraction
-        (DLMF 8.9.2, _legendre_cf).
-
-    The switch |s + 1| is where every ratio x/|s + k| of the lower series
-    has modulus below 1.  Above it the continued fraction converges within
-    a few hundred steps at 200 bits; well below it its stopping test can
-    pass while it is still off by O(1) (at c = 191, x = 30 and 60).
-    """
-    guard = _GUARD_BITS + c.bit_length()
-    prec = mp.prec + guard
-    tol = 1 << (guard - 2)  # truncation: 2^(-2) ulp of the caller's precision
-    T = to_fixed(mpf(t)._mpf_, prec)
-    invs = []  # fixed-point 1/(s + k), k = 1, 2, ..., shared by every lower series
+    Each x is one _Kernel term, with mu, e^(-x) and x^(-it) Gamma(s) from
+    mpmath: of weight 1 below the cut (at t = 0, Q(c, x) > 1/2 there),
+    of weight 1/mu above it, where the loops then run relative to the
+    value."""
+    kernel = _Kernel(c, t)
+    prec = kernel.prec
     out = []
     with mp.workprec(prec):
-        s = mpc(c, t)
         gamma_c = mpmath.factorial(c - 1)
-        gamma_s = mpmath.gamma(s) if t else gamma_c
+        ratio = mpmath.gamma(mpc(c, t)) / gamma_c if t else 1
         for x in xs:
             X = to_fixed(x._mpf_, prec)
-            if not t:
-                if X >= (c - 1) << prec:
-                    out.append(mpmath.exp(-x) / x * mpf((_poisson_down(c, X, prec, tol), -prec)))
-                else:
-                    tail = mpf((_poisson_up(c, X, prec, tol), -prec))
-                    out.append(gamma_c / x**c - mpmath.exp(-x) / c * tail)
-            elif x < abs(s + 1):
-                xc = x**c
-                lead = xc * mpmath.exp(-x) / (gamma_c * s)  # e^(-x)/s in units of Gamma(c) x^(-c)
-                sr, si = _lower_series(T, X, lead, invs, c, prec, tol)
-                lower = gamma_c * mpc(mpf((sr, -prec)), mpf((si, -prec)))
-                out.append((x ** mpc(0, -t) * gamma_s - lower) / xc)
+            if X >= kernel.cut:
+                scale, lead = mpmath.exp(-x) / x, 1 << prec  # scale = Gamma(c) x^(-c) mu
             else:
-                hr, hi = _legendre_cf(c, T, X, prec, tol)
-                out.append(mpmath.exp(-x) * mpc(mpf((hr, -prec)), mpf((hi, -prec))))
+                scale, lead = gamma_c / x**c, to_fixed((mpmath.exp(-x) * x ** (c - 1) / gamma_c)._mpf_, prec)
+            vr, vi = kernel.term(X, lead, lambda: _fixed(x ** mpc(0, -t) * ratio, prec))
+            out.append(scale * (mpc(mpf((vr, -prec)), mpf((vi, -prec))) if t else mpf((vr, -prec))))
     return out
 
 
-def _poisson_down(c: int, X: int, prec: int, tol: int) -> int:
-    """sum_{j<c} (c-1)!/(c-1-j)! x^(-j) scaled by 2^prec, for x = X 2^-prec
-    >= c - 1: terms t_0 = 1 and t_(j+1) = t_j k/x with k = c-1-j, which
-    do not grow.  The terms left after t_j sum to at most t_j k/(x - k),
-    so the loop stops once k (t_j + tol) < tol floor(x), that bound below
-    tol units.  1/x is one division, to prec bits relative."""
+def _upper_gamma_series(c: int, t, rate, coeffs):
+    """sum_{m<=M} a_m x_m^(-s) Gamma(s, x_m) / (Gamma(c) rate^(-c)), an mpf
+    at t = 0, else an mpc, for s = c + it, x_m = rate m, rate() in (0, 1)
+    at the current precision, and the integers a_m = coeffs[m],
+    m = 1, ..., M = len(coeffs).  Each term is within a few units of
+    2^-prec, prec the current precision plus guard bits (see _Kernel).
+
+    Term m is the _Kernel term of weight |a_m| m^(-c), with its sign, and
+    no mpf is formed per term at t = 0:
+      * x_m is m times one fixed-point rate at bit_length(M) more bits;
+      * its lead, |a_m| m^(-c) mu(x_m) = |a_m| E_m/m, takes
+        E_m = e^(-rate m) rate^(c-1)/(c-1)! from one ladder, a W-bit
+        mantissa and its binary exponent multiplied by e^(-rate) and
+        renormalized at each m.  A step rounds by under 2^(4-W) relative,
+        so W = prec + bit_length(M) + 4 keeps M steps under 2^-prec;
+      * the weight |a_m| m^(-c), asked for only below the cut, is one
+        scaled-int division by m^c cut to W bits (_pow_top; M > c, so W
+        has the bits of c that its error needs);
+      * at t != 0 below the switch, x_m^(-it) Gamma(s)/Gamma(c) is one
+        mpmath exponential of t log m.
+    """
+    M = len(coeffs)
+    kernel = _Kernel(c, t, M)
+    prec, g = kernel.prec, M.bit_length()
+    W = prec + g + 4
+    with mp.workprec(W + 8):
+        rate = rate()
+        B, step = to_fixed(rate._mpf_, prec + g), to_fixed(mpmath.exp(-rate)._mpf_, W)
+        mant, e = mpmath.frexp(rate ** (c - 1) / mpmath.factorial(c - 1))
+        E, R = to_fixed(mant._mpf_, W), W - e  # E_0 = E 2^-R
+        ratio = rate ** mpc(0, -t) * mpmath.gamma(mpc(c, t)) / mpmath.factorial(c - 1) if t else None
+    sr = si = 0
+    with mp.workprec(prec):
+        for m in range(1, M + 1):
+            E = E * step >> W
+            shift = W - E.bit_length()
+            E, R = E << shift, R + shift
+            a = coeffs[m]
+            if not a:
+                continue
+
+            def one():
+                F, e = _pow_top(m, c, W)
+                w = (abs(a) << prec) // (F << e)
+                if not t:
+                    return w, 0
+                zr, zi = _fixed(ratio * mpmath.expj(-t * mpmath.log(m)), prec)
+                return w * zr >> prec, w * zi >> prec
+
+            vr, vi = kernel.term(m * B >> g, (abs(a) * E >> (R - prec)) // m, one)
+            sr, si = (sr + vr, si + vi) if a > 0 else (sr - vr, si - vi)
+    return mpc(mpf((sr, -prec)), mpf((si, -prec))) if t else mpf((sr, -prec))
+
+
+def _pow_top(m: int, c: int, W: int) -> tuple[int, int]:
+    """(F, e) with F 2^e = m^c, F cut to its top W bits after each square
+    and multiply.  A cut rounds by under 2^(1-W) relative and each later
+    square doubles that, so the error is under 2^(2-W) c relative."""
+    F, e = 1, 0
+    for bit in bin(c)[2:]:
+        F, e = F * F * (m if bit == "1" else 1), 2 * e
+        cut = max(0, F.bit_length() - W)
+        F, e = F >> cut, e + cut
+    return F, e
+
+
+def _poisson_down(c: int, X: int, lead: int, prec: int, tol: int) -> int:
+    """lead sum_{j<c} (c-1)!/(c-1-j)! x^(-j) scaled by 2^prec, for
+    x = X 2^-prec >= c - 1 and lead >= 0: terms t_0 = lead and
+    t_(j+1) = t_j k/x with k = c-1-j, which do not grow.  The terms left
+    after t_j sum to at most t_j k/(x - k), so the loop stops once
+    k (t_j + tol) < tol floor(x), that bound below tol units.  1/x is one
+    division, to prec bits relative."""
     xl = X >> prec
     shift = prec + xl.bit_length() + 1
     inv = (1 << (prec + shift)) // X  # 2^shift/x
-    term = total = 1 << prec
+    term = total = lead
     limit = tol * xl
     for k in range(c - 1, 0, -1):
         if term < limit and k * (term + tol) < limit:
@@ -195,14 +308,15 @@ def _poisson_down(c: int, X: int, prec: int, tol: int) -> int:
     return total
 
 
-def _poisson_up(c: int, X: int, prec: int, tol: int) -> int:
-    """sum_{j>=0} x^j c!/(c+j)! scaled by 2^prec, for x = X 2^-prec
-    < c - 1: terms t_0 = 1 and t_j = t_(j-1) x/a with a = c + j, falling.
-    The terms left after t_j sum to at most t_j x/(a + 1 - x), so the
-    loop stops once ceil(x) (t_j + tol) < tol a, that bound below tol
-    units, with a = c + j + 1 the next divisor."""
+def _poisson_up(c: int, X: int, lead: int, prec: int, tol: int) -> int:
+    """lead sum_{j>=0} x^j c!/(c+j)! scaled by 2^prec, for
+    x = X 2^-prec < c - 1 and lead >= 0: terms t_0 = lead and
+    t_j = t_(j-1) x/a with a = c + j, falling.  The terms left after t_j
+    sum to at most t_j x/(a + 1 - x), so the loop stops once
+    ceil(x) (t_j + tol) < tol a, that bound below tol units, with
+    a = c + j + 1 the next divisor."""
     xu = -(-X >> prec)
-    term = total = 1 << prec
+    term = total = lead
     for a in range(c + 1, c + _KERNEL_STEPS):
         if term < tol * a and xu * (term + tol) < tol * a:
             return total
@@ -211,16 +325,16 @@ def _poisson_up(c: int, X: int, prec: int, tol: int) -> int:
     raise ConvergenceError(f"Poisson tail at c = {c} exceeds {_KERNEL_STEPS} terms")
 
 
-def _lower_series(T: int, X: int, lead, invs: list, c: int, prec: int, tol: int) -> tuple[int, int]:
-    """sum_k v_k, v_0 = lead and v_k = v_(k-1) x/(s+k), in fixed point
-    at prec bits (x = X 2^-prec, t = T 2^-prec), with invs[k-1] = 1/(s+k)
-    kept and extended across calls.  The ratios have modulus x/|s+k| < 1,
-    falling in k, so the terms left after v_k sum to at most
-    |v_k| r/(1 - r) for the next ratio's modulus r; the loop stops once
-    that is below tol units, tested as (|v_k| + tol) r < tol with r at
-    most ceil(x)/|c + k + 1 + i floor(|t|)|.  A floored negative term
-    stays at -1, never 0, so the bound, not a zero term, ends the loop."""
-    vr, vi = to_fixed(mpmath.re(lead)._mpf_, prec), to_fixed(mpmath.im(lead)._mpf_, prec)
+def _lower_series(T: int, X: int, vr: int, vi: int, invs: list, c: int, prec: int, tol: int) -> tuple[int, int]:
+    """sum_k v_k, v_0 = vr + i vi and v_k = v_(k-1) x/(s+k), in fixed
+    point at prec bits (x = X 2^-prec, t = T 2^-prec), with
+    invs[k-1] = 1/(s+k) kept and extended across calls.  Past the first
+    k with |s + k| > x the ratios have modulus x/|s+k| < 1, falling in k,
+    so the terms left after v_k sum to at most |v_k| r/(1 - r) for the
+    next ratio's modulus r; the loop stops once that is below tol units,
+    tested as (|v_k| + tol) r < tol with r at most
+    ceil(x)/|c + k + 1 + i floor(|t|)|.  A floored negative term stays
+    at -1, never 0, so the bound, not a zero term, ends the loop."""
     sr, si = vr, vi
     xu = -(-X >> prec)  # ceil(x)
     tl2 = (abs(T) >> prec) ** 2  # floor(|t|)^2
@@ -247,20 +361,23 @@ def _cdiv(ar: int, ai: int, br: int, bi: int, prec: int) -> tuple[int, int]:
     return ((ar * br + ai * bi) << prec) // den, ((ai * br - ar * bi) << prec) // den
 
 
-def _legendre_cf(c: int, T: int, X: int, prec: int, tol: int) -> tuple[int, int]:
-    """1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) = e^x x^(-s) Gamma(s, x) with
-    b_i = x + 2i + 1 - s and a_i = -i(i - s), the even part of Legendre's
-    continued fraction, in fixed point at prec bits, by modified Lentz
-    from C_0 = inf.  D_i is kept as its reciprocal E_i = b_i + a_i/E_(i-1),
-    which like C_i = b_i + a_i/C_(i-1) stays of the size of b_i, so each
-    step rounds by a few units relative.  The value is h_0 = 1/b_0 times
-    the step factors d_i = C_i/E_i; the loop stops once the estimate
-    |d_i - 1| r/(1 - r) of the factors left, r the ratio of the last two
-    |d - 1|, is below tol units."""
+def _legendre_cf(c: int, T: int, X: int, lead: int, prec: int, tol: int) -> tuple[int, int]:
+    """lead/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) = lead e^x x^(-s) Gamma(s, x)
+    with b_i = x + 2i + 1 - s and a_i = -i(i - s), the even part of
+    Legendre's continued fraction, in fixed point at prec bits, by
+    modified Lentz from C_0 = inf.  D_i is kept as its reciprocal
+    E_i = b_i + a_i/E_(i-1), which like C_i = b_i + a_i/C_(i-1) stays of
+    the size of b_i, so each step rounds by a few units relative.  The
+    value is h_0 = lead/b_0 times the step factors d_i = C_i/E_i; the
+    loop stops once the estimate |h| |d_i - 1| r/(1 - r) of what the
+    factors left change, r the ratio of the last two |d - 1|, is below
+    tol units."""
+    if not lead:
+        return 0, 0
     one = 1 << prec
     br, bi = X + (1 - c) * one, -T
     er, ei = br, bi
-    hr, hi = _cdiv(one, 0, br, bi, prec)
+    hr, hi = _cdiv(lead, 0, br, bi, prec)
     cr = ci = prev = None
     for i in range(1, _KERNEL_STEPS):
         ar, ai = i * (c - i) * one, i * T
@@ -275,7 +392,7 @@ def _legendre_cf(c: int, T: int, X: int, prec: int, tol: int) -> tuple[int, int]
         dr, di = _cdiv(cr, ci, er, ei, prec)
         hr, hi = (hr * dr - hi * di) >> prec, (hr * di + hi * dr) >> prec
         eps = abs(dr - one) + abs(di)
-        if prev is not None and eps * eps <= tol * (prev - eps):
+        if prev is not None and eps * eps * (abs(hr) + abs(hi)) <= (tol * (prev - eps)) << prec:
             return hr, hi
         prev = eps
     raise ConvergenceError(f"Legendre continued fraction at c = {c} exceeds {_KERNEL_STEPS} steps")

@@ -36,6 +36,40 @@ def test_series_matches_exact_central_value():
         assert abs(cv.value - ec.L) < mpf(10) ** -18, n
 
 
+@pytest.mark.parametrize("n, digits", [(1, 30), (51, 30), (101, 30), (377, 20), (937, 20)])
+def test_series_against_gammainc(n, digits):
+    # the same series, truncated at its own length, with its terms
+    # a(m) m^(-n) Q(n, beta m) by mpmath's gammainc at 20 digits more
+    cv = central.central_value_series(n, PrecisionContext(digits))
+    M = central.series_truncation(n, digits + 20)
+    table = field.coeff_table(2 * n - 1, M)
+    with mp.workdps(digits + 20):
+        beta = 2 * mp.pi / 7
+        want = 2 * mpmath.fsum(
+            e * mpf(m) ** -n * mpmath.gammainc(n, beta * m, regularized=True) for m, e in table.exact.items() if e
+        )
+    assert abs(cv.value - want) <= cv.tail_bound + mpf(10) ** -digits
+
+
+def test_series_exponentials_do_not_grow_with_the_series(monkeypatch):
+    # the series route takes every e^(-x_m) from one ladder, so a call
+    # makes as many mpmath.exp calls at n = 101 (M = 313) as at n = 51
+    calls = []
+    exp = mpmath.exp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "exp", counted)
+    counts = []
+    for n in (51, 101):
+        calls.clear()
+        central.central_value_series(n, PrecisionContext(30))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2, counts
+
+
 def test_series_even_n_exact_zero():
     cv = central.central_value_series(6, CTX20)
     assert cv.value == 0 and cv.method == "exact" and cv.tail_bound == 0
@@ -84,6 +118,27 @@ def test_hardy_Z_against_gammainc_series(n, t):
     # series, and at x = 30 and 60 the continued fraction is off by O(1)
     ctx = PrecisionContext(15)
     assert abs(central.hardy_Z(n, t, ctx) - _hardy_Z_gammainc(n, t, 60)) < mpf(10) ** -ctx.working_dps
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_critical_line_refuses_non_finite_heights(t):
+    for f in (central.completed_lambda, central.hardy_Z):
+        with pytest.raises(ValueError, match="finite"):
+            f(2, t)
+
+
+def test_critical_line_compute_cap(monkeypatch):
+    # the loss is 204 digits at t = 300 (n = 1), about t^3 in time; the cap
+    # is met before the series is summed.  Every caller stays below it:
+    # 33 digits at t = T_CAP for n = 1, the largest loss up to T_CAP
+    def refuse(*args):
+        raise AssertionError("series summed past the cap")
+
+    monkeypatch.setattr(central, "_gamma_sum", refuse)
+    for t in (300.0, -300.0, 1e4):
+        with pytest.raises(ComputeCapError, match="cancels"):
+            central.hardy_Z(1, t)
+    assert (math.lgamma(1) - loggamma_f64(1, central.T_CAP).real) / math.log(10) < central._LOSS_CAP
 
 
 def test_runtime_never_calls_gammainc(monkeypatch):

@@ -497,6 +497,73 @@ def test_central_prints_the_pinned_exact_text(capsys, n):
     assert mpf(obj["delta"]) <= mpf(obj["delta_bound"])
 
 
+# the full text of `central --method both --digits 30 --format json`,
+# recorded while the series terms were summed in mpmath, one
+# exponential and one mpf product per term: the series value, its
+# tail bound and delta, the series-exact gap, to three digits
+PINNED_CENTRAL_BOTH = {
+    1: """\
+{
+  "n": 1,
+  "digits": 30,
+  "method": "both",
+  "series_value": "9.66655852808405773366538419515e-01",
+  "series_tail_bound": "5.98e-33",
+  "exact_value": "9.66655852808405773366538419515e-01",
+  "exact_value_abs_err": "1.00e-30",
+  "A_exact": "1/4",
+  "A_exact_abs_err": "0",
+  "B_exact": "1/2",
+  "B_exact_abs_err": "0",
+  "delta": "9.71e-35",
+  "delta_bound": "1.01e-30"
+}
+""",
+    51: """\
+{
+  "n": 51,
+  "digits": 30,
+  "method": "both",
+  "series_value": "3.13989220055553900762316964067e-03",
+  "series_tail_bound": "6.77e-33",
+  "exact_value": "3.13989220055553900762316964067e-03",
+  "exact_value_abs_err": "1.00e-30",
+  "A_exact": "3499549208637780309625413989514635090481612338765625",
+  "A_exact_abs_err": "0",
+  "B_exact": "-59156987825934649337848875",
+  "B_exact_abs_err": "0",
+  "delta": "2.43e-38",
+  "delta_bound": "1.01e-30"
+}
+""",
+    101: """\
+{
+  "n": 101,
+  "digits": 30,
+  "method": "both",
+  "series_value": "2.23122809305455812639588193758e-03",
+  "series_tail_bound": "8.56e-33",
+  "exact_value": "2.23122809305455812639588193758e-03",
+  "exact_value_abs_err": "1.00e-30",
+  "A_exact": "1081245937279757777477292171131206812673026372914658320395351443509221999258584762\
+085663927803603320197155500046760240713388591025390625",
+  "A_exact_abs_err": "0",
+  "B_exact": "32882304318276688825960028851904923142331727341904869246631555659375",
+  "B_exact_abs_err": "0",
+  "delta": "2.54e-37",
+  "delta_bound": "1.01e-30"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CENTRAL_BOTH))
+def test_central_both_prints_the_pinned_text(capsys, n):
+    rc, out = run(capsys, "central", "--n", str(n), "--method", "both", "--digits", "30", "--format", "json")
+    assert rc == 0
+    assert out == PINNED_CENTRAL_BOTH[n]
+
+
 # the text of the ratios commands, recorded while the integrand and its
 # error bound were still two library calls per height: the two ratios
 # commands of CI, a negative height, a height on the Richardson branch

@@ -112,19 +112,24 @@ def test_integer_order_kernel_against_gammainc():
 
 
 def test_complex_order_kernel_against_gammainc():
-    # x = beta m on both sides of the switch |s + 1| between the lower
-    # series and the continued fraction: next to it, at m = 1 and m/3,
-    # and 3 m past it.  The lower series' complex terms go negative, where
-    # >> floors to -1 and never reaches 0.  Below the switch at c = 191
-    # (x = 64 at m/3) the continued fraction's stopping test passes while
-    # it is still off by O(1), so a switch capped at x = 30 fails here
+    # x = beta m on both sides of |s + 1|, where every ratio of the lower
+    # series falls below 1: next to it, at m = 1 and m/3, and 3 m past
+    # it; and on both sides of the switch between the lower series and
+    # the continued fraction, which at c <= 5 and t < 27 sits at x = 28.1
+    # (0.2 B, B = 203 log 2), past |s + 1|, where the lower series' terms
+    # first grow.  Its complex
+    # terms go negative, where >> floors to -1 and never reaches 0.
+    # Below |s + 1| at c = 191 (x = 64 at m/3) the continued fraction's
+    # stopping test passes while it is still off by O(1), so a switch
+    # capped at x = 30 fails here
     for c in (1, 3, 5, 47, 191):
         for t in (0.3, 2.4, 9.7, 30.0, 50.0):
             with mp.workdps(KERNEL_DPS):
                 unit = mpf(2) ** (4 - mp.prec) * mpmath.factorial(c - 1)
                 beta = 2 * mp.pi / 7
                 m = int(abs(mpmath.mpc(c + 1, t)) / beta)  # beta m < |s + 1| <= beta (m + 1)
-                xs = [beta * k for k in sorted({1, m // 3, m, m + 1, 3 * (m + 1)} - {0})]
+                w = int(0.2 * mp.prec * log(2) / beta)  # beta w < 0.2 B <= beta (w + 1)
+                xs = [beta * k for k in sorted({1, m // 3, m, m + 1, 3 * (m + 1), w, w + 1} - {0})]
                 for x, got in zip(xs, _upper_gamma_scaled(c, t, xs)):
                     err = abs(got - _gammainc_scaled(mpmath.mpc(c, t), x))
                     assert err <= unit * x ** -c, (c, t, x, err)
