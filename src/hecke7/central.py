@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from math import ceil, isfinite, lgamma, log, pi as fpi
+from math import ceil, lgamma, log, pi as fpi
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +58,8 @@ from .specfun import (
     ComputeCapError,
     ConvergenceError,
     loggamma_f64,
-    _series_index,
+    _finite,
+    _integer,
     _upper_gamma_series,
 )
 
@@ -78,15 +79,15 @@ class _Member(NamedTuple):
 
 
 def _member(n) -> _Member:
-    """Family member n's numbers, for an integer n >= 1 (a numpy integer
-    reads as the int) or an integer array of them (entrywise); ValueError
-    for anything else, bools and integral floats included."""
-    if type(n) is not int:
-        arr = np.asarray(n)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"family index n must be an integer, got {n!r}")
-        n = arr if arr.ndim else int(arr)
-    if (n if type(n) is int else n.min()) < 1:
+    """Family member n's numbers, for an integer n >= 1 (read by
+    specfun._integer: a numpy integer reads as the int) or an integer
+    array of them (entrywise); ValueError for anything else, bools and
+    integral floats included."""
+    if not isinstance(n, np.ndarray):
+        n = _integer(n, "family index n")
+    elif n.dtype.kind not in "iu":
+        raise ValueError(f"family index n must be an integer, got {n!r}")
+    elif n.min() < 1:
         raise ValueError("family index n must be >= 1")
     return _Member(k=4 * n - 3, c=2 * n - 1, a=2 * n - 1.5)
 
@@ -122,8 +123,9 @@ def series_truncation(n: int, digits: int) -> int:
     bounds decay by at least e^(-beta/4), so the remainder past M is
     under 5 * 4 * n e^(-beta M)(beta M)^(n-1)/(n-1)!.  We return the
     first M past the Tricomi transition where that bound is below
-    10^(-digits-2).
+    10^(-digits-2), for positive integers n and digits.
     """
+    n, digits = _integer(n, "series index n"), _integer(digits, "digits")
     target = -(digits + 2) * log(10.0)
     m = max(int(4.0 * (n - 1) / (3.0 * BETA)) + 1, int(n / BETA) + 2, 4)
     while _log_tail_bound(n, m) >= target:
@@ -139,17 +141,13 @@ def _log_tail_bound(n: int, m: int) -> float:
 
 def central_value_series(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> CentralValue:
     """L(1/2, chi^(2n-1)) = 2 (2pi/7)^n/(n-1)! S(n, 0), truncated at
-    series_truncation(n, ctx.digits) with tail_bound its remainder bound."""
-    n = _series_index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    series_truncation(n, ctx.digits) with tail_bound its remainder bound;
+    ComputeCapError as _gamma_sum's."""
+    n = _integer(n, "series index n")
     if n % 2 == 0:
         # odd functional equation: (-1)^(n-1) = -1 forces L(1/2) = 0
         return CentralValue(n=n, value=mpf(0), method="exact", tail_bound=mpf(0))
-    k = 2 * n - 1
     M = series_truncation(n, ctx.digits)
-    if M * k > MK_CAP:
-        raise ComputeCapError(f"series length {M} x exponent {k} exceeds cap {MK_CAP}")
     wp = ctx.working_dps + 5
     S = _gamma_sum(n, 0, M, wp)
     with mp.workdps(wp):
@@ -162,8 +160,13 @@ def _gamma_sum(c: int, t, M: int, wp: int):
     """S(c, t) / (Gamma(c) beta^(-c)), with S(c, t) truncated at m <= M
     and beta = 2pi/7, at wp digits, by specfun's fixed-point series
     kernel; real (an mpf) at t = 0, where it is
-    sum_m chi^(2c-1)(m) m^(-c) Q(c, x_m) = L(1/2, chi^(2c-1))/2."""
-    table = field.coeff_table(2 * c - 1, M)
+    sum_m chi^(2c-1)(m) m^(-c) Q(c, x_m) = L(1/2, chi^(2c-1))/2.
+    ComputeCapError, before the coefficient table, for M (2c - 1) >
+    MK_CAP: the one cap of the central-value series and the mp Hardy Z."""
+    k = 2 * c - 1
+    if M * k > MK_CAP:
+        raise ComputeCapError(f"series length {M} x exponent {k} exceeds cap {MK_CAP}")
+    table = field.coeff_table(k, M)
     with mp.workdps(wp):
         return _upper_gamma_series(c, t, lambda: 2 * mp.pi / 7, table.exact)
 
@@ -536,10 +539,9 @@ def completed_lambda(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     working_dps + loss + 12 digits.  ValueError for a t that is not a
     finite number; ComputeCapError, before any work, for a loss above
     _LOSS_CAP digits (t above about 148 at n = 1), since the cost grows
-    about as loss^3."""
+    about as loss^3, and for a series past _gamma_sum's MK_CAP."""
     c = _member(n).c
-    if not isfinite(float(t)):
-        raise ValueError(f"height t must be a finite number, got {t}")
+    t = _finite(t, "height t")
     loss = ceil((lgamma(c) - loggamma_f64(c, float(t)).real) / log(10.0))
     if loss > _LOSS_CAP:
         raise ComputeCapError(f"the sum at t = {t} cancels {loss} digits, past cap {_LOSS_CAP}")
@@ -564,8 +566,8 @@ def hardy_Z(n: int, t, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 
 def zero_count_main_term(n: int, T: float) -> float:
-    """(T/pi) log 2n, the source's zero-count main term."""
-    return T / fpi * log(2 * n)
+    """(T/pi) log 2n, the source's zero-count main term of member n."""
+    return T / fpi * log(_member(n).c + 1)
 
 
 ZERO_WIDTH = 1e-11  # bracket width at which a zero counts as isolated
@@ -645,6 +647,16 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
     return _zeros_block([n], [T])[0]
 
 
+def _scan_height(T):
+    """T unchanged, once 0 < T <= T_CAP: the one reader of a zero scan's
+    height.  ValueError otherwise, nan included."""
+    if not T > 0:
+        raise ValueError("T must be positive")
+    if T > T_CAP:
+        raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
+    return T
+
+
 def _zeros_block(ns, Ts) -> list[ZeroRecord]:
     """zeros_up_to(ns[i], Ts[i]) for every i, with its errors and
     warnings: each member's grid scan on its own engine, all of them from
@@ -653,11 +665,7 @@ def _zeros_block(ns, Ts) -> list[ZeroRecord]:
     the sign-change brackets of all the members, Z evaluated for every
     live point at once by one _z_block over their engines.  Every T and n is checked before
     any member is scanned."""
-    for T in Ts:
-        if not T > 0:  # also refuses nan
-            raise ValueError("T must be positive")
-        if T > T_CAP:
-            raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
+    Ts = [_scan_height(T) for T in Ts]
     cs = [_member(n).c for n in ns]
     engines = _engine(*ns)
     scans = []  # (T, grid, Z on it, exact zeros, brackets) per member

@@ -8,8 +8,16 @@ suite (requires the repository checkout with its tests/ directory).
 
 Exit codes: 0 success, 2 usage, 3 precision/convergence, 4 compute cap,
 5 acceptance failure.  Usage errors include:
+  - an integer option out of its range: an even or nonpositive --k, a
+    --max-m, --n, --steps or --threads below 1, --N below 1 or past its
+    command's cap (2000 for moment, 200 for density, which needs N >= 2);
+  - a height out of its range: --T outside (0, T_CAP], a non-finite --t
+    or --t-max;
   - a non-finite test-function parameter or a Fejer support below 1e-6;
   - a HECKE7_DIGITS value that is not an integer, when --digits is absent.
+The library reads every integer and height argument before any table,
+sieve, store or mp work, so a refused input costs no computation, and
+the message names the argument.
 
 `ratios` takes one of --t and --t-max.  Outputs are deterministic: fixed
 significant figures, insertion-ordered JSON keys, UNIX newlines, UTF-8.
@@ -49,6 +57,7 @@ from .specfun import (
     PrecisionContext,
     PrecisionError,
     constants,
+    _integer,
 )
 
 ENV_DIGITS = "HECKE7_DIGITS"
@@ -157,7 +166,7 @@ def _cmd_central(args) -> int:
             exact_L = mpf(0)
             out["exact_value"] = _sci(exact_L, args.digits)
             out["exact_value_abs_err"] = "0"
-            out["A_exact"] = "0"
+            out["A_exact"] = str(vz.A_of(n))  # 0; A_of refuses n < 1
             out["A_exact_abs_err"] = "0"
         else:
             ec = vz.central_value_exact(n, ctx)
@@ -287,8 +296,7 @@ def _cmd_ratios(args) -> int:
         return [_sci(t, 8), _sci(val, args.digits), _sci(err, 3)]
 
     if args.t_max is not None:
-        if args.steps < 1:
-            raise ValueError("--steps must be >= 1")
+        _integer(args.steps, "--steps")
         ts = [args.t_max * i / max(args.steps - 1, 1) for i in range(args.steps)]
         _emit(args, (["t", "integrand", "integrand_abs_err"], [row(t) for t in ts]))
     else:
@@ -439,10 +447,8 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"usage error: {ENV_DIGITS} must be an integer, got {env!r}", file=sys.stderr)
             return 2
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     try:
+        _integer(args.threads, "--threads")
         return args.func(args)
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, factorial, inf, isfinite, log, pi as fpi, sqrt as fsqrt
+from math import ceil, exp, factorial, inf, log, pi as fpi, sqrt as fsqrt
 from sys import float_info
 
 import numpy as np
@@ -38,9 +38,9 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from . import field
-from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _zeros_block, zeros_up_to
+from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _scan_height, _zeros_block, zeros_up_to
 from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
-from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _series_index, digamma_f64, loggamma_f64
+from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _finite, _integer, digamma_f64, loggamma_f64
 
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
 _SCAN_BLOCK = 8  # members per zero scan and prime-sum call of empirical_one_level
@@ -181,7 +181,8 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
 def prime_sum(n: int, phihat, k_max: int) -> float:
     """(1/pi) sum_{p^r <= k_max} Lambda_{4n-3}(p^r)/p^(r/2)
     * phihat(log(p^r)/2pi)."""
-    return _prime_sums(field.prime_table(k_max), [_member(n).k], phihat)[0]
+    k = _member(n).k
+    return _prime_sums(field.prime_table(k_max), [k], phihat)[0]
 
 
 def _prime_sums(table: field.PrimeTable, ks, phihat) -> list[float]:
@@ -304,12 +305,7 @@ def empirical_one_level(
     one PrimeTable.powers call for its prime sums, on the prime table
     read once before the loop.
     """
-    if N < 2 or N > 200:
-        raise ValueError("N must be in [2, 200] (desk scale)")
-    if not T > 0:  # also refuses nan
-        raise ValueError("T must be positive")
-    if T > T_CAP:
-        raise ValueError(f"T={T} beyond desk-scale cap {T_CAP}")
+    N, T = _integer(N, "N", lo=2, hi=200), _scan_height(T)
     s = log(N)
     phihat, x_end, k_max, tail = _scaled(f, s)
     table = field.prime_table(k_max)
@@ -371,10 +367,8 @@ def _ratios_classes(P: int):
     _ratios_rows reads once per call.  The primes and classes are
     field.prime_classes(P)'s, so the shared prime table neither grows nor
     takes an atan2.  ValueError unless P is an integer >= 2 (the tail
-    estimate divides by log P)."""
-    P = _series_index(P, "prime bound P")
-    if P < 2:
-        raise ValueError(f"prime bound P must be >= 2, got {P}")
+    estimate divides by log P), read before the sieve."""
+    P = _integer(P, "prime bound P", lo=2)
     primes, chi = field.prime_classes(P)
     split, inert, ram = (np.flatnonzero(chi == c) for c in (1, -1, 0))
     return np.log(primes), split, inert, ram
@@ -432,6 +426,8 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
     _check_shift(alpha, gamma)
     chi = field._prime_chi(p)
     p = int(p)  # a numpy integer prime, once accepted, is its int
+    if cutoff is not None:
+        cutoff = _integer(cutoff, "cutoff", lo=0)
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         g = mpmath.mpmathify(gamma)
@@ -593,8 +589,10 @@ def _ratios_record(t, P: int):
     """(block, xblock, A(-it, it), A'(it, it)) at a height t, or at each of
     an array of heights: one _zeta_L_block and one _ratios_rows call, the
     arithmetic of the ratios integrand.  A height stays a scalar call,
-    whose block bits a one-entry array would move."""
-    block, ts = _zeta_L_block(t), np.ravel(t).tolist()  # the block first: it refuses heights past its cap
+    whose block bits a one-entry array would move.  P is read before the
+    block, and the block refuses heights past its cap before the rows."""
+    P = _integer(P, "prime bound P", lo=2)
+    block, ts = _zeta_L_block(t), np.ravel(t).tolist()
     rows = _ratios_rows([-1j * u for u in ts], [1j * u for u in ts], P)
     return block + (rows[0] if np.ndim(t) == 0 else tuple(zip(*rows)))
 
@@ -609,10 +607,7 @@ def _ratios_point(n: int, t: float, P: int = 100_000) -> tuple[float, float]:
     for P >= 17 by partial summation with theta(x) < 1.01624 x, plus twice
     ratios_A's tail estimate times |zeta(1+2it) L(1-2it)/L(1) A(-it,it)|."""
     c = _member(n).c
-    t = float(t)
-    if not isfinite(t):
-        raise ValueError(f"height t must be a finite number, got {t}")
-    t = abs(t)
+    t = abs(float(_finite(t, "height t")))
 
     def at(h: float) -> tuple[float, float]:
         rec = _ratios_record(h, P)
@@ -650,8 +645,7 @@ def ratios_one_level_density(N: int, f: TestFunction, ctx: PrecisionContext = DE
     is accepted for API compatibility; the result is float64."""
     if f.kind != "gaussian":
         raise ValueError("ratios-route density implemented for gaussian f")
-    if N < 2:
-        raise ValueError("N must be >= 2: the scale log N vanishes at N = 1")
+    N = _integer(N, "N", lo=2)  # the scale log N vanishes at N = 1
     s = log(N)
     t_end = fpi * f.param * fsqrt(-log(1e-12)) / s
     ts, ws = _panel_rule([0.0, t_end / 2.0, t_end], 48)

@@ -34,7 +34,7 @@ import numpy as np
 from mpmath import mp, mpf, atan2, sqrt as mpsqrt
 from mpmath.libmp import from_int, mpf_atan2, mpf_div, mpf_mul, mpf_pi, mpf_sqrt, round_nearest, to_int
 
-from .specfun import CHI7, ComputeCapError, PrecisionContext, _series_index
+from .specfun import CHI7, ComputeCapError, PrecisionContext, _integer
 
 PRIME_TABLE_CAP = 10**7  # largest P the shared prime table is grown to
 
@@ -84,8 +84,7 @@ def representations(m: int) -> list[tuple[int, int]]:
     Ordered lexicographically by (b, a).  The list is closed under
     negation and conjugation, so its length is even.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _integer(m, "m")
     out = []
     bmax = isqrt(4 * m // 7)
     for b in range(-bmax, bmax + 1):
@@ -143,8 +142,7 @@ def hecke_coeff(k: int, m: int) -> int:
     adds eps a^k.  Exact Python ints throughout; _eps_power_sum is the
     direct Z[eta] powering of the same sum.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("character exponent k must be an odd positive integer")
+    k = _integer(k, "character exponent k", odd=True)
     total = 0
     for a, b in half_representations(m):
         e = epsilon(a, b)
@@ -190,7 +188,7 @@ def _prime_chi(p: int) -> int:
     Raises ValueError unless p is an int or numpy integer prime (bools
     and floats are refused; a numpy integer is read as the int).
     """
-    p = _series_index(p, "prime p")
+    p = _integer(p, "prime p", lo=None)
     if p < 2 or factorint(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     return CHI7[p % 7]
@@ -210,8 +208,10 @@ def factorint(n: int) -> dict[int, int]:
 
     At most about sqrt(n)/2 trial divisors: enough for the table's
     |B(n)|, n <= 33 (below 2^46, largest prime factor 1,747,169), for
-    the arguments of the delta averages and for _prime_chi.
+    the arguments of the delta averages and for _prime_chi.  ValueError
+    unless n is a positive integer.
     """
+    n = _integer(n, "n")
     out = {}
     p = 2
     while p * p <= n:
@@ -250,9 +250,7 @@ def _table_size(P) -> int:
     """P as an int (a numpy integer read as the int) for prime_table and
     prime_classes: ValueError unless an integer >= 0, bools and floats
     refused; ComputeCapError for P > PRIME_TABLE_CAP, before any sieving."""
-    P = _series_index(P, "prime bound P")
-    if P < 0:
-        raise ValueError(f"prime bound P must be >= 0, got {P}")
+    P = _integer(P, "prime bound P", lo=0)
     if P > PRIME_TABLE_CAP:
         raise ComputeCapError(f"prime table to P = {P} exceeds cap {PRIME_TABLE_CAP}")
     return P
@@ -294,11 +292,9 @@ def coeff_table(k: int, maxM: int, digits: int = 15) -> CoeffTable:
     """Build a CoeffTable: hecke_coeff's Lucas sums at prime powers,
     multiplicative assembly at composites over the prime table's ppart
     (both exact).  At k = 7997, M = 5939 the composite bigint products
-    take about 40% of the time, the Lucas sums the rest."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError("character exponent k must be an odd positive integer")
-    if maxM < 1:
-        raise ValueError("maxM must be >= 1")
+    take about 40% of the time, the Lucas sums the rest.  k, maxM and
+    digits are read before any work."""
+    k, maxM = _integer(k, "character exponent k", odd=True), _integer(maxM, "maxM")
     PrecisionContext(digits)  # PrecisionError before any work
     ppart = prime_table(maxM).ppart.tolist()
     exact: dict[int, int] = {1: 1}

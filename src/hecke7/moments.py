@@ -39,6 +39,7 @@ from .specfun import (
     digamma,
     dirichlet_L_chi7,
     reg_gamma_Q_f64,
+    _integer,
     _L_chi7_any,
 )
 
@@ -114,8 +115,7 @@ def sweep_central_values(N: int) -> np.ndarray:
     shared store _SWEEP, which is rebuilt and validated for every member
     whenever a larger N is asked for."""
     global _SWEEP
-    if not 1 <= N <= SWEEP_CAP:
-        raise ValueError(f"N must be in [1, {SWEEP_CAP}]")
+    N = _integer(N, "N", hi=SWEEP_CAP)
     with _SWEEP_LOCK:
         if len(_SWEEP) < N:
             _SWEEP = _build_sweep(N)
@@ -124,10 +124,11 @@ def sweep_central_values(N: int) -> np.ndarray:
 
 def empirical_moment(r: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> MomentReport:
     """M_r(N) with its prediction: 2pi/sqrt(7) for r=1, the exact-digamma
-    conjecture form for r=2 (reduced log N + C form reported alongside)."""
-    if r not in (1, 2):
-        raise ValueError("moment order r must be 1 or 2")
+    conjecture form for r=2 (reduced log N + C form reported alongside).
+    r and then N (by sweep_central_values) are read before any work."""
+    r = _integer(r, "moment order r", hi=2)
     vals = sweep_central_values(N)
+    N = len(vals)
     emp = float(np.mean(vals**r))
     if r == 1:
         pred = float(constants(ctx)["two_pi_over_sqrt7"])
@@ -163,8 +164,7 @@ def m2_conjecture_main(N: int, ctx: PrecisionContext = DEFAULT_CTX):
     (1/N) sum_{j <= 2N-2} (N - ceil(j/2))/j: one digamma call and one
     fsum of rationals, in place of N digamma calls.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _integer(N, "N")
     with mp.workdps(ctx.working_dps):
         cs = constants(ctx)
         g = mp.euler
@@ -203,8 +203,7 @@ def m2_conjecture_main(N: int, ctx: PrecisionContext = DEFAULT_CTX):
 
 def delta_one(m: int) -> int:
     """<a_n(m)>: 0 at non-squares, else the Legendre symbol (sqrt(m)/7)."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = _integer(m, "m")
     r = isqrt(m)
     if r * r != m:
         return 0
@@ -228,8 +227,7 @@ def _delta_row(chi: int, i: int, J: int) -> list[int]:
 
 def delta_two(l: int, m: int) -> int:
     """<a_n(l) a_n(m)>, assembled multiplicatively from the prime-power table."""
-    if l < 1 or m < 1:
-        raise ValueError("arguments must be positive")
+    l, m = _integer(l, "l"), _integer(m, "m")
     fl, fm = field.factorint(l), field.factorint(m)
     out = 1
     for p in set(fl) | set(fm):
@@ -243,8 +241,7 @@ def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
     """<a_n(p^m) mu_n(p^l)>.  Off p = 7, mu_n(p) = -a_n(p), mu_n(p^2) = 1
     and mu_n(p^l) = 0 for l >= 3, so it is (1, -1, 1)[l] delta(p^m,
     p^(l mod 2)); at p = 7 only the (0, 0) entry is nonzero."""
-    if m_exp < 0 or l_exp < 0:
-        raise ValueError("exponents must be nonnegative")
+    m_exp, l_exp = _integer(m_exp, "m_exp", lo=0), _integer(l_exp, "l_exp", lo=0)
     chi = field._prime_chi(p)
     if m_exp == 0 and l_exp == 0:
         return 1
@@ -257,10 +254,7 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
     """(1/N) sum_{n<=N} a_n(m) a_n(l), with a_n(m) read from the shared
     prime table as the product over p^e || m of its U-sequence value at
     exponent 4n - 3; converges to the closed forms at rate O(1/N)."""
-    if m < 1 or l < 1 or m > 130 or l > 130:
-        raise ValueError("m, l must be in [1, 130]")
-    if N < 1 or N > 10**4:
-        raise ValueError("N must be in [1, 10^4]")
+    m, l, N = _integer(m, "m", hi=130), _integer(l, "l", hi=130), _integer(N, "N", hi=10**4)
     ks = _member(np.arange(1, N + 1)).k
 
     def coeffs(x: int) -> np.ndarray:
@@ -390,11 +384,13 @@ def local_factor(
     if mode not in ("closed", "brute"):
         raise ValueError("mode must be 'closed' or 'brute'")
     _check_shift(alpha, beta)
+    chi = field._prime_chi(p)
+    p = int(p)  # a numpy integer prime, once accepted, is its int
+    if cutoff is not None:
+        cutoff = _integer(cutoff, "cutoff", lo=0)
     with mp.workdps(ctx.working_dps):
         a = mpmath.mpmathify(alpha)
         b = mpmath.mpmathify(beta)
-        chi = field._prime_chi(p)
-        p = int(p)  # a numpy integer prime, once accepted, is its int
         closed = mpc(_closed_local(p, chi, a, b))
         if mode == "closed":
             return EulerFactorValue(p=p, closed=closed, brute=None, cutoff=None)
@@ -410,7 +406,8 @@ def brute_cutoff_for(p: int, min_re_shift: float, tol: float = 1e-13) -> int:
     """Smallest cutoff (floor 60) whose geometric tail in the brute double
     sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step,
     which the shift domain |Re| < 1/4 keeps below 1.  Both brute oracles
-    take it as their default cutoff."""
+    take it as their default cutoff.  p is an integer >= 2."""
+    p = _integer(p, "prime p", lo=2)
     _check_shift(min_re_shift)
     rate = (0.5 + min_re_shift) * log(p)
     c = 60

@@ -87,27 +87,46 @@ class PrecisionContext:
 DEFAULT_CTX = PrecisionContext()
 
 
-def _series_index(n, name: str = "series index n") -> int:
-    """An integer argument (a series index, a prime) as an int, a numpy
-    integer read as the int; ValueError for anything else, bools and
-    integral floats included.  Range checks stay with the callers."""
+def _integer(n, name: str, lo: int | None = 1, hi: int | None = None, odd: bool = False) -> int:
+    """The one reader of the package's integer arguments (counts, indices,
+    exponents, primes, bounds): n as an int, a numpy integer read as the
+    int, once it lies in [lo, hi] (lo = None: no lower end, hi = None: no
+    upper end) and is odd where odd is set.  ValueError naming the
+    argument for anything else, bools and integral floats included.
+    Every public entry reads its integers here before any table, sieve,
+    store or mp work."""
     if type(n) is not int:
         if not isinstance(n, np.integer):
             raise ValueError(f"{name} must be an integer, got {n!r}")
         n = int(n)
+    if (lo is not None and n < lo) or (hi is not None and n > hi) or (odd and not n % 2):
+        if hi is not None:
+            domain = f"in [{lo}, {hi}]"
+        elif lo == 1:
+            domain = "an odd positive integer" if odd else "a positive integer"
+        else:
+            domain = f">= {lo}"
+        raise ValueError(f"{name} must be {domain}")
     return n
+
+
+def _finite(x, name: str):
+    """x unchanged, once it is a finite number (a height t, an argument x):
+    ValueError for nan and +-inf, the one finiteness reader of the mp
+    and float64 routes."""
+    if not mpmath.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x}")
+    return x
 
 
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Regularized upper incomplete gamma Q(n, x) = Gamma(n,x)/Gamma(n)
-    for a positive integer n and x >= 0: the finite Poisson sum
+    for a positive integer n and a finite x >= 0: the finite Poisson sum
     e^(-x) sum_{k<n} x^k/k!, as x^n/(n-1)! times _upper_gamma_scaled at
     t = 0, at working precision plus 10 guard digits."""
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
+    n = _integer(n, "n")
     with mp.workdps(ctx.working_dps + 10):
-        x = mpf(x)
+        x = mpf(_finite(x, "x"))
         if x < 0:
             raise ValueError("x must be nonnegative")
         if not x:
@@ -410,7 +429,8 @@ def erfc(y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 def tricomi_lhs(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """gamma(n+1, n - y*sqrt(2n)) / Gamma(n+1), the exact side of the
-    transition-region lemma."""
+    transition-region lemma, for a positive integer n."""
+    n = _integer(n, "n")
     with mp.workdps(ctx.working_dps + 10):
         x = n - mpf(y) * mpmath.sqrt(2 * n)
         if x < 0:
@@ -421,6 +441,7 @@ def tricomi_lhs(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 def tricomi_rhs(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """erfc(y)/2 - (sqrt(2)/(3 sqrt(pi n))) (1+y^2) e^(-y^2); matches
     tricomi_lhs to O(1/n) uniformly on |y| <= 3."""
+    n = _integer(n, "n")
     with mp.workdps(ctx.working_dps + 10):
         y = mpf(y)
         corr = mpmath.sqrt(2) / (3 * mpmath.sqrt(mp.pi * n)) * (1 + y * y) * mpmath.exp(-y * y)
@@ -429,8 +450,7 @@ def tricomi_rhs(n: int, y, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
 
 def gamma_rational(j: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Gamma(j/7) for j in 1..6."""
-    if not 1 <= j <= 6:
-        raise ValueError("j must be in 1..6")
+    j = _integer(j, "j", hi=6)
     with mp.workdps(ctx.working_dps):
         return +mpmath.gamma(mpf(j) / 7)
 
@@ -473,8 +493,7 @@ def _L_chi7_any(s, order: int = 0):
 
 def dirichlet_L_chi7(s, order: int = 0, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """L(s, chi_{-7}) (order=0) or L'(s, chi_{-7}) (order=1) for real s > 0."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    order = _integer(order, "order", lo=0, hi=1)
     with mp.workdps(ctx.working_dps + 5):
         s = mpf(s)
         if s <= 0:
@@ -630,7 +649,7 @@ _Q_BLOCK = 32  # Poisson masses of reg_gamma_Q_f64 formed in one 2-D round
 def reg_gamma_Q_f64(c_max: int, x):
     """Q(c, x) = Gamma(c, x)/Gamma(c) in float64 at the array x > 0 for
     c = 1, 2, ..., c_max, yielded in order as fresh arrays; ValueError
-    for c_max < 1.
+    unless c_max is a positive integer, before any array work.
 
     Q(1, x) = e^(-x) and Q(c+1, x) = Q(c, x) + e^(-x) x^c/c!, a sum of
     positive terms.  Each Poisson mass is Loader's
@@ -639,9 +658,7 @@ def reg_gamma_Q_f64(c_max: int, x):
     The masses of _Q_BLOCK consecutive c are one (c, x) array round of
     _bd0 and exp, added to the running sum row by row, so every Q is the
     one-c-at-a-time ladder's bit for bit."""
-    if c_max < 1:
-        raise ValueError(f"c_max must be >= 1, got {c_max}")
-    return _q_ladder(int(c_max), np.asarray(x, dtype=float))
+    return _q_ladder(_integer(c_max, "c_max"), np.asarray(x, dtype=float))
 
 
 def _q_ladder(c_max: int, x: np.ndarray):

@@ -47,7 +47,7 @@ from threading import Lock
 
 from mpmath import mp, mpf, factorial, pi, sqrt as mpsqrt
 
-from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, _series_index, constants
+from .specfun import ComputeCapError, PrecisionContext, DEFAULT_CTX, _integer, constants
 
 @dataclass(frozen=True)
 class VZPoly:
@@ -159,10 +159,8 @@ def _a_step(k: int, ak: tuple, ak1: tuple) -> tuple:
 
 
 def _grow(seq: list, step, k: int) -> tuple:
-    """seq[k], first extending seq one step at a time up to index k;
-    ComputeCapError, before any step, for k > K_CAP."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    """seq[k] for an int k >= 0, first extending seq one step at a time up
+    to index k; ComputeCapError, before any step, for k > K_CAP."""
     if k > K_CAP:
         raise ComputeCapError(f"recursion index {k} exceeds cap {K_CAP}")
     with _LOCK:
@@ -178,12 +176,14 @@ def _scaled(coeffs: tuple, scale: int) -> tuple:
 
 
 def b_poly(k: int) -> VZPoly:
-    """The exact rational polynomial b_k(x)."""
+    """The exact rational polynomial b_k(x), k >= 0."""
+    k = _integer(k, "recursion index k", lo=0)
     return VZPoly.make(_scaled(_grow(_B, _b_step, k), 2 * 21**k))
 
 
 def a_poly(k: int) -> VZPoly:
-    """The a-sequence element a_k = u + v*s (cross-check path)."""
+    """The a-sequence element a_k = u + v*s (cross-check path), k >= 0."""
+    k = _integer(k, "recursion index k", lo=0)
     u, v = _grow(_A, _a_step, k)
     return VZPoly.make(_scaled(u, 9**k), _scaled(v, 9**k))
 
@@ -194,9 +194,7 @@ def A_from_a_path(n: int) -> Fraction:
     At x = -1 the radicand (1+x)(1-27x) vanishes, so the limit is just
     the u-component there.
     """
-    n = _series_index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, "series index n")
     if n % 2 == 0:
         return Fraction(0)
     u = _grow(_A, _a_step, n - 1)[0]
@@ -205,18 +203,13 @@ def A_from_a_path(n: int) -> Fraction:
 
 def B_of(n: int) -> Fraction:
     """B(n) = b_{(n-1)/2}(0) for odd n; B(1) = 1/2, integer for n > 1."""
-    n = _series_index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd positive integer")
-    k = (n - 1) // 2
+    k = (_integer(n, "series index n", odd=True) - 1) // 2
     return Fraction(_grow(_B, _b_step, k)[0], 2 * 21**k)
 
 
 def A_of(n: int) -> Fraction:
     """A(n): zero for even n (odd functional equation), else B(n)^2."""
-    n = _series_index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, "series index n")
     if n % 2 == 0:
         return Fraction(0)
     b = B_of(n)
@@ -225,9 +218,7 @@ def A_of(n: int) -> Fraction:
 
 def central_value_exact(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> ExactCentral:
     """L(1/2, chi^(2n-1)) = 2 (2pi/sqrt7)^n Omega^(2n-1) A(n)/(n-1)!."""
-    n = _series_index(n)
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd positive integer")
+    n = _integer(n, "series index n", odd=True)
     A = A_of(n)
     B = B_of(n)
     omega = constants(ctx)["omega"]
@@ -239,9 +230,7 @@ def central_value_exact(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> ExactCen
 
 def congruence_check(max_n: int) -> list[tuple[int, int, bool]]:
     """B(n) = -n (mod 4) for odd 1 < n <= max_n: the nonvanishing sweep."""
-    max_n = _series_index(max_n, "series index max_n")
-    if max_n % 2 == 0:
-        raise ValueError("max_n must be odd")
+    max_n = _integer(max_n, "series index max_n", odd=True)
     out = []
     for n in range(3, max_n + 1, 2):
         B = B_of(n)

@@ -77,9 +77,19 @@ def test_series_even_n_exact_zero():
         central.central_value_series(0)
 
 
-def test_series_compute_cap():
-    with pytest.raises(ComputeCapError):
-        central.central_value_series(5001)
+def test_series_compute_cap(monkeypatch):
+    # one cap for both routes on the series, checked before the coefficient
+    # table: member 2600 is the character chi^10397 of series index 5199,
+    # 7,722 terms x exponent 10,397 = 8.0e7 > MK_CAP
+    monkeypatch.setattr(central.field, "coeff_table", lambda *a: pytest.fail("coefficient table built past the cap"))
+    for call in (
+        lambda: central.central_value_series(5001),
+        lambda: central.central_value_series(5199),
+        lambda: central.completed_lambda(2600, 0.5),
+        lambda: central.hardy_Z(2600, 0.5),
+    ):
+        with pytest.raises(ComputeCapError, match="exceeds cap 50000000"):
+            call()
 
 
 def test_completed_lambda_ties_to_series_route():

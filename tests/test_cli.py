@@ -308,6 +308,19 @@ def test_exit_codes(capsys):
     assert cli.main(["density", "--N", "24", "--T", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "0"]) == 2
     assert cli.main(["ratios", "--n", "1", "--t-max", "0.4", "--steps", "-1"]) == 2
+    # an integer out of its range is refused by the library's one reader,
+    # whose message names the argument
+    for argv, name in (
+        (["coeffs", "--k", "2", "--max-m", "5"], "character exponent k"),
+        (["coeffs", "--k", "1", "--max-m", "0"], "maxM"),
+        (["central", "--n", "0"], "series index n"),
+        (["central", "--n", "0", "--method", "exact"], "series index n"),
+        (["conjecture", "--N", "0"], "N"),
+        (["moment", "--r", "1", "--N", "0"], "N"),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"usage error: {name} must be "), argv
     capsys.readouterr()
     assert cli.main(["density", "--N", "10", "--testfn", "gaussian", "--width", "1e-5"]) == 3
     assert capsys.readouterr().err.startswith("convergence error: prime sum cutoff")

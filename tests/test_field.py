@@ -363,3 +363,35 @@ def test_spec_example_a2():
     # normalized a(2) = 1/sqrt 2 at k=1
     with mp.workdps(25):
         assert abs(field.coeff_table(1, 2).normalized[2] - 1 / mp.sqrt(2)) < 1e-20
+
+
+def test_point_counts_of_49a1():
+    # The curve 49a1, y^2 + xy = x^3 - x^2 - 2x - 1, has complex
+    # multiplication by Q(sqrt(-7)) (J. E. Cremona, Algorithms for modular
+    # elliptic curves, 1997), and the family's characters are the powers of
+    # its Hecke character.  Its point counts share no code with the Z[eta]
+    # routes: with (2y + x)^2 = 4x^3 - 3x^2 - 8x - 4, one quadratic-residue
+    # table per prime gives a_p(E) = -sum_x ((4x^3 - 3x^2 - 8x - 4)/p).
+    P = 20_000
+    table = field.prime_table(P)
+    keep = (table.primes >= 3) & (table.primes != 7)
+    primes = table.primes[keep]
+    counts = []
+    for p in primes.tolist():
+        x = np.arange(p, dtype=np.int64)
+        f = (((4 * x - 3) * x - 8) * x - 4) % p
+        square = np.zeros(p, dtype=np.int64)
+        square[x * x % p] = 1
+        counts.append(-int(np.where(f == 0, 0, 2 * square[f] - 1).sum()))
+    assert len(counts) == 2260
+    assert counts == [field.hecke_coeff(1, p) for p in primes.tolist()]
+    # the table's a_1(p) = a_p/sqrt(p) is two cosines of float64 phases,
+    # each off by at most 2pi 2^-54 in the angle and half an ulp in the
+    # value; with the sum's rounding a_1(p) is within 6 eps of exact
+    # (measured 2.6 eps), which sqrt(p) scales
+    a = np.array(counts)
+    got = table.chebyshev(1, 1, 1.0)[keep, 1] * np.sqrt(primes)
+    assert np.all(np.abs(got - a) <= 6 * np.finfo(float).eps * np.sqrt(primes))
+    # a_p = 0 exactly at the inert primes, on all three routes
+    inert = table.chi[keep] == -1
+    assert inert.sum() == 1134 and not a[inert].any() and not got[inert].any()

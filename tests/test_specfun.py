@@ -63,6 +63,10 @@ def test_Q_boundary_and_base_cases():
         reg_gamma_Q(0, 1.0)
     with pytest.raises(ValueError):
         reg_gamma_Q(3, -0.5)
+    # Q(3, inf) = 0 is a limit, not a value of the finite sum: refused like nan
+    for x in (float("inf"), float("nan"), mpmath.inf, "-inf"):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            reg_gamma_Q(3, x)
 
 
 def test_Q_against_mpmath():
