@@ -648,8 +648,11 @@ def zeros_up_to(n: int, T: float, ctx: PrecisionContext = DEFAULT_CTX) -> ZeroRe
 
 
 def _scan_height(T):
-    """T unchanged, once 0 < T <= T_CAP: the one reader of a zero scan's
-    height.  ValueError otherwise, nan included."""
+    """T unchanged, once it is a real number with 0 < T <= T_CAP: the one
+    reader of a zero scan's height.  ValueError otherwise, nan, bools,
+    strings and complex numbers included."""
+    if isinstance(T, (bool, str, complex, np.complexfloating, mpc)):
+        raise ValueError(f"T must be a real number, got {T!r}")
     if not T > 0:
         raise ValueError("T must be positive")
     if T > T_CAP:

@@ -39,7 +39,7 @@ from mpmath import mp, mpf, mpc
 
 from . import field
 from .central import LOG_Q, T_CAP, _engine, _member, _panel_rule, _scan_height, _zeros_block, zeros_up_to
-from .moments import _check_shift, _local_double_sum, brute_cutoff_for, delta_mu
+from .moments import _brute_sum, _mu_row, _oracle_args, _shift
 from .specfun import CHI7, PrecisionContext, DEFAULT_CTX, ConvergenceError, _finite, _integer, digamma_f64, loggamma_f64
 
 L1_CHI7 = fpi / fsqrt(7.0)  # L(1, chi_{-7}) = pi/sqrt(7): class number 1
@@ -68,7 +68,7 @@ def fejer(alpha: float = 1.0) -> TestFunction:
     first float64 failure (arch_term overflows near alpha = 1e-154 at
     N = 2); at the floor arch_term's order check holds for every member
     at N = 2, 10, 50, 100 and 200."""
-    if not 1e-6 <= alpha < inf:  # also refuses nan
+    if isinstance(alpha, (bool, str)) or not 1e-6 <= alpha < inf:  # also refuses nan
         raise ValueError(f"support alpha must be positive, finite and at least 1e-6, got {alpha}")
     a = float(alpha)
 
@@ -100,7 +100,7 @@ def gaussian(width: float = 2.0) -> TestFunction:
     past which fhat(0) or the tail-mass bound overflows.  A narrow width
     has a wide fhat, refused once its prime-sum cutoff passes
     field.PRIME_TABLE_CAP (see _scaled)."""
-    if not 0 < width <= GAUSSIAN_W_MAX:  # also refuses nan
+    if isinstance(width, (bool, str)) or not 0 < width <= GAUSSIAN_W_MAX:  # also refuses nan
         raise ValueError(f"width must be positive and at most {GAUSSIAN_W_MAX:.3g}, got {width}")
     w = float(width)
 
@@ -146,10 +146,13 @@ def arch_term(n: int, phihat, x_end: float, ctx: PrecisionContext = DEFAULT_CTX)
     and each float64 dot product rounds by about eps S_d, one spacing of
     the correction where its terms share a sign (the tolerance is 1e-12
     while S_24 + S_16 < 4.5e3).  A non-finite correction, as from an
-    overflowing phihat, fails the check without numpy warnings.  `ctx` is
+    overflowing phihat, fails the check without numpy warnings.  x_end
+    must be finite and positive, read before the doubling loops.  `ctx` is
     accepted for API compatibility; the result is float64.
     """
     c = _member(n).c
+    if not _finite(x_end, "x_end") > 0:
+        raise ValueError(f"x_end must be positive, got {x_end}")
     ph0 = float(phihat(0.0))
     w = 1.0 / (2.0 * fpi * c)
     edges = [0.0]
@@ -234,15 +237,26 @@ def explicit_formula_sum(
 
     Equals arch_term - prime_sum with phihat(x) = (pi/s) fhat(pi x/s),
     summed over p^r with |phihat(log p^r/2pi)| > 1e-14 (see _scaled).
+    scale is read by _scale.
     """
-    phihat, x_end, k_max, _ = _scaled(phi, float(scale) or fpi)
+    phihat, x_end, k_max, _ = _scaled(phi, _scale(scale))
     return arch_term(n, phihat, x_end, ctx) - prime_sum(n, phihat, k_max)
 
 
 def zero_side_sum(n: int, phi: TestFunction, T: float, scale: float = 0.0) -> float:
     """sum over zeros (both signs) with |gamma| <= T of phi(gamma) =
     f(gamma s/pi); scale = 0 means s = pi, as in explicit_formula_sum."""
-    return _zero_side(zeros_up_to(n, T), phi, float(scale) or fpi)
+    s = _scale(scale)
+    return _zero_side(zeros_up_to(n, T), phi, s)
+
+
+def _scale(scale) -> float:
+    """The scale s of explicit_formula_sum and zero_side_sum: scale as a
+    float, or pi at scale = 0.  ValueError unless scale is finite
+    (_finite) and >= 0."""
+    if not _finite(scale, "scale") >= 0:
+        raise ValueError(f"scale must be nonnegative, got {scale}")
+    return float(scale) or fpi
 
 
 def _zero_side(rec, phi: TestFunction, s: float) -> float:
@@ -357,8 +371,10 @@ def ratios_A(alpha, gamma, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_000
       p = 7: (1-y)/(1-w),
     with y = p^(-1-2 gamma), w = p^(-1-alpha-gamma).
     """
-    _check_shift(alpha, gamma)
-    return _ratios_rows([alpha], [gamma], P, tol)[0][0]
+    a, g = _shift(alpha), _shift(gamma)
+    if not tol > 0:  # also refuses nan; inf switches the tail check off
+        raise ValueError(f"tol must be positive, got {tol}")
+    return _ratios_rows([a], [g], P, tol)[0][0]
 
 
 def _ratios_classes(P: int):
@@ -422,20 +438,13 @@ def ratios_local_brute(p: int, alpha, gamma, cutoff: int | None = None, ctx: Pre
     """Local factor of A at p assembled from the delta_mu double sum over
     i <= cutoff (default brute_cutoff_for(p, min Re shift)), j <= 2: the
     independent oracle for ratios_A, on its domain |Re| < 1/4 (the series
-    converges for Re alpha > -1/2)."""
-    _check_shift(alpha, gamma)
-    chi = field._prime_chi(p)
-    p = int(p)  # a numpy integer prime, once accepted, is its int
-    if cutoff is not None:
-        cutoff = _integer(cutoff, "cutoff", lo=0)
+    converges for Re alpha > -1/2).  The arguments are read by
+    moments._oracle_args, and the sum is local_factor's brute body,
+    moments._brute_sum, on the rows moments._mu_row gives from p's one
+    class."""
     with mp.workdps(ctx.working_dps):
-        a = mpmath.mpmathify(alpha)
-        g = mpmath.mpmathify(gamma)
-        if cutoff is None:
-            cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(g))))
-        xa = mpf(p) ** (-(mpf(1) / 2 + a))
-        xg = mpf(p) ** (-(mpf(1) / 2 + g))
-        bracket = _local_double_sum(xa, xg, [[delta_mu(p, i, j) for j in range(3)] for i in range(cutoff + 1)])
+        a, g, chi, p, cutoff = _oracle_args(p, alpha, gamma, cutoff)
+        bracket = _brute_sum(p, a, g, cutoff, lambda i, J: _mu_row(chi, i))[1]
         u = mpf(p) ** (-1 - 2 * a)
         y = mpf(p) ** (-1 - 2 * g)
         w = mpf(p) ** (-1 - a - g)
@@ -454,11 +463,13 @@ def ratios_A_prime(t: float, ctx: PrecisionContext = DEFAULT_CTX, P: int = 100_0
     A(r,r) = 1 and every split factor is stationary in alpha on the
     diagonal, so the derivative is the closed form
       A'(r,r) = -sum_{inert p} 2 log p w^2/(1-w^2) - log 7 w/(1-w),
-    w = p^(-1-2r), with r = it, which must pass _check_shift (t finite).
-    `ctx` is accepted for API compatibility; the result is float64.
+    w = p^(-1-2r), with r = it, which must pass _shift (t finite).  Bools
+    and strings, which float() would read, are refused first.  `ctx` is
+    accepted for API compatibility; the result is float64.
     """
-    r = 1j * float(t)
-    _check_shift(r)
+    if isinstance(t, (bool, str)):
+        raise ValueError(f"height t must be a finite number, got {t!r}")
+    r = _shift(1j * float(t))
     return _ratios_rows([r], [r], P, tol=inf)[0][1]
 
 

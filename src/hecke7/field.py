@@ -58,7 +58,9 @@ def zmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
 
 
 def zpow(z: tuple[int, int], k: int) -> tuple[int, int]:
-    """k-th power in Z[eta] by binary exponentiation, k >= 0."""
+    """k-th power in Z[eta] by binary exponentiation, k an integer >= 0
+    (read by _integer before the loop)."""
+    k = _integer(k, "k", lo=0)
     result = (1, 0)
     base = z
     while k:
@@ -336,8 +338,13 @@ class PrimeTable:
         eps cos(2 pi k theta) over the half-representations of p, and
         x_{e+1} = a_k(p) x_e - x_{e-1} (x_e = 0 for e >= 1 at p = 7).  c0 = 1
         gives a_k(p^e) (U-sequence), c0 = 2 gives Lambda_k(p^e)/log p (T).
-        k is an int or an integer array; the axes of k lead the result's
-        (prime, e) axes."""
+        k is an odd positive int, or an integer array of such values, as
+        hecke_coeff reads it (ValueError for bools, floats, strings and
+        values below 1 or even); the axes of k lead the result's (prime, e)
+        axes."""
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu" or not np.all((k > 0) & (k % 2 == 1)):
+            raise ValueError(f"character exponent k must be an odd positive integer, got {k}")
         k = np.asarray(k, dtype=np.uint64)[..., None, None]
         phase = (k * self.rep_turns).view(np.int64) * 2.0**-64  # in [-1/2, 1/2)
         ap = (self.rep_eps * np.cos(2.0 * np.pi * phase)).sum(axis=-1)

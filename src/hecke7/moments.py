@@ -11,8 +11,12 @@ read-only module store, rebuilt for a larger N and validated against the
 arbitrary-precision series route on a fixed subsample.  The module also
 houses the multiplicative averages delta(m), delta(l,m), delta_mu(p^m, p^l), a
 family-average oracle for them over the prime table, and the
-local/global Euler factors F(alpha,beta) of the shifted second moment,
-whose brute oracle sums integer rows delta(p^i, p^j), j = 0..J.
+local/global Euler factors F(alpha,beta) of the shifted second moment.
+Every shift of F, of the ratios product A (density) and of their brute
+oracles is read by _shift.  Both brute oracles read their arguments
+through _oracle_args and run one body, _brute_sum, on integer rows:
+delta(p^i, p^j), j = 0..J, for F, and _mu_row's delta_mu(p^i, p^j),
+j = 0, 1, 2, for A.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .specfun import (
     digamma,
     dirichlet_L_chi7,
     reg_gamma_Q_f64,
+    _finite,
     _integer,
     _L_chi7_any,
 )
@@ -237,17 +242,21 @@ def delta_two(l: int, m: int) -> int:
     return out
 
 
+def _mu_row(chi: int, i: int) -> list[int]:
+    """delta_mu(p^i, p^j) for j = 0, 1, 2 at a prime p with chi =
+    chi_{-7}(p): off p = 7, mu_n(p) = -a_n(p) and mu_n(p^2) = 1, so the row
+    is (d_0, -d_1, d_0) for d = _delta_row(chi, i, 1); at p = 7 only the
+    (0, 0) entry, 1, is kept."""
+    d = _delta_row(chi, i, 1)
+    return [d[0], -d[1], d[0] if chi else 0]
+
+
 def delta_mu(p: int, m_exp: int, l_exp: int) -> int:
-    """<a_n(p^m) mu_n(p^l)>.  Off p = 7, mu_n(p) = -a_n(p), mu_n(p^2) = 1
-    and mu_n(p^l) = 0 for l >= 3, so it is (1, -1, 1)[l] delta(p^m,
-    p^(l mod 2)); at p = 7 only the (0, 0) entry is nonzero."""
+    """<a_n(p^m) mu_n(p^l)>: _mu_row's entry, and 0 for l >= 3, where
+    mu_n(p^l) = 0."""
     m_exp, l_exp = _integer(m_exp, "m_exp", lo=0), _integer(l_exp, "l_exp", lo=0)
     chi = field._prime_chi(p)
-    if m_exp == 0 and l_exp == 0:
-        return 1
-    if l_exp >= 3 or chi == 0:
-        return 0
-    return (1, -1, 1)[l_exp] * _delta_row(chi, m_exp, l_exp % 2)[-1]
+    return _mu_row(chi, m_exp)[l_exp] if l_exp < 3 else 0
 
 
 def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -274,23 +283,26 @@ def empirical_delta_oracle(m: int, l: int, N: int, ctx: PrecisionContext = DEFAU
 # ---------------------------------------------------------------------------
 
 
-def _check_shift(*shifts) -> None:
-    """ValueError unless every shift s is finite with |Re s| < 1/4: the
-    one domain test of F, A and their brute oracles, called at each entry."""
-    for s in shifts:
-        v = mpmath.mpmathify(s)
-        if not (mpmath.isfinite(v) and abs(mpmath.re(v)) < 0.25):
-            raise ValueError(f"shift {s} outside |Re| < 1/4 or not finite")
+def _shift(s):
+    """s as an mpmath number (mpmathify, at the current precision), once
+    it is a number, finite, with |Re s| < 1/4: the one reader of the
+    shifts of F, A and their brute oracles, called at each entry before
+    any work.  ValueError for bools and strings, which mpmathify would
+    read as numbers, and for a shift outside the domain."""
+    if isinstance(s, (bool, str)):
+        raise ValueError(f"shift must be a number, got {s!r}")
+    v = mpmath.mpmathify(s)
+    if not (mpmath.isfinite(v) and abs(mpmath.re(v)) < 0.25):
+        raise ValueError(f"shift {s} outside |Re| < 1/4 or not finite")
+    return v
 
 
 def F_shift(alpha, beta, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """F(alpha,beta) = L(1+2a)L(1+2b)L(1+a+b)(1-7^(-1-a-b)) /
     (zeta(2+2a+2b)(1-7^(-2-2a-2b))), the arithmetic factor of the
     shifted second moment; F(0,0) = 3pi/(4 sqrt 7)."""
-    _check_shift(alpha, beta)
     with mp.workdps(ctx.working_dps):
-        a = mpmath.mpmathify(alpha)
-        b = mpmath.mpmathify(beta)
+        a, b = _shift(alpha), _shift(beta)
         La = _L_chi7_any(1 + 2 * a, 0)
         Lb = _L_chi7_any(1 + 2 * b, 0)
         Lab = _L_chi7_any(1 + a + b, 0)
@@ -383,33 +395,49 @@ def local_factor(
     """
     if mode not in ("closed", "brute"):
         raise ValueError("mode must be 'closed' or 'brute'")
-    _check_shift(alpha, beta)
-    chi = field._prime_chi(p)
-    p = int(p)  # a numpy integer prime, once accepted, is its int
-    if cutoff is not None:
-        cutoff = _integer(cutoff, "cutoff", lo=0)
     with mp.workdps(ctx.working_dps):
-        a = mpmath.mpmathify(alpha)
-        b = mpmath.mpmathify(beta)
+        a, b, chi, p, cutoff = _oracle_args(p, alpha, beta, cutoff)
         closed = mpc(_closed_local(p, chi, a, b))
         if mode == "closed":
             return EulerFactorValue(p=p, closed=closed, brute=None, cutoff=None)
-        if cutoff is None:
-            cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(b))))
-        xa = mpf(p) ** (-(mpf(1) / 2 + a))
-        xb = mpf(p) ** (-(mpf(1) / 2 + b))
-        brute = _local_double_sum(xa, xb, [_delta_row(chi, i, cutoff) for i in range(cutoff + 1)])
+        cutoff, brute = _brute_sum(p, a, b, cutoff, lambda i, J: _delta_row(chi, i, J))
         return EulerFactorValue(p=p, closed=closed, brute=brute, cutoff=cutoff)
+
+
+def _oracle_args(p, alpha, beta, cutoff):
+    """(a, b, chi, p, cutoff): the arguments of both brute oracles
+    (local_factor and density.ratios_local_brute), read in this order
+    before any work: the shifts by _shift, at the current precision, p as
+    an int prime of class chi = chi_{-7}(p) (field._prime_chi), and the
+    cutoff as an integer >= 0, or None."""
+    a, b = _shift(alpha), _shift(beta)
+    return a, b, field._prime_chi(p), int(p), None if cutoff is None else _integer(cutoff, "cutoff", lo=0)
+
+
+def _brute_sum(p: int, a, b, cutoff: int | None, row):
+    """(cutoff, brute sum): the one body of both brute oracles.  The cutoff
+    I is brute_cutoff_for(p, min Re shift) when None; the sum is
+    _local_double_sum of x = p^(-1/2-a) and y = p^(-1/2-b) against the
+    integer rows row(i, I), i = 0..I, all of one length, at the current
+    precision."""
+    if cutoff is None:
+        cutoff = brute_cutoff_for(p, float(min(mpmath.re(a), mpmath.re(b))))
+    x, y = (mpf(p) ** (-(mpf(1) / 2 + s)) for s in (a, b))
+    return cutoff, _local_double_sum(x, y, [row(i, cutoff) for i in range(cutoff + 1)])
 
 
 def brute_cutoff_for(p: int, min_re_shift: float, tol: float = 1e-13) -> int:
     """Smallest cutoff (floor 60) whose geometric tail in the brute double
     sum is below tol: axis decay rate p^(-(1/2+min_re_shift)) per step,
     which the shift domain |Re| < 1/4 keeps below 1.  Both brute oracles
-    take it as their default cutoff.  p is an integer >= 2."""
+    take it as their default cutoff.  p is an integer >= 2, min_re_shift a
+    real shift (_shift) and tol finite and positive, all read before the
+    loop."""
     p = _integer(p, "prime p", lo=2)
-    _check_shift(min_re_shift)
-    rate = (0.5 + min_re_shift) * log(p)
+    s = _shift(min_re_shift)
+    if not _finite(tol, "tol") > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    rate = (0.5 + float(s)) * log(p)
     c = 60
     while True:
         # tail over max(i,j) > c: (min+1) growth absorbed by factor (c+2)^2
@@ -424,11 +452,9 @@ def delta_series_product(alpha, beta, P: int, ctx: PrecisionContext = DEFAULT_CT
     edge-of-critical-strip speed) to F(alpha,beta) zeta(1+alpha+beta).
     It reads p and its class from field.prime_classes(P), whose errors it
     raises, and leaves the shared prime table as it is."""
-    _check_shift(alpha, beta)
-    primes, classes = field.prime_classes(P)
     with mp.workdps(ctx.working_dps):
-        a = mpmath.mpmathify(alpha)
-        b = mpmath.mpmathify(beta)
+        a, b = _shift(alpha), _shift(beta)
+        primes, classes = field.prime_classes(P)
         acc = mpc(1)
         for p, chi in zip(primes.tolist(), classes.tolist()):
             acc *= _closed_local(p, chi, a, b)

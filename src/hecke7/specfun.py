@@ -62,12 +62,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision: `digits` requested decimal digits plus `guard`."""
+    """Working precision: `digits` requested decimal digits plus `guard`,
+    both ints (a numpy integer counts; ValueError from _integer for bools,
+    floats, nan and strings).  PrecisionError, before any mp work, unless
+    15 <= digits <= MAX_DIGITS and guard >= 0."""
 
     digits: int = 64
     guard: int = 10
 
     def __post_init__(self):
+        _integer(self.digits, "digits", lo=None)
+        _integer(self.guard, "guard digits", lo=None)
         if self.digits < 15:
             raise PrecisionError(f"digits={self.digits} below the floor of 15")
         if self.digits > MAX_DIGITS:
@@ -82,9 +87,6 @@ class PrecisionContext:
     @property
     def eps(self) -> mpf:
         return mpf(10) ** (-self.digits)
-
-
-DEFAULT_CTX = PrecisionContext()
 
 
 def _integer(n, name: str, lo: int | None = 1, hi: int | None = None, odd: bool = False) -> int:
@@ -112,11 +114,15 @@ def _integer(n, name: str, lo: int | None = 1, hi: int | None = None, odd: bool 
 
 def _finite(x, name: str):
     """x unchanged, once it is a finite number (a height t, an argument x):
-    ValueError for nan and +-inf, the one finiteness reader of the mp
+    ValueError for nan and +-inf, and for bools and strings, which
+    mpmath would read as numbers; the one finiteness reader of the mp
     and float64 routes."""
-    if not mpmath.isfinite(x):
+    if isinstance(x, (bool, str)) or not mpmath.isfinite(x):
         raise ValueError(f"{name} must be a finite number, got {x}")
     return x
+
+
+DEFAULT_CTX = PrecisionContext()
 
 
 def reg_gamma_Q(n: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:

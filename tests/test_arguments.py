@@ -137,3 +137,84 @@ def test_integer_reader():
             specfun._integer(value, "n", **kw)
     # the empirical moment reports the int it read
     assert type(moments.empirical_moment(1, np.int64(10)).N) is int
+
+
+# (case, the call, the start of its ValueError): at the parent of this
+# reading each of these computed a value, raised another error or never
+# returned (zpow, arch_term, the negative Fejer scale, brute_cutoff_for's tol)
+READ_ARGUMENTS = [
+    ("zpow-negative-k", lambda: field.zpow((1, 1), -1), "k must be >= 0"),
+    ("arch_term-x_end-0", lambda: density.arch_term(1, PHIHAT, 0.0), "x_end must be positive"),
+    ("arch_term-x_end-negative", lambda: density.arch_term(1, PHIHAT, -1.0), "x_end must be positive"),
+    ("explicit_formula_sum-fejer-scale", lambda: density.explicit_formula_sum(1, density.fejer(), scale=-1.0), "scale must be nonnegative"),
+    ("explicit_formula_sum-gaussian-scale", lambda: density.explicit_formula_sum(1, density.gaussian(), scale=-1.0), "scale must be nonnegative"),
+    ("zero_side_sum-scale-inf", lambda: density.zero_side_sum(1, density.fejer(), 10.0, scale=float("inf")), "scale must be a finite number"),
+    ("brute_cutoff_for-tol-0", lambda: moments.brute_cutoff_for(2, 0.0, tol=0.0), "tol must be positive"),
+    ("brute_cutoff_for-tol-nan", lambda: moments.brute_cutoff_for(2, 0.0, tol=float("nan")), "tol must be a finite number"),
+    ("chebyshev-float", lambda: field.prime_table(100).chebyshev(1.7, 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("chebyshev-bool", lambda: field.prime_table(100).chebyshev(True, 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("chebyshev-negative", lambda: field.prime_table(100).chebyshev(-1, 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("chebyshev-even", lambda: field.prime_table(100).chebyshev(2, 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("chebyshev-float-array", lambda: field.prime_table(100).chebyshev(np.array([1.0, 5.0]), 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("chebyshev-even-array", lambda: field.prime_table(100).chebyshev(np.array([1, 4]), 1, 1.0), "character exponent k must be an odd positive integer"),
+    ("powers-bool", lambda: field.prime_table(100).powers(True, 1.0), "character exponent k must be an odd positive integer"),
+    ("coeffs-float", lambda: field.prime_table(100).coeffs(2.0), "character exponent k must be an odd positive integer"),
+    ("PrecisionContext-digits-float", lambda: specfun.PrecisionContext(20.5), "digits must be an integer, got 20.5"),
+    ("PrecisionContext-digits-nan", lambda: specfun.PrecisionContext(float("nan")), "digits must be an integer, got nan"),
+    ("PrecisionContext-guard-float", lambda: specfun.PrecisionContext(30, 2.5), "guard digits must be an integer, got 2.5"),
+    ("zeros_up_to-T-str", lambda: central.zeros_up_to(1, "5"), "T must be a real number"),
+    ("zeros_up_to-T-bool", lambda: central.zeros_up_to(1, True), "T must be a real number"),
+    ("zeros_up_to-T-complex", lambda: central.zeros_up_to(1, 5 + 0j), "T must be a real number"),
+    ("empirical_one_level-T-bool", lambda: density.empirical_one_level(10, density.fejer(), T=True), "T must be a real number"),
+    ("hardy_Z-t-bool", lambda: central.hardy_Z(1, True), "height t must be a finite number"),
+    ("reg_gamma_Q-x-bool", lambda: specfun.reg_gamma_Q(3, True), "x must be a finite number"),
+    ("reg_gamma_Q-x-str", lambda: specfun.reg_gamma_Q(3, "2"), "x must be a finite number"),
+    ("ratios_A_prime-t-str", lambda: density.ratios_A_prime("0.3"), "height t must be a finite number"),
+    ("ratios_A_prime-t-bool", lambda: density.ratios_A_prime(True), "height t must be a finite number"),
+    ("fejer-bool", lambda: density.fejer(True), "support alpha must be positive, finite and at least 1e-6"),
+    ("gaussian-bool", lambda: density.gaussian(True), "width must be positive and at most"),
+    ("ratios_A-tol-nan", lambda: density.ratios_A(0.1, 0.1, tol=float("nan")), "tol must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in READ_ARGUMENTS], ids=[c[0] for c in READ_ARGUMENTS])
+def test_arguments_are_read_before_their_loops(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+# the entries of F(alpha, beta), A(alpha, gamma) and their brute oracles,
+# with the shift v in one slot
+SHIFT_ENTRIES = [
+    ("F_shift", lambda v: moments.F_shift(v, 0)),
+    ("local_factor", lambda v: moments.local_factor(2, 0, v)),
+    ("local_factor-brute", lambda v: moments.local_factor(2, v, 0, mode="brute", cutoff=60)),
+    ("delta_series_product", lambda v: moments.delta_series_product(v, 0, 10)),
+    ("brute_cutoff_for", lambda v: moments.brute_cutoff_for(2, v)),
+    ("ratios_A", lambda v: density.ratios_A(v, 0)),
+    ("ratios_local_brute", lambda v: density.ratios_local_brute(2, 0, v)),
+]
+
+
+@pytest.mark.parametrize("bad", [False, "0.1"], ids=repr)
+@pytest.mark.parametrize("entry, call", SHIFT_ENTRIES, ids=[e for e, _ in SHIFT_ENTRIES])
+def test_shifts_must_be_numbers(monkeypatch, entry, call, bad):
+    # mpmathify reads False as 0 and "0.1" as 1/10
+    for module, attr in WORK:
+        monkeypatch.setattr(module, attr, lambda *a, **k: pytest.fail(f"{entry}: work before the shift was read"))
+    with pytest.raises(ValueError, match=f"^shift must be a number, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+def test_ratios_brute_oracle_classifies_p_once(monkeypatch):
+    # the delta_mu rows come from one class of p, not from a delta_mu call
+    # (and its trial division) per entry
+    calls = []
+    prime_chi = field._prime_chi
+    monkeypatch.setattr(field, "_prime_chi", lambda p: calls.append(p) or prime_chi(p))
+    for module in (moments, density):
+        monkeypatch.setattr(module, "delta_mu", lambda *a: pytest.fail("delta_mu called"), raising=False)
+    for p, cutoff in ((179424673, 40), (2, None), (7, 10)):
+        calls.clear()
+        density.ratios_local_brute(p, 0.02, 0.0, cutoff=cutoff)
+        assert len(calls) <= 1, (p, len(calls))
